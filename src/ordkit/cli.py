@@ -349,6 +349,14 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, bool]:
 # -- entry point --------------------------------------------------------------------
 
 
+def spectrum_cap(text: str) -> int:
+    """--cap of a spectrum: the range [2, cap] must not be empty."""
+    cap = int(text)
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"cap must be >= 2, got {cap}")
+    return cap
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordkit",
@@ -387,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="obstruction spectrum up to a cap")
     p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=spectrum_cap, required=True)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
@@ -404,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("promislow",
                        help="reproduce the Promislow computation")
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=spectrum_cap, required=True)
     p.add_argument("--radius", type=int, default=4)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")

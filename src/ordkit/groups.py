@@ -70,7 +70,7 @@ class Element:
 
     @property
     def is_identity(self) -> bool:
-        return self.value == self.group.identity().value
+        return self.value == self.group._identity_value()
 
     def sort_key(self) -> Any:
         return self.group.sort_key(self.value)
@@ -86,13 +86,13 @@ class Group(ABC):
     """Base class for the concrete groups the toolkit computes with.
 
     Subclasses implement the group law on canonical forms.  Instances are
-    immutable and compare equal exactly when their descriptors match, so
-    elements of independently constructed handles interoperate.
+    immutable, so the descriptor string is computed once: a class attribute
+    where it is constant, otherwise set in ``__init__``.  Handles compare
+    equal exactly when their descriptors match, so elements of
+    independently constructed handles interoperate.
     """
 
-    @property
-    @abstractmethod
-    def descriptor(self) -> str: ...
+    descriptor: str
 
     @property
     @abstractmethod
@@ -138,7 +138,9 @@ class Group(ABC):
         return Element(self, value)
 
     def op(self, g: Element, h: Element) -> Element:
-        if g.group != self or h.group != self:
+        if (g.group is not self and g.group != self) or (
+            h.group is not self and h.group != self
+        ):
             raise GroupMismatchError(
                 f"cannot multiply elements of {g.group.descriptor} and "
                 f"{h.group.descriptor} in {self.descriptor}"
@@ -146,7 +148,7 @@ class Group(ABC):
         return Element(self, self._op_values(g.value, h.value))
 
     def inv(self, g: Element) -> Element:
-        if g.group != self:
+        if g.group is not self and g.group != self:
             raise GroupMismatchError(
                 f"element of {g.group.descriptor} is not in {self.descriptor}"
             )
@@ -157,7 +159,9 @@ class Group(ABC):
         raise ValueError(f"{self.descriptor} is not finite-enumerable")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Group) and self.descriptor == other.descriptor
+        return self is other or (
+            isinstance(other, Group) and self.descriptor == other.descriptor
+        )
 
     def __hash__(self) -> int:
         return hash(self.descriptor)
@@ -173,10 +177,7 @@ class CyclicGroup(Group):
         if n < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {n}")
         self.n = n
-
-    @property
-    def descriptor(self) -> str:
-        return f"cyclic:{self.n}"
+        self.descriptor = f"cyclic:{n}"
 
     @property
     def is_finite(self) -> bool:
@@ -206,9 +207,7 @@ class CyclicGroup(Group):
 class IntegerGroup(Group):
     """(Z, +)."""
 
-    @property
-    def descriptor(self) -> str:
-        return "integers"
+    descriptor = "integers"
 
     @property
     def is_finite(self) -> bool:
@@ -235,10 +234,7 @@ class FreeAbelianGroup(Group):
         if rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
         self.rank = rank
-
-    @property
-    def descriptor(self) -> str:
-        return f"free-abelian:{self.rank}"
+        self.descriptor = f"free-abelian:{rank}"
 
     @property
     def is_finite(self) -> bool:
@@ -293,13 +289,9 @@ class DirectProductGroup(Group):
     def __init__(self, left: Group, right: Group, name: str | None = None):
         self.left = left
         self.right = right
-        self._name = name
-
-    @property
-    def descriptor(self) -> str:
-        if self._name is not None:
-            return self._name
-        return f"product:{self.left.descriptor},{self.right.descriptor}"
+        if name is None:
+            name = f"product:{left.descriptor},{right.descriptor}"
+        self.descriptor = name
 
     @property
     def is_finite(self) -> bool:
@@ -357,23 +349,29 @@ class DirectProductGroup(Group):
         return Element(self, (a.value, b.value))
 
 
-_HALF = Fraction(1, 2)
-
 # Coset translation patterns of the four point-group parts: entry k is the
-# fractional part (0 or 1/2) forced on coordinate k of the translation.
-_PROMISLOW_COSET_FRAC = {
+# parity forced on coordinate k of the doubled translation 2t (1 where t
+# has fractional part 1/2).
+_PROMISLOW_PARITY = {
     (1, 1, 1): (0, 0, 0),
-    (1, -1, -1): (_HALF, _HALF, 0),
-    (-1, 1, -1): (0, _HALF, _HALF),
-    (-1, -1, 1): (_HALF, 0, _HALF),
+    (1, -1, -1): (1, 1, 0),
+    (-1, 1, -1): (0, 1, 1),
+    (-1, -1, 1): (1, 0, 1),
 }
+
+
+def _half_str(u: int) -> str:
+    """u/2 written as Fraction writes it: "3", "-1/2"."""
+    return str(u // 2) if u % 2 == 0 else f"{u}/2"
 
 
 class PromislowGroup(Group):
     """The Promislow (Hantzsche-Wendt) group in its affine representation.
 
     Elements are exact affine maps (D, t): a diagonal matrix D with entries
-    +-1 stored as a triple, and a translation t in (1/2)Z^3.  Generators:
+    +-1 stored as a triple, and a translation t in (1/2)Z^3 stored doubled,
+    as the int triple 2t, so the group law is integer arithmetic.  Encoded
+    and printed forms still show t itself ("1/2").  Generators:
 
         a = (diag(1,-1,-1), (1/2, 1/2, 0))
         b = (diag(-1,1,-1), (0, 1/2, 1/2))
@@ -382,74 +380,72 @@ class PromislowGroup(Group):
     this representation (checked in the test suite before anything trusts it).
     """
 
-    @property
-    def descriptor(self) -> str:
-        return "promislow"
+    descriptor = "promislow"
 
     @property
     def is_finite(self) -> bool:
         return False
 
     def _identity_value(self):
-        return ((1, 1, 1), (Fraction(0), Fraction(0), Fraction(0)))
+        return ((1, 1, 1), (0, 0, 0))
 
     def _op_values(self, g, h):
-        (da, ta), (db, tb) = g, h
-        diag = (da[0] * db[0], da[1] * db[1], da[2] * db[2])
-        trans = tuple(da[k] * tb[k] + ta[k] for k in range(3))
-        return (diag, trans)
+        (d0, d1, d2), (s0, s1, s2) = g
+        (e0, e1, e2), (u0, u1, u2) = h
+        return (
+            (d0 * e0, d1 * e1, d2 * e2),
+            (d0 * u0 + s0, d1 * u1 + s1, d2 * u2 + s2),
+        )
 
     def _inv_value(self, g):
-        d, t = g
-        return (d, tuple(-d[k] * t[k] for k in range(3)))
+        d, (u0, u1, u2) = g
+        return (d, (-d[0] * u0, -d[1] * u1, -d[2] * u2))
 
     def check_value(self, value: Any) -> None:
         try:
-            d, t = value
+            d, u = value
         except (TypeError, ValueError):
             raise ValueError(f"not an affine pair: {value!r}") from None
-        if d not in _PROMISLOW_COSET_FRAC:
+        if d not in _PROMISLOW_PARITY:
             raise ValueError(f"not a Promislow point-group part: {d!r}")
-        frac = _PROMISLOW_COSET_FRAC[d]
-        for k in range(3):
-            x = Fraction(t[k])
-            if x - frac[k] != int(x - frac[k]):
-                raise ValueError(
-                    f"translation {t!r} incompatible with point part {d!r}"
-                )
-
-    def sort_key(self, value):
-        d, t = value
-        return (d, t)
+        if (
+            not isinstance(u, tuple)
+            or len(u) != 3
+            or not all(isinstance(x, int) for x in u)
+            or tuple(x % 2 for x in u) != _PROMISLOW_PARITY[d]
+        ):
+            raise ValueError(
+                f"doubled translation {u!r} incompatible with point part {d!r}"
+            )
 
     def encode(self, value) -> dict[str, list]:
-        d, t = value
-        return {"diag": list(d), "t": [str(x) for x in t]}
+        d, u = value
+        return {"diag": list(d), "t": [_half_str(x) for x in u]}
 
     def decode(self, obj: Any):
         d = tuple(int(x) for x in obj["diag"])
-        t = tuple(Fraction(s) for s in obj["t"])
-        value = (d, t)
+        doubled = tuple(2 * Fraction(s) for s in obj["t"])
+        if any(x.denominator != 1 for x in doubled):
+            raise ValueError(f"translation {obj['t']!r} is not in (1/2)Z^3")
+        value = (d, tuple(int(x) for x in doubled))
         self.check_value(value)
         return value
 
     def format_value(self, value) -> str:
-        d, t = value
-        return f"diag{d}+({t[0]},{t[1]},{t[2]})"
+        d, u = value
+        return f"diag{d}+({','.join(_half_str(x) for x in u)})"
 
     def gen_a(self) -> Element:
-        return Element(self, ((1, -1, -1), (_HALF, _HALF, Fraction(0))))
+        return Element(self, ((1, -1, -1), (1, 1, 0)))
 
     def gen_b(self) -> Element:
-        return Element(self, ((-1, 1, -1), (Fraction(0), _HALF, _HALF)))
+        return Element(self, ((-1, 1, -1), (0, 1, 1)))
 
     def generators(self) -> list[Element]:
         return [self.gen_a(), self.gen_b()]
 
     def translation(self, x: int, y: int, z: int) -> Element:
-        return Element(
-            self, ((1, 1, 1), (Fraction(x), Fraction(y), Fraction(z)))
-        )
+        return Element(self, ((1, 1, 1), (2 * x, 2 * y, 2 * z)))
 
     def phi2_value(self, value) -> int:
         """Image in Z/2 of the map sending a -> 1, b -> 0 (a-exponent mod 2)."""
@@ -462,35 +458,33 @@ class PromislowGroup(Group):
         Computed from the affine canonical form: peel off the coset
         representative (id, a, b or ab), read the remaining integer
         translation (v1, v2, v3), and combine 2*(v1+v3) with the
-        representative's own image (1, 0 or 1).
+        representative's own image (1, 0 or 1).  The stored translation is
+        doubled, so w1 = 2*v1 and w3 = 2*v3 come out without division.
         """
-        d, t = value
+        d, (u0, _, u2) = value
         if d == (1, 1, 1):
-            base, v1, v3 = 0, t[0], t[2]
+            base, w1, w3 = 0, u0, u2
         elif d == (1, -1, -1):  # a * tau
-            base, v1, v3 = 1, t[0] - _HALF, -t[2]
+            base, w1, w3 = 1, u0 - 1, -u2
         elif d == (-1, 1, -1):  # b * tau
-            base, v1, v3 = 0, -t[0], -(t[2] - _HALF)
+            base, w1, w3 = 0, -u0, -(u2 - 1)
         else:  # ab * tau
-            base, v1, v3 = 1, -(t[0] - _HALF), t[2] + _HALF
-        return (base + 2 * (int(v1) + int(v3))) % 4
+            base, w1, w3 = 1, -(u0 - 1), u2 + 1
+        return (base + w1 + w3) % 4
 
     def kernel_coords(self, value) -> tuple[int, int, int]:
         """Coordinates (x, w, j) of a phi-kernel element as a^2x (ab)^2w b^j.
 
         Only defined on the kernel of phi2 (point part diag(1,1,1) or
-        diag(-1,1,-1)); raises ValueError otherwise.
+        diag(-1,1,-1)); raises ValueError otherwise.  In both cosets the
+        doubled middle translation coordinate is the b-exponent j.
         """
-        d, t = value
+        d, (u0, u1, u2) = value
         if d == (1, 1, 1):
-            x, y, z = (int(c) for c in t)
-            return (x, -z, 2 * y)
+            return (u0 // 2, -(u2 // 2), u1)
         if d == (-1, 1, -1):
             # g = tau * b with tau = g * b^-1 a pure translation
-            m = int(t[0])
-            n = int(t[1] - _HALF)
-            k = int(t[2] - _HALF)
-            return (m, -k, 2 * n + 1)
+            return (u0 // 2, -((u2 - 1) // 2), u1)
         raise ValueError(f"element with point part {d!r} is not in ker(phi)")
 
 
@@ -791,13 +785,13 @@ class Homomorphism:
                     )
 
     def __call__(self, g: Element) -> Element:
-        if g.group != self.source:
+        if g.group is not self.source and g.group != self.source:
             raise GroupMismatchError(
                 f"{self.name}: element of {g.group.descriptor} is not in "
                 f"source {self.source.descriptor}"
             )
         image = self._rule(g)
-        if image.group != self.target:
+        if image.group is not self.target and image.group != self.target:
             raise InvalidHomomorphismError(
                 f"{self.name}: rule returned element of {image.group.descriptor}"
             )

@@ -23,31 +23,28 @@ class Cocycle:
     Evaluation follows an exclusive case ladder: identity arguments give 0,
     then ab = id gives 1, then the orientation of (id, a, ab) decides.
     Exactly one case must fire; anything else means c is not a valid
-    circular ordering.  Values are memoized in a bounded cache.
+    circular ordering.  Values are memoized with one entry per distinct
+    argument pair, so the cache is bounded by the square of the set of
+    elements the cocycle is evaluated on.
     """
 
     def __init__(
         self,
         ordering: CircularOrdering,
-        cache_size: int = 1 << 16,
         overrides: dict[tuple[Any, Any], int] | None = None,
     ):
         self.ordering = ordering
         self.group = ordering.group
         self._cache: dict[tuple[Any, Any], int] = {}
-        self._cache_size = cache_size
         self._overrides = dict(overrides) if overrides else {}
 
     def __call__(self, a: Element, b: Element) -> int:
         key = (a.value, b.value)
         if key in self._overrides:
             return self._overrides[key]
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._evaluate(a, b)
-        if len(self._cache) < self._cache_size:
-            self._cache[key] = value
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = self._evaluate(a, b)
         return value
 
     def _evaluate(self, a: Element, b: Element) -> int:
@@ -73,11 +70,8 @@ class LiftGroup(Group):
     def __init__(self, cocycle: Cocycle):
         self.cocycle = cocycle
         self.base = cocycle.group
-
-    @property
-    def descriptor(self) -> str:
-        ordering = self.cocycle.ordering
-        return (
+        ordering = cocycle.ordering
+        self.descriptor = (
             f"lift:{self.base.descriptor}"
             f":{ordering.provenance}:{ordering.description}"
         )

@@ -48,6 +48,10 @@ from .snf import abelianization
 RECORDED_HYPOTHESES = ("countable", "amenable")
 
 
+class CertificateError(RuntimeError):
+    """A recomputed fact that a certificate rests on came out wrong."""
+
+
 # -- torsion ------------------------------------------------------------------
 
 
@@ -828,12 +832,10 @@ def promislow_worked_example(radius: int = 4) -> dict:
         "b^2": (b * b).value,
         "(ab)^2": ((a * b) * (a * b)).value,
     }
-    from fractions import Fraction
-
     expected_squares = {
-        "a^2": ((1, 1, 1), (Fraction(1), Fraction(0), Fraction(0))),
-        "b^2": ((1, 1, 1), (Fraction(0), Fraction(1), Fraction(0))),
-        "(ab)^2": ((1, 1, 1), (Fraction(0), Fraction(0), Fraction(-1))),
+        "a^2": group.translation(1, 0, 0).value,
+        "b^2": group.translation(0, 1, 0).value,
+        "(ab)^2": group.translation(0, 0, -1).value,
     }
     add("squares-are-translations", squares == expected_squares)
 
@@ -904,7 +906,8 @@ def promislow_spectrum(cap: int, radius: int = 3) -> SpectrumReport:
     if cap < 2:
         raise ValueError(f"cap must be >= 2, got {cap}")
     e, exponent_record = exponent_obstruction(PROMISLOW_PRESENTATION)
-    assert e == 4, "Promislow abelianization exponent must be 4"
+    if e != 4:
+        raise CertificateError(f"Promislow abelianization exponent is {e}, not 4")
     group = PromislowGroup()
     carrier = ball([group.gen_a(), group.gen_b()], radius)
 

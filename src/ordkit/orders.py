@@ -52,10 +52,11 @@ class CircularOrdering:
     description: str = ""
 
     def __call__(self, g1: Element, g2: Element, g3: Element) -> int:
+        group = self.group
         for g in (g1, g2, g3):
-            if g.group != self.group:
+            if g.group is not group and g.group != group:
                 raise GroupMismatchError(
-                    f"ordering on {self.group.descriptor} applied to element "
+                    f"ordering on {group.descriptor} applied to element "
                     f"of {g.group.descriptor}"
                 )
         return self.fn(g1, g2, g3)
@@ -71,7 +72,7 @@ class LeftOrdering:
     description: str = ""
 
     def positive(self, g: Element) -> bool:
-        if g.group != self.group:
+        if g.group is not self.group and g.group != self.group:
             raise GroupMismatchError(
                 f"ordering on {self.group.descriptor} applied to element "
                 f"of {g.group.descriptor}"

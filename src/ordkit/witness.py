@@ -45,17 +45,16 @@ class WitnessAmbientGroup(Group):
 
     def __init__(self, p: int, up_base: int | None = None, down_base: int | None = None):
         if not _is_prime(p):
-            raise ValueError(f"p must demo a prime, got {p}")
+            raise ValueError(f"p must be a prime, got {p}")
         self.p = p
         self.up = (p + 1) if up_base is None else up_base
         self.down = (p + 1) if down_base is None else down_base
         self.standard = self.up == p + 1 and self.down == p + 1
-
-    @property
-    def descriptor(self) -> str:
-        if self.standard:
-            return f"witness:{self.p}"
-        return f"witness:{self.p}:up{self.up}:down{self.down}"
+        self.descriptor = (
+            f"witness:{p}"
+            if self.standard
+            else f"witness:{p}:up{self.up}:down{self.down}"
+        )
 
     @property
     def is_finite(self) -> bool:

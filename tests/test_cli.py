@@ -198,6 +198,18 @@ class TestSpectrum:
         assert code == 2
 
 
+class TestBadCap:
+    def test_spectrum_promislow_cap_1(self, capsys):
+        assert main(["spectrum", "--group", "promislow", "--cap", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_promislow_cap_1(self, capsys):
+        assert main(["promislow", "--cap", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestPromislowCommand:
     def test_cap_12(self, capsys):
         code, out = run(capsys, "promislow", "--cap", "12", "--radius", "3")

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 
 from ordkit.groups import (
     CyclicGroup,
+    DirectProductGroup,
     Element,
     FreeAbelianGroup,
     GroupMismatchError,
@@ -26,6 +26,8 @@ from ordkit.groups import (
     klein_four_group,
     parse_presentation,
 )
+from ordkit.lift import Cocycle, LiftGroup
+from ordkit.orders import natural_circular_cyclic, usual_integer_order
 
 
 class TestGroupLaw:
@@ -40,10 +42,8 @@ class TestGroupLaw:
     def test_promislow_generator_square(self):
         g = PromislowGroup()
         a = g.gen_a()
-        assert (a * a).value == (
-            (1, 1, 1),
-            (Fraction(1), Fraction(0), Fraction(0)),
-        )
+        assert a * a == g.translation(1, 0, 0)
+        assert (a * a).encode() == {"diag": [1, 1, 1], "t": ["1", "0", "0"]}
 
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
@@ -83,6 +83,42 @@ class TestGroupLaw:
             itertools.product(b, repeat=3), 0, 2000, 7
         ):
             assert (x * y) * z == x * (y * z)
+
+
+class TestGroupIdentity:
+    def test_independent_handles_compare_and_hash_equal(self):
+        c4 = natural_circular_cyclic(4, 1)
+        pairs = [
+            (CyclicGroup(5), CyclicGroup(5)),
+            (
+                get_group("product:integers,cyclic:5"),
+                DirectProductGroup(IntegerGroup(), CyclicGroup(5)),
+            ),
+            (LiftGroup(Cocycle(c4)), LiftGroup(Cocycle(c4))),
+        ]
+        for g, h in pairs:
+            assert g is not h
+            assert g == h and hash(g) == hash(h)
+            x = g.identity()
+            assert x * h.identity() == x == h.identity()
+        assert CyclicGroup(5) != CyclicGroup(6)
+        assert CyclicGroup(5) != "cyclic:5"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: CyclicGroup(5).inv(x),
+            lambda x: natural_circular_cyclic(5)(
+                CyclicGroup(5).identity(), CyclicGroup(5).element(1), x
+            ),
+            lambda x: usual_integer_order(IntegerGroup()).positive(x),
+            lambda x: Homomorphism(CyclicGroup(5), CyclicGroup(5), lambda g: g)(x),
+        ],
+        ids=["inv", "circular-oracle", "left-cone", "homomorphism"],
+    )
+    def test_mismatch_raised_at_every_boundary(self, call):
+        with pytest.raises(GroupMismatchError):
+            call(CyclicGroup(6).element(1))
 
 
 class TestPromislowRepresentation:
@@ -130,7 +166,31 @@ class TestPromislowRepresentation:
 
     def test_coset_pattern_enforced(self, group):
         with pytest.raises(ValueError):
-            group.element(((1, -1, -1), (Fraction(0), Fraction(0), Fraction(0))))
+            group.element(((1, -1, -1), (0, 0, 0)))
+
+    def test_codec_roundtrip_radius_3(self, group):
+        for g in ball(group.generators(), 3):
+            assert group.decode(group.encode(g.value)) == g.value
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"diag": [1, 1, 1], "t": ["1/3", "0", "0"]},
+            {"diag": [1, 1, 1], "t": ["1/2", "0", "0"]},
+            {"diag": [1, -1, -1], "t": ["0", "1/2", "0"]},
+        ],
+    )
+    def test_decode_rejects_non_canonical(self, group, obj):
+        with pytest.raises(ValueError):
+            group.decode(obj)
+
+    def test_printed_forms_show_halves(self, group):
+        a = group.gen_a()
+        assert group.format_value(a.value) == "diag(1, -1, -1)+(1/2,1/2,0)"
+        assert repr(~a) == "<promislow: diag(1, -1, -1)+(-1/2,1/2,0)>"
+        assert (a * group.gen_b()).encode() == {
+            "diag": [-1, -1, 1], "t": ["1/2", "0", "-1/2"]
+        }
 
 
 class TestElementOrder:

@@ -15,7 +15,9 @@ from ordkit.groups import (
     ball,
     klein_four_group,
 )
+from ordkit import obstruction
 from ordkit.obstruction import (
+    CertificateError,
     LeftOrderEvidence,
     SpectrumReport,
     TorsionProfile,
@@ -374,6 +376,13 @@ class TestPromislowSpectrum:
         report = promislow_spectrum(4)
         assert report.obstructed_set == {4}
         assert report.unobstructed_set == {2, 3}
+
+    def test_wrong_exponent_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(
+            obstruction, "exponent_obstruction", lambda presentation: (2, {})
+        )
+        with pytest.raises(CertificateError):
+            promislow_spectrum(8)
 
     def test_worked_example(self):
         report = promislow_worked_example(radius=3)
