@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .groups import (
     Ball,
@@ -29,7 +29,7 @@ from .groups import (
     get_group,
     parse_presentation,
 )
-from .lift import lift_check_report
+from .lift import InvalidOrderingError, lift_check_report
 from .obstruction import (
     SpectrumReport,
     brute_force_circular_orders,
@@ -112,13 +112,11 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
     if descriptor.startswith("natural"):
         if not isinstance(group, CyclicGroup):
             raise UsageError("natural orderings live on cyclic groups")
-        unit = 1
-        if ":" in descriptor:
-            unit = int(descriptor.split(":", 1)[1])
         try:
+            unit = int(descriptor.split(":", 1)[1]) if ":" in descriptor else 1
             return natural_circular_cyclic(group.n, unit)
         except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc
     if descriptor == "secret":
         return secret_from_left(builtin_left_order(group))
     if descriptor == "lex":
@@ -349,12 +347,21 @@ def cmd_witness(args: argparse.Namespace) -> tuple[dict, bool]:
 # -- entry point --------------------------------------------------------------------
 
 
-def spectrum_cap(text: str) -> int:
-    """--cap of a spectrum: the range [2, cap] must not be empty."""
-    cap = int(text)
-    if cap < 2:
-        raise argparse.ArgumentTypeError(f"cap must be >= 2, got {cap}")
-    return cap
+def at_least(low: int, what: str) -> Callable[[str], int]:
+    """argparse type for an integer option that must be >= low."""
+
+    def integer(text: str) -> int:  # argparse: "invalid integer value: 'x'"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+# a spectrum's range [2, cap] must not be empty
+spectrum_cap = at_least(2, "cap")
+radius_arg = at_least(0, "radius")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--ordering", required=True, help="ordering descriptor"
             )
-        p.add_argument("--radius", type=int, default=3,
+        p.add_argument("--radius", type=radius_arg, default=3,
                        help="ball radius for infinite groups (default 3)")
         p.add_argument("--format", choices=("json", "table"), default="json")
         p.add_argument("--output", help="write the report to this path")
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-check",
                        help="cocycle, group-law and cone checks for the lift")
     common(p)
-    p.add_argument("--degree-bound", type=int, default=3,
+    p.add_argument("--degree-bound", type=at_least(0, "degree bound"), default=3,
                    help="window bound on the central coordinate (default 3)")
     p.set_defaults(func=cmd_lift_check)
 
@@ -396,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="obstruction spectrum up to a cap")
     p.add_argument("--group", required=True)
     p.add_argument("--cap", type=spectrum_cap, required=True)
-    p.add_argument("--radius", type=int, default=3)
+    p.add_argument("--radius", type=radius_arg, default=3)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
     p.set_defaults(func=cmd_spectrum)
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("promislow",
                        help="reproduce the Promislow computation")
     p.add_argument("--cap", type=spectrum_cap, required=True)
-    p.add_argument("--radius", type=int, default=4)
+    p.add_argument("--radius", type=radius_arg, default=4)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
     p.set_defaults(func=cmd_promislow)
@@ -422,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify the witness-group construction claims")
     p.add_argument("--p", type=int, required=True, choices=(2, 3, 5),
                    help="the prime parameter")
-    p.add_argument("--budget", type=int, default=500)
+    p.add_argument("--budget", type=at_least(1, "budget"), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
@@ -439,7 +446,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, passed = args.func(args)
-    except (UsageError, ResourceCapError) as exc:
+    except (UsageError, ResourceCapError, InvalidOrderingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     emit(payload, args.format, args.output)

@@ -17,15 +17,19 @@ from .groups import Ball, CyclicGroup, Element, Group
 from .orders import CircularOrdering, ValidationReport, as_carrier
 
 
+class InvalidOrderingError(ValueError):
+    """The ordering behind a cocycle violates the circular-ordering axioms."""
+
+
 class Cocycle:
     """The inhomogeneous 2-cocycle f_c of a circular ordering.
 
     Evaluation follows an exclusive case ladder: identity arguments give 0,
     then ab = id gives 1, then the orientation of (id, a, ab) decides.
-    Exactly one case must fire; anything else means c is not a valid
-    circular ordering.  Values are memoized with one entry per distinct
-    argument pair, so the cache is bounded by the square of the set of
-    elements the cocycle is evaluated on.
+    Exactly one case must fire, or c is not a valid circular ordering and
+    `InvalidOrderingError` is raised.  Values are memoized per pair of
+    canonical forms (overrides seed the memo), so the cache is bounded by
+    the square of the set of elements the cocycle is evaluated on.
     """
 
     def __init__(
@@ -35,16 +39,19 @@ class Cocycle:
     ):
         self.ordering = ordering
         self.group = ordering.group
-        self._cache: dict[tuple[Any, Any], int] = {}
-        self._overrides = dict(overrides) if overrides else {}
+        self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
 
     def __call__(self, a: Element, b: Element) -> int:
-        key = (a.value, b.value)
-        if key in self._overrides:
-            return self._overrides[key]
+        return self.of_values(a.value, b.value)
+
+    def of_values(self, a: Any, b: Any) -> int:
+        """f_c on canonical forms; elements are built only on a cache miss."""
+        key = (a, b)
         value = self._cache.get(key)
         if value is None:
-            value = self._cache[key] = self._evaluate(a, b)
+            value = self._cache[key] = self._evaluate(
+                Element(self.group, a), Element(self.group, b)
+            )
         return value
 
     def _evaluate(self, a: Element, b: Element) -> int:
@@ -58,7 +65,7 @@ class Cocycle:
             return 0
         if self.ordering(ident, ab, a) == 1:
             return 1
-        raise AssertionError(
+        raise InvalidOrderingError(
             f"no cocycle case fires at ({a!r}, {b!r}); "
             "the underlying circular ordering is invalid"
         )
@@ -86,15 +93,12 @@ class LiftGroup(Group):
     def _op_values(self, x, y):
         n, a = x
         m, b = y
-        ea, eb = Element(self.base, a), Element(self.base, b)
-        return (n + m + self.cocycle(ea, eb), self.base._op_values(a, b))
+        return (n + m + self.cocycle.of_values(a, b), self.base._op_values(a, b))
 
     def _inv_value(self, x):
         n, a = x
-        ea = Element(self.base, a)
         inv_a = self.base._inv_value(a)
-        f = self.cocycle(ea, Element(self.base, inv_a))
-        return (-n - f, inv_a)
+        return (-n - self.cocycle.of_values(a, inv_a), inv_a)
 
     def check_value(self, value) -> None:
         if not isinstance(value, tuple) or len(value) != 2:
@@ -123,14 +127,6 @@ class LiftGroup(Group):
 
     def central_generator(self) -> Element:
         return Element(self, (1, self.base._identity_value()))
-
-
-def lift_op(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def lift_inv(x: Element) -> Element:
-    return ~x
 
 
 def lift_is_positive(x: Element) -> bool:
@@ -175,6 +171,38 @@ def check_inhomogeneous_cocycle(
                 },
             )
     return ValidationReport("inhomogeneous-cocycle", "pass", checked, None)
+
+
+def check_lift_associativity(
+    lift: LiftGroup, carrier: Ball | Group | Iterable[Element]
+) -> ValidationReport:
+    """Verify associativity of the lift law over the degree-0 slice {(0,a)}.
+
+    ((n,a)(m,b))(k,c) and (n,a)((m,b)(k,c)) are the slice products shifted
+    by n + m + k in degree, so the N^3 slice triples decide every window.
+    """
+    elems = lift_window(lift, 0, carrier)
+    checked = 0
+    counter = None
+    for x, y, z in itertools.product(elems, repeat=3):
+        checked += 1
+        if (x * y) * z != x * (y * z):
+            counter = {
+                "kind": "associativity",
+                "tuple": [x.encode(), y.encode(), z.encode()],
+            }
+            break
+    return ValidationReport(
+        "lift-associativity",
+        "pass" if counter is None else "fail",
+        checked,
+        counter,
+        notes=(
+            "exhaustive over the degree-0 slice {(0, a)}; the degree defect "
+            "f(a,b) + f(ab,c) - f(b,c) - f(a,bc) does not depend on the "
+            "degrees, so the slice decides every window triple",
+        ),
+    )
 
 
 def recover_c(f: Cocycle, g1: Element, g2: Element, g3: Element) -> int:
@@ -286,49 +314,19 @@ def lift_check_report(
     c: CircularOrdering,
     base_carrier: Ball | Group | Iterable[Element],
     degree_bound: int = 3,
-    triple_cap: int = 200_000,
 ) -> dict:
     """Composite cocycle/associativity/cone report for the lift of (G, c)."""
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     f = Cocycle(c)
     lift = LiftGroup(f)
     carrier = as_carrier(base_carrier)
-    reports: list[ValidationReport] = [check_inhomogeneous_cocycle(f, carrier)]
+    reports: list[ValidationReport] = [
+        check_inhomogeneous_cocycle(f, carrier),
+        check_lift_associativity(lift, carrier),
+    ]
 
     window = lift_window(lift, degree_bound, carrier)
-    checked = 0
-    counter = None
-
-    size = len(window)
-    if size**3 <= triple_cap:
-        triple_iter = itertools.product(window, repeat=3)
-        mode = "exhaustive"
-    else:
-        import random
-
-        rng = random.Random(0)
-        triple_iter = (
-            (rng.choice(window), rng.choice(window), rng.choice(window))
-            for _ in range(triple_cap)
-        )
-        mode = "sampled"
-    for x, y, z in triple_iter:
-        checked += 1
-        if (x * y) * z != x * (y * z):
-            counter = {
-                "kind": "associativity",
-                "tuple": [x.encode(), y.encode(), z.encode()],
-            }
-            break
-    reports.append(
-        ValidationReport(
-            "lift-associativity",
-            "pass" if counter is None else "fail",
-            checked,
-            counter,
-            mode,
-        )
-    )
-
     ident = lift.identity()
     checked = 0
     counter = None

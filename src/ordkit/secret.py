@@ -48,7 +48,6 @@ class SecretWitness:
     status = "secret-on-carrier"
 
     def to_dict(self) -> dict:
-        group = self.solution.group
         return {
             "verdict": "SecretWitness",
             "scope": "on carrier only; says nothing beyond it",

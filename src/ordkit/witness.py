@@ -225,10 +225,6 @@ def membership_G(x: Element) -> WitnessMembership:
     return WitnessMembership(x, phi, phi == i)
 
 
-def witness_op(x: Element, y: Element) -> Element:
-    return x * y
-
-
 def random_subgroup_element(
     group: WitnessAmbientGroup, rng: random.Random
 ) -> Element:

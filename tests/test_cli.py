@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ordkit.cli import main
 from ordkit.groups import CyclicGroup, klein_four_group
 from ordkit.orders import OrderingTable, as_carrier, natural_circular_cyclic
@@ -208,6 +210,46 @@ class TestBadCap:
         assert main(["promislow", "--cap", "1"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+class TestBadArguments:
+    """Bad input exits 2 with one error line and no traceback."""
+
+    def assert_usage_error(self, capsys, *argv):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("command", ["lift-check", "detect-secret"])
+    def test_invalid_ordering_table(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"schema":1,"group":"cyclic:3","carrier":[0,1,2],"entries":[]}'
+        )
+        self.assert_usage_error(
+            capsys, command, "--group", "cyclic:3", "--ordering", f"table:{path}"
+        )
+
+    def test_natural_unit_not_an_integer(self, capsys):
+        self.assert_usage_error(
+            capsys, "validate", "--group", "cyclic:5", "--ordering", "natural:x"
+        )
+
+    def test_negative_radius(self, capsys):
+        self.assert_usage_error(
+            capsys, "validate", "--group", "integers", "--ordering", "secret",
+            "--radius", "-1",
+        )
+
+    def test_negative_budget(self, capsys):
+        self.assert_usage_error(capsys, "witness", "--p", "3", "--budget", "-5")
+
+    def test_negative_degree_bound(self, capsys):
+        self.assert_usage_error(
+            capsys, "lift-check", "--group", "cyclic:3", "--ordering", "natural:1",
+            "--degree-bound", "-1",
+        )
 
 
 class TestPromislowCommand:

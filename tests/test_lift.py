@@ -1,22 +1,25 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordkit.groups import CyclicGroup, IntegerGroup, ball
 from ordkit.lift import (
     Cocycle,
+    InvalidOrderingError,
     LiftGroup,
     check_inhomogeneous_cocycle,
+    check_lift_associativity,
     cyclic_enumeration,
     cyclic_lift_iso_check,
     lift_check_report,
-    lift_inv,
     lift_is_positive,
-    lift_op,
     lift_window,
     recover_c,
 )
 from ordkit.orders import (
+    CircularOrdering,
     natural_circular_cyclic,
     natural_units,
     secret_from_left,
@@ -59,6 +62,19 @@ class TestCocycleValues:
         f = Cocycle(c3, overrides={(1, 1): 1})
         e = CyclicGroup(3).element
         assert f(e(1), e(1)) == 1
+        assert f.of_values(1, 1) == 1
+
+    def test_value_lookup_matches_call(self, c3):
+        f = Cocycle(c3)
+        for a, b in itertools.product(CyclicGroup(3).elements(), repeat=2):
+            assert f.of_values(a.value, b.value) == f(a, b)
+
+    def test_invalid_ordering_names_pair(self):
+        group = CyclicGroup(3)
+        zero = CircularOrdering(group, "explicit-table", lambda *args: 0, "zero")
+        pair = r"\(<cyclic:3: 1>, <cyclic:3: 1>\)"
+        with pytest.raises(InvalidOrderingError, match=pair):
+            Cocycle(zero)(group.element(1), group.element(1))
 
 
 class TestLiftGroupLaw:
@@ -67,7 +83,7 @@ class TestLiftGroupLaw:
         x = lift3.element_from(0, e(1))
         assert (x * x).value == (0, 2)
         y = lift3.element_from(0, e(2))
-        assert lift_op(y, x).value == (1, 0)
+        assert (y * x).value == (1, 0)
 
     def test_identity_degrees_add(self, lift3):
         e = CyclicGroup(3).element
@@ -77,9 +93,9 @@ class TestLiftGroupLaw:
 
     def test_inverse_example(self, lift3):
         e = CyclicGroup(3).element
-        assert lift_inv(lift3.element_from(0, e(1))).value == (-1, 2)
-        assert lift_inv(lift3.element_from(5, e(0))).value == (-5, 0)
-        assert lift_inv(lift3.identity()) == lift3.identity()
+        assert (~lift3.element_from(0, e(1))).value == (-1, 2)
+        assert (~lift3.element_from(5, e(0))).value == (-5, 0)
+        assert ~lift3.identity() == lift3.identity()
 
     def test_cube_of_generator_hits_degree_one(self, lift3):
         e = CyclicGroup(3).element
@@ -215,3 +231,47 @@ class TestLiftCheckReport:
         c = secret_from_left(usual_integer_order(z))
         report = lift_check_report(c, ball([z.element(1)], 4), degree_bound=2)
         assert report["status"] == "pass"
+
+    def test_associativity_exhaustive_on_slice(self):
+        report = lift_check_report(natural_circular_cyclic(12, 1), CyclicGroup(12))
+        entry = report["checks"][1]
+        assert entry["name"] == "lift-associativity"
+        assert entry["mode"] == "exhaustive"
+        assert entry["checked_tuples"] == 12**3
+
+    def test_negative_degree_bound_rejected(self, c3):
+        with pytest.raises(ValueError):
+            lift_check_report(c3, CyclicGroup(3), degree_bound=-1)
+
+
+class TestLiftAssociativity:
+    def test_corrupted_cocycle_fails_on_slice(self, c3):
+        lift = LiftGroup(Cocycle(c3, overrides={(1, 1): 1}))
+        report = check_lift_associativity(lift, CyclicGroup(3))
+        assert not report.passed
+        assert report.counterexample["kind"] == "associativity"
+        assert all(x[0] == 0 for x in report.counterexample["tuple"])
+
+    @given(
+        n=st.integers(2, 6),
+        overrides=st.dictionaries(
+            st.tuples(st.integers(0, 5), st.integers(0, 5)),
+            st.integers(-1, 2),
+            max_size=4,
+        ),
+        triple=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)),
+        degrees=st.tuples(
+            st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)
+        ),
+    )
+    def test_defect_independent_of_degrees(self, n, overrides, triple, degrees):
+        # the equivalence behind the slice check, for valid and corrupted f
+        overrides = {(a % n, b % n): v for (a, b), v in overrides.items()}
+        lift = LiftGroup(Cocycle(natural_circular_cyclic(n, 1), overrides))
+        base = [CyclicGroup(n).element(v % n) for v in triple]
+        x, y, z = (lift.element_from(d, a) for d, a in zip(degrees, base))
+        x0, y0, z0 = (lift.element_from(0, a) for a in base)
+        shift = sum(degrees)
+        pairs = (((x * y) * z, (x0 * y0) * z0), (x * (y * z), x0 * (y0 * z0)))
+        for window, slice0 in pairs:
+            assert window.value == (slice0.value[0] + shift, slice0.value[1])
