@@ -496,11 +496,37 @@ def klein_four_group() -> DirectProductGroup:
 
 
 def get_group(descriptor: str) -> Group:
-    """Resolve a builtin group descriptor such as ``cyclic:6`` or ``promislow``."""
+    """Resolve a builtin group descriptor such as ``cyclic:6`` or ``promislow``.
+
+    Products nest in prefix form: ``product:<a>,<b>`` reads one descriptor,
+    a comma, then another, so ``product:product:cyclic:2,cyclic:2,cyclic:3``
+    is (Z/2 x Z/2) x Z/3.  No other descriptor contains a comma.
+    """
+    group, rest = _parse_group(descriptor)
+    if rest:
+        raise ValueError(f"unexpected {rest!r} at the end of {descriptor!r}")
+    return group
+
+
+def _parse_group(text: str) -> tuple[Group, str]:
+    """Read one descriptor from the front of text; return it and the rest."""
+    if text.startswith("product:"):
+        left, rest = _parse_group(text[len("product:"):])
+        if not rest.startswith(","):
+            raise ValueError(
+                f"product descriptor needs exactly two factors: {text!r}"
+            )
+        right, rest = _parse_group(rest[1:])
+        return DirectProductGroup(left, right), rest
+    leaf, comma, rest = text.partition(",")
+    return _leaf_group(leaf), comma + rest
+
+
+def _leaf_group(descriptor: str) -> Group:
     if descriptor == "integers":
         return IntegerGroup()
     if descriptor == "promislow":
-        return PromislowGroup()
+        return PROMISLOW
     if descriptor == "klein4":
         return klein_four_group()
     if descriptor == "trivial":
@@ -513,14 +539,6 @@ def get_group(descriptor: str) -> Group:
         from . import witness
 
         return witness.WitnessAmbientGroup(int(descriptor.split(":", 1)[1]))
-    if descriptor.startswith("product:"):
-        body = descriptor[len("product:"):]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(
-                f"product descriptor needs exactly two factors: {descriptor!r}"
-            )
-        return DirectProductGroup(get_group(parts[0]), get_group(parts[1]))
     raise ValueError(f"unknown group descriptor: {descriptor!r}")
 
 
@@ -689,6 +707,10 @@ def _default_gen_name(i: int) -> str:
 PROMISLOW_PRESENTATION = Presentation(
     2, ((1, 2, 2, -1, 2, 2), (2, 1, 1, -2, 1, 1)), ("a", "b")
 )
+
+# the one shared handle, so elements of the Promislow helpers and of
+# get_group("promislow") meet on the identity fast path of Group.__eq__
+PROMISLOW = PromislowGroup()
 
 
 def parse_presentation(text: str) -> Presentation:

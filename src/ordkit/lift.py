@@ -14,7 +14,14 @@ import itertools
 from typing import Any, Iterable
 
 from .groups import Ball, CyclicGroup, Element, Group
-from .orders import CircularOrdering, ValidationReport, as_carrier
+from .orders import (
+    CheckList,
+    CircularOrdering,
+    ValidationReport,
+    as_carrier,
+    counterexample,
+    sweep,
+)
 
 
 class InvalidOrderingError(ValueError):
@@ -154,23 +161,17 @@ def check_inhomogeneous_cocycle(
     f: Cocycle, carrier: Ball | Group | Iterable[Element]
 ) -> ValidationReport:
     """Verify f(b,c) - f(ab,c) + f(a,bc) - f(a,b) = 0 over carrier triples."""
-    elems = as_carrier(carrier)
-    checked = 0
-    for a, b, c in itertools.product(elems, repeat=3):
-        checked += 1
-        defect = f(b, c) - f(a * b, c) + f(a, b * c) - f(a, b)
-        if defect != 0:
-            return ValidationReport(
-                "inhomogeneous-cocycle",
-                "fail",
-                checked,
-                {
-                    "kind": "cocycle-identity",
-                    "tuple": [x.encode() for x in (a, b, c)],
-                    "defect": defect,
-                },
+
+    def cases():
+        for a, b, c in itertools.product(as_carrier(carrier), repeat=3):
+            defect = f(b, c) - f(a * b, c) + f(a, b * c) - f(a, b)
+            yield (
+                counterexample("cocycle-identity", (a, b, c), defect=defect)
+                if defect
+                else None
             )
-    return ValidationReport("inhomogeneous-cocycle", "pass", checked, None)
+
+    return sweep("inhomogeneous-cocycle", cases())
 
 
 def check_lift_associativity(
@@ -181,22 +182,15 @@ def check_lift_associativity(
     ((n,a)(m,b))(k,c) and (n,a)((m,b)(k,c)) are the slice products shifted
     by n + m + k in degree, so the N^3 slice triples decide every window.
     """
-    elems = lift_window(lift, 0, carrier)
-    checked = 0
-    counter = None
-    for x, y, z in itertools.product(elems, repeat=3):
-        checked += 1
-        if (x * y) * z != x * (y * z):
-            counter = {
-                "kind": "associativity",
-                "tuple": [x.encode(), y.encode(), z.encode()],
-            }
-            break
-    return ValidationReport(
+    cases = (
+        counterexample("associativity", (x, y, z))
+        if (x * y) * z != x * (y * z)
+        else None
+        for x, y, z in itertools.product(lift_window(lift, 0, carrier), repeat=3)
+    )
+    return sweep(
         "lift-associativity",
-        "pass" if counter is None else "fail",
-        checked,
-        counter,
+        cases,
         notes=(
             "exhaustive over the degree-0 slice {(0, a)}; the degree defect "
             "f(a,b) + f(ab,c) - f(b,c) - f(a,bc) does not depend on the "
@@ -254,60 +248,39 @@ def cyclic_lift_iso_check(
         return Element(lift, (t // n, enum[t % n].value))
 
     elems = lift_window(lift, window, group)
-    checked = 0
+    notes: list[str] = []
 
-    for x, y in itertools.product(elems, repeat=2):
-        checked += 1
-        if phi(x * y) != phi(x) + phi(y):
-            return ValidationReport(
-                "cyclic-lift-iso",
-                "fail",
-                checked,
-                {
-                    "kind": "not-a-homomorphism",
-                    "tuple": [x.encode(), y.encode()],
-                    "lhs": phi(x * y),
-                    "rhs": phi(x) + phi(y),
-                },
+    def cases():
+        for x, y in itertools.product(elems, repeat=2):
+            lhs, rhs = phi(x * y), phi(x) + phi(y)
+            yield (
+                counterexample("not-a-homomorphism", (x, y), lhs=lhs, rhs=rhs)
+                if lhs != rhs
+                else None
             )
-
-    images = sorted(phi(x) for x in elems)
-    expected = list(range(-window * n, window * n + n))
-    if images != expected:
-        return ValidationReport(
-            "cyclic-lift-iso",
-            "fail",
-            checked,
-            {"kind": "not-bijective-on-window", "images": images[:10]},
-        )
-
-    if n > 1:
-        gen = phi_inverse(1)
-        for t in range(-window * n, window * n + n):
-            checked += 1
-            if gen**t != phi_inverse(t):
-                return ValidationReport(
-                    "cyclic-lift-iso",
-                    "fail",
-                    checked,
+        images = sorted(phi(x) for x in elems)
+        if images != list(range(-window * n, window * n + n)):
+            return {"kind": "not-bijective-on-window", "images": images[:10]}
+        if n > 1:
+            gen = phi_inverse(1)
+            for t in range(-window * n, window * n + n):
+                power, expected = gen**t, phi_inverse(t)
+                yield (
                     {
                         "kind": "window-not-generated",
                         "power": t,
-                        "tuple": [(gen**t).encode(), phi_inverse(t).encode()],
-                    },
+                        "tuple": [power.encode(), expected.encode()],
+                    }
+                    if power != expected
+                    else None
                 )
-
-    # injectivity of a homomorphism to Z rules out torsion on the window
-    return ValidationReport(
-        "cyclic-lift-iso",
-        "pass",
-        checked,
-        None,
-        notes=(
+        # injectivity of a homomorphism to Z rules out torsion on the window
+        notes.append(
             f"window |m| <= {window}; image is the contiguous range "
-            f"[{-window * n}, {window * n + n - 1}]; torsion-free on window",
-        ),
-    )
+            f"[{-window * n}, {window * n + n - 1}]; torsion-free on window"
+        )
+
+    return sweep("cyclic-lift-iso", cases(), notes=notes)
 
 
 def lift_check_report(
@@ -321,74 +294,53 @@ def lift_check_report(
     f = Cocycle(c)
     lift = LiftGroup(f)
     carrier = as_carrier(base_carrier)
-    reports: list[ValidationReport] = [
-        check_inhomogeneous_cocycle(f, carrier),
-        check_lift_associativity(lift, carrier),
-    ]
-
     window = lift_window(lift, degree_bound, carrier)
     ident = lift.identity()
-    checked = 0
-    counter = None
-    for x in window:
-        checked += 1
-        if x * ident != x or ident * x != x or x * ~x != ident or ~x * x != ident:
-            counter = {"kind": "identity-or-inverse", "tuple": [x.encode()]}
-            break
-        if x.value != ident.value:
-            pos, neg = lift_is_positive(x), lift_is_positive(~x)
-            if pos == neg:
-                counter = {
-                    "kind": "cone-trichotomy",
-                    "tuple": [x.encode()],
-                    "positive": pos,
-                    "inverse_positive": neg,
-                }
-                break
-    if counter is None and lift_is_positive(ident):
-        counter = {"kind": "identity-positive", "tuple": [ident.encode()]}
-    if counter is None:
+    central = lift.central_generator()
+
+    def cone_cases():
+        for x in window:
+            if x * ident != x or ident * x != x or x * ~x != ident or ~x * x != ident:
+                yield counterexample("identity-or-inverse", (x,))
+                continue
+            if x.value != ident.value:
+                pos, neg = lift_is_positive(x), lift_is_positive(~x)
+                if pos == neg:
+                    yield counterexample(
+                        "cone-trichotomy", (x,), positive=pos, inverse_positive=neg
+                    )
+                    continue
+            yield None
+        if lift_is_positive(ident):
+            return counterexample("identity-positive", (ident,))
         positives = [x for x in window if lift_is_positive(x)]
         for x, y in itertools.product(positives, repeat=2):
-            checked += 1
-            if not lift_is_positive(x * y):
-                counter = {
-                    "kind": "cone-not-closed",
-                    "tuple": [x.encode(), y.encode()],
-                }
-                break
-    reports.append(
-        ValidationReport(
-            "lift-cone-axioms",
-            "pass" if counter is None else "fail",
-            checked,
-            counter,
+            yield (
+                None
+                if lift_is_positive(x * y)
+                else counterexample("cone-not-closed", (x, y))
+            )
+
+    central_cases = (
+        None
+        if central * x == x * central
+        else counterexample("central-generator", (x,))
+        for x in window
+    )
+    checks = CheckList(
+        report.to_dict()
+        for report in (
+            check_inhomogeneous_cocycle(f, carrier),
+            check_lift_associativity(lift, carrier),
+            sweep("lift-cone-axioms", cone_cases()),
+            sweep("lift-central-generator", central_cases),
         )
     )
-
-    central = lift.central_generator()
-    checked = 0
-    counter = None
-    for x in window:
-        checked += 1
-        if central * x != x * central:
-            counter = {"kind": "central-generator", "tuple": [x.encode()]}
-            break
-    reports.append(
-        ValidationReport(
-            "lift-central-generator",
-            "pass" if counter is None else "fail",
-            checked,
-            counter,
-        )
-    )
-
-    status = "pass" if all(r.passed for r in reports) else "fail"
     return {
         "schema": 1,
         "group": c.group.descriptor,
         "ordering": f"{c.provenance}:{c.description}",
         "degree_bound": degree_bound,
-        "status": status,
-        "checks": [r.to_dict() for r in reports],
+        "status": checks.status,
+        "checks": checks,
     }

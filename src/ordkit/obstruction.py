@@ -25,12 +25,13 @@ from .groups import (
     Homomorphism,
     Presentation,
     PROMISLOW_PRESENTATION,
-    PromislowGroup,
+    PROMISLOW,
     ResourceCapError,
     ball,
     element_order,
 )
 from .orders import (
+    CheckList,
     CircularOrdering,
     LeftOrdering,
     OrderingTable,
@@ -38,8 +39,10 @@ from .orders import (
     SESData,
     ValidationReport,
     as_carrier,
+    counterexample,
     lex_circular,
     natural_circular_cyclic,
+    sweep,
     validate_circular,
     validate_left_ordering,
 )
@@ -325,54 +328,40 @@ def monotonicity_check(
     """
     if rep_source.cap != rep_target.cap:
         raise ValueError("spectra have different caps")
-    elems = (
-        as_carrier(carrier)
-        if carrier is not None
-        else as_carrier(hom.source)
-    )
-    checked = 0
-    if kernel_evidence == "trivial-kernel":
-        seen: dict[Any, Element] = {}
-        for g in elems:
-            checked += 1
-            img = hom(g)
-            if img.value in seen:
-                return ValidationReport(
-                    "monotonicity-check",
-                    "fail",
-                    checked,
-                    {
-                        "kind": "kernel-evidence",
-                        "tuple": [seen[img.value].encode(), g.encode()],
-                        "note": "claimed trivial kernel is not injective",
-                    },
+    elems = as_carrier(hom.source if carrier is None else carrier)
+
+    def cases():
+        if kernel_evidence == "trivial-kernel":
+            seen: dict[Any, Element] = {}
+            for g in elems:
+                img = hom(g)
+                yield (
+                    counterexample(
+                        "kernel-evidence",
+                        (seen[img.value], g),
+                        note="claimed trivial kernel is not injective",
+                    )
+                    if img.value in seen
+                    else None
                 )
-            seen[img.value] = g
-    else:
-        kernel_part = [g for g in elems if hom.kernel_contains(g)]
-        report = validate_left_ordering(kernel_evidence.order, kernel_part)
-        checked += report.checked_tuples
-        if not report.passed:
-            return ValidationReport(
-                "monotonicity-check",
-                "fail",
-                checked,
-                {"kind": "kernel-evidence", **(report.counterexample or {})},
-            )
-    missing = sorted(rep_source.obstructed_set - rep_target.obstructed_set)
-    checked += rep_source.cap - 1
-    if missing:
-        return ValidationReport(
-            "monotonicity-check",
-            "fail",
-            checked,
-            {
+                seen[img.value] = g
+        else:
+            kernel_part = [g for g in elems if hom.kernel_contains(g)]
+            report = validate_left_ordering(kernel_evidence.order, kernel_part)
+            yield from itertools.repeat(None, report.checked_tuples)
+            if not report.passed:
+                return {"kind": "kernel-evidence", **(report.counterexample or {})}
+        # the inclusion of obstructed sets is decided for all of 2..cap at once
+        yield from itertools.repeat(None, rep_source.cap - 1)
+        missing = sorted(rep_source.obstructed_set - rep_target.obstructed_set)
+        if missing:
+            return {
                 "kind": "inclusion",
                 "missing": missing,
                 "note": "obstructed values of the source absent from the target",
-            },
-        )
-    return ValidationReport("monotonicity-check", "pass", checked, None)
+            }
+
+    return sweep("monotonicity-check", cases())
 
 
 # -- certificates --------------------------------------------------------------
@@ -438,22 +427,15 @@ def verify_unobstructed(
     """
     elems = as_carrier(carrier)
     target = cert.hom.target
-    checks: list[dict] = []
-
-    def add(name: str, passed: bool, detail: dict | None = None) -> None:
-        checks.append(
-            {"name": name, "status": "pass" if passed else "fail",
-             **({"detail": detail} if detail else {})}
-        )
-
+    checks = CheckList()
     cyclic_target = isinstance(target, CyclicGroup)
-    add("target-cyclic", cyclic_target, {"target": target.descriptor})
+    checks.add("target-cyclic", cyclic_target, detail={"target": target.descriptor})
     if cyclic_target:
         h_order = element_order(cert.subgroup_generator, target.order)
-        add(
+        checks.add(
             "subgroup-order",
             h_order == cert.n,
-            {"expected": cert.n, "got": h_order},
+            detail={"expected": cert.n, "got": h_order},
         )
         subgroup_values = set()
         power = target.identity()
@@ -468,53 +450,40 @@ def verify_unobstructed(
                 images.add(
                     (base + t * cert.subgroup_generator.value) % target.order
                 )
-        add(
+        checks.add(
             "composed-surjectivity",
             images == set(range(target.order)),
-            {"witnessed": len(images), "needed": target.order},
+            detail={"witnessed": len(images), "needed": target.order},
         )
 
         preimage = [g for g in elems if cert.hom(g).value in subgroup_values]
         evidence_report = validate_left_ordering(
             cert.kernel_evidence.order, preimage
         )
-        add(
+        checks.add(
             "kernel-evidence",
             evidence_report.passed,
-            {
+            detail={
                 "carrier_size": len(preimage),
                 "counterexample": evidence_report.counterexample,
             },
         )
 
         if cert.kernel_evidence.kind == "poly-z-chain":
-            gens = cert.kernel_evidence.generators
-            ok = True
-            detail: dict | None = None
-            for i in range(1, len(gens)):
-                lower = ball(gens[:i], chain_radius)
-                for j in range(i, len(gens)):
-                    conj = gens[j] * gens[i - 1] * ~gens[j]
-                    if conj not in lower:
-                        ok = False
-                        detail = {
-                            "conjugator": gens[j].encode(),
-                            "generator": gens[i - 1].encode(),
-                            "note": "conjugate left the lower chain ball",
-                        }
-                        break
-                if not ok:
-                    break
-            add("poly-z-chain-normality", ok, detail)
+            escape = _chain_escape(cert.kernel_evidence.generators, chain_radius)
+            checks.add(
+                "poly-z-chain-normality",
+                escape is None,
+                **({"detail": escape} if escape else {}),
+            )
 
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "schema": 1,
         "n": cert.n,
-        "status": status,
+        "status": checks.status,
         "verdict": (
             "unobstructed-under-recorded-hypotheses"
-            if status == "pass"
+            if checks.status == "pass"
             else "certificate-rejected"
         ),
         "hypotheses": list(cert.hypotheses),
@@ -522,6 +491,21 @@ def verify_unobstructed(
         "checks": checks,
         "certificate": cert.summary(),
     }
+
+
+def _chain_escape(gens: Sequence[Element], radius: int) -> dict | None:
+    """First conjugate of a chain generator by a later one that leaves the
+    ball of the generators below it, or None when every conjugate stays."""
+    for i in range(1, len(gens)):
+        lower = ball(gens[:i], radius)
+        for j in range(i, len(gens)):
+            if gens[j] * gens[i - 1] * ~gens[j] not in lower:
+                return {
+                    "conjugator": gens[j].encode(),
+                    "generator": gens[i - 1].encode(),
+                    "note": "conjugate left the lower chain ball",
+                }
+    return None
 
 
 def exponent_obstruction(
@@ -563,12 +547,11 @@ def exponent_obstruction(
 
 def promislow_phi() -> Homomorphism:
     """phi: G -> Z/2, a -> 1, b -> 0 (a-exponent mod 2)."""
-    group = PromislowGroup()
     target = CyclicGroup(2)
     return Homomorphism(
-        group,
+        PROMISLOW,
         target,
-        lambda g: Element(target, group.phi2_value(g.value)),
+        lambda g: Element(target, PROMISLOW.phi2_value(g.value)),
         name="phi",
         presentation=PROMISLOW_PRESENTATION,
         gen_images=[Element(target, 1), Element(target, 0)],
@@ -577,12 +560,11 @@ def promislow_phi() -> Homomorphism:
 
 def promislow_psi() -> Homomorphism:
     """psi: G -> Z/4, the abelianization followed by the a-factor."""
-    group = PromislowGroup()
     target = CyclicGroup(4)
     return Homomorphism(
-        group,
+        PROMISLOW,
         target,
-        lambda g: Element(target, group.psi4_value(g.value)),
+        lambda g: Element(target, PROMISLOW.psi4_value(g.value)),
         name="psi",
         presentation=PROMISLOW_PRESENTATION,
         gen_images=[Element(target, 1), Element(target, 0)],
@@ -590,19 +572,17 @@ def promislow_psi() -> Homomorphism:
 
 
 def promislow_product_c2() -> DirectProductGroup:
-    return DirectProductGroup(PromislowGroup(), CyclicGroup(2))
+    return DirectProductGroup(PROMISLOW, CyclicGroup(2))
 
 
 def promislow_beta() -> Homomorphism:
     """beta: G x Z/2 -> Z/4, (g, t) -> psi(g) + 2t."""
-    group = PromislowGroup()
-    prod = promislow_product_c2()
     target = CyclicGroup(4)
     return Homomorphism(
-        prod,
+        promislow_product_c2(),
         target,
         lambda u: Element(
-            target, (group.psi4_value(u.value[0]) + 2 * u.value[1]) % 4
+            target, (PROMISLOW.psi4_value(u.value[0]) + 2 * u.value[1]) % 4
         ),
         name="beta",
     )
@@ -615,11 +595,9 @@ def promislow_kernel_order() -> LeftOrdering:
     the cone takes the topmost nonzero coordinate (j, then w, then x)
     positive.
     """
-    group = PromislowGroup()
-
     def positive(g: Element) -> bool:
         try:
-            x, w, j = group.kernel_coords(g.value)
+            x, w, j = PROMISLOW.kernel_coords(g.value)
         except ValueError as exc:
             raise OutsideCarrierError(str(exc)) from exc
         if j != 0:
@@ -629,13 +607,12 @@ def promislow_kernel_order() -> LeftOrdering:
         return x > 0
 
     return LeftOrdering(
-        group, "poly-z-lex", positive, "chain a^2 < (ab)^2 < b on ker(phi)"
+        PROMISLOW, "poly-z-lex", positive, "chain a^2 < (ab)^2 < b on ker(phi)"
     )
 
 
 def promislow_kernel_evidence() -> LeftOrderEvidence:
-    group = PromislowGroup()
-    a, b = group.gen_a(), group.gen_b()
+    a, b = PROMISLOW.gen_a(), PROMISLOW.gen_b()
     return LeftOrderEvidence(
         kind="poly-z-chain",
         order=promislow_kernel_order(),
@@ -670,11 +647,10 @@ def promislow_product_c2_circular() -> CircularOrdering:
     beta = promislow_beta()
     kernel = promislow_kernel_order()
     prod = beta.source
-    group = PromislowGroup()
     kernel_order = LeftOrdering(
         prod,
         "poly-z-lex",
-        lambda u: kernel.positive(Element(group, u.value[0])),
+        lambda u: kernel.positive(Element(PROMISLOW, u.value[0])),
         "pullback of the ker(phi) order through the factor projection",
     )
     ses = SESData(
@@ -696,7 +672,6 @@ def promislow_unobstructed_certificate(n: int) -> UnobstructedCertificate:
     """
     if n < 2 or n % 4 == 0:
         raise ValueError(f"no unobstructed certificate for n = {n}")
-    group = PromislowGroup()
     target = CyclicGroup(2 * n)
     if n % 2 == 1:
         scale = n  # Z/2 -> Z/2n, 1 -> n
@@ -709,7 +684,7 @@ def promislow_unobstructed_certificate(n: int) -> UnobstructedCertificate:
             f"(psi-based beta x id): G x Z/{n} -> Z/4 x Z/{n // 2} = Z/{2 * n}"
         )
     hom = Homomorphism(
-        group,
+        PROMISLOW,
         target,
         lambda g: Element(target, (scale * base(g).value) % (2 * n)),
         name=f"{base.name}-into-{target.descriptor}",
@@ -735,96 +710,79 @@ def promislow_alpha_check(radius: int = 4) -> dict:
     a product ball; surjectivity is witnessed by the explicit section
     g -> (g, psi(g)/2) over the kernel part of the factor ball.
     """
-    group = PromislowGroup()
-    phi = promislow_phi()
-    beta = promislow_beta()
+    phi, beta, psi = promislow_phi(), promislow_beta(), promislow_psi()
     prod = beta.source
-    a, b = group.gen_a(), group.gen_b()
-    ball_g = ball([a, b], radius)
-    ball_prod = ball(
-        [prod.pair(a, CyclicGroup(2).element(0)),
-         prod.pair(b, CyclicGroup(2).element(0)),
-         prod.pair(group.identity(), CyclicGroup(2).element(1))],
-        radius,
-    )
-    kernel_beta = [u for u in ball_prod if beta.kernel_contains(u)]
-    kernel_phi = [g for g in ball_g if phi.kernel_contains(g)]
-
-    checks: list[dict] = []
+    kernel_beta = [u for u in _product_c2_ball(radius) if beta.kernel_contains(u)]
+    kernel_phi = [
+        g for g in ball(PROMISLOW.generators(), radius) if phi.kernel_contains(g)
+    ]
 
     def alpha(u: Element) -> Element:
-        return Element(group, u.value[0])
+        return Element(PROMISLOW, u.value[0])
 
-    seen: dict[Any, Element] = {}
-    injective = True
-    for u in kernel_beta:
-        img = alpha(u)
-        if img.value in seen:
-            injective = False
-            break
-        seen[img.value] = u
-    checks.append(
-        {"name": "alpha-injective", "status": "pass" if injective else "fail",
-         "cases": len(kernel_beta)}
-    )
+    def section_ok(g: Element) -> bool:
+        u = prod.pair(g, CyclicGroup(2).element(psi(g).value // 2))
+        return beta.kernel_contains(u) and alpha(u) == g
 
-    into = all(phi.kernel_contains(alpha(u)) for u in kernel_beta)
-    checks.append(
-        {"name": "alpha-into-kernel", "status": "pass" if into else "fail",
-         "cases": len(kernel_beta)}
+    checks = CheckList()
+    checks.add(
+        "alpha-injective",
+        len({u.value[0] for u in kernel_beta}) == len(kernel_beta),
+        cases=len(kernel_beta),
     )
-
-    hom_ok = all(
-        alpha(u * v) == alpha(u) * alpha(v)
-        for u, v in itertools.product(kernel_beta, repeat=2)
+    checks.add(
+        "alpha-into-kernel",
+        all(phi.kernel_contains(alpha(u)) for u in kernel_beta),
+        cases=len(kernel_beta),
     )
-    checks.append(
-        {"name": "alpha-homomorphism", "status": "pass" if hom_ok else "fail",
-         "cases": len(kernel_beta) ** 2}
+    checks.add(
+        "alpha-homomorphism",
+        all(
+            alpha(u * v) == alpha(u) * alpha(v)
+            for u, v in itertools.product(kernel_beta, repeat=2)
+        ),
+        cases=len(kernel_beta) ** 2,
     )
-
-    psi = promislow_psi()
-    section_ok = True
-    for g in kernel_phi:
-        t = psi(g).value // 2
-        u = prod.pair(g, CyclicGroup(2).element(t))
-        if not beta.kernel_contains(u) or alpha(u) != g:
-            section_ok = False
-            break
-    checks.append(
-        {"name": "alpha-section-onto", "status": "pass" if section_ok else "fail",
-         "cases": len(kernel_phi),
-         "note": "two-sided inverse witnessed on the factor ball"}
+    checks.add(
+        "alpha-section-onto",
+        all(section_ok(g) for g in kernel_phi),
+        cases=len(kernel_phi),
+        note="two-sided inverse witnessed on the factor ball",
     )
-
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "schema": 1,
         "radius": radius,
-        "status": status,
+        "status": checks.status,
         "kernel_sizes": {"beta": len(kernel_beta), "phi": len(kernel_phi)},
         "checks": checks,
     }
 
 
+def _product_c2_ball(radius: int) -> Ball:
+    """Ball in G x Z/2 on the generators (a, 0), (b, 0) and (id, 1)."""
+    prod = promislow_product_c2()
+    c2 = prod.right
+    return ball(
+        [
+            prod.pair(PROMISLOW.gen_a(), c2.element(0)),
+            prod.pair(PROMISLOW.gen_b(), c2.element(0)),
+            prod.pair(PROMISLOW.identity(), c2.element(1)),
+        ],
+        radius,
+    )
+
+
 def promislow_worked_example(radius: int = 4) -> dict:
     """End-to-end desk reproduction of the Promislow computation."""
-    group = PromislowGroup()
-    a, b = group.gen_a(), group.gen_b()
-    checks: list[dict] = []
-
-    def add(name: str, passed: bool, detail: Any = None) -> None:
-        entry = {"name": name, "status": "pass" if passed else "fail"}
-        if detail is not None:
-            entry["detail"] = detail
-        checks.append(entry)
+    a, b = PROMISLOW.gen_a(), PROMISLOW.gen_b()
+    checks = CheckList()
 
     rel1 = a * b * b * ~a * b * b
     rel2 = b * a * a * ~b * a * a
-    add(
+    checks.add(
         "relators-vanish",
         rel1.is_identity and rel2.is_identity,
-        {"rel1": rel1.encode(), "rel2": rel2.encode()},
+        detail={"rel1": rel1.encode(), "rel2": rel2.encode()},
     )
 
     squares = {
@@ -833,17 +791,17 @@ def promislow_worked_example(radius: int = 4) -> dict:
         "(ab)^2": ((a * b) * (a * b)).value,
     }
     expected_squares = {
-        "a^2": group.translation(1, 0, 0).value,
-        "b^2": group.translation(0, 1, 0).value,
-        "(ab)^2": group.translation(0, 0, -1).value,
+        "a^2": PROMISLOW.translation(1, 0, 0).value,
+        "b^2": PROMISLOW.translation(0, 1, 0).value,
+        "(ab)^2": PROMISLOW.translation(0, 0, -1).value,
     }
-    add("squares-are-translations", squares == expected_squares)
+    checks.add("squares-are-translations", squares == expected_squares)
 
     ab_result = abelianization(PROMISLOW_PRESENTATION)
-    add(
+    checks.add(
         "abelianization",
         ab_result.invariant_factors == (4, 4) and ab_result.exponent == 4,
-        {
+        detail={
             "invariant_factors": list(ab_result.invariant_factors),
             "exponent": ab_result.exponent,
         },
@@ -851,45 +809,41 @@ def promislow_worked_example(radius: int = 4) -> dict:
 
     carrier = ball([a, b], radius)
     phi, psi, beta = promislow_phi(), promislow_psi(), promislow_beta()
-    add("phi-homomorphism", phi.validate_on_carrier(list(carrier)))
-    add("psi-homomorphism", psi.validate_on_carrier(list(carrier)))
-
-    prod = beta.source
-    c2 = CyclicGroup(2)
-    prod_carrier = ball(
-        [prod.pair(a, c2.element(0)), prod.pair(b, c2.element(0)),
-         prod.pair(group.identity(), c2.element(1))],
-        radius,
+    checks.add("phi-homomorphism", phi.validate_on_carrier(list(carrier)))
+    checks.add("psi-homomorphism", psi.validate_on_carrier(list(carrier)))
+    checks.add(
+        "beta-homomorphism", beta.validate_on_carrier(list(_product_c2_ball(radius)))
     )
-    add("beta-homomorphism", beta.validate_on_carrier(list(prod_carrier)))
 
     alpha_report = promislow_alpha_check(radius)
-    add("alpha-bijective-on-ball", alpha_report["status"] == "pass",
-        alpha_report["kernel_sizes"])
+    checks.add(
+        "alpha-bijective-on-ball",
+        alpha_report["status"] == "pass",
+        detail=alpha_report["kernel_sizes"],
+    )
 
     kernel = [g for g in carrier if phi.kernel_contains(g)]
     kernel_report = validate_left_ordering(promislow_kernel_order(), kernel)
-    add(
+    checks.add(
         "kernel-order-validates",
         kernel_report.passed,
-        {"carrier_size": len(kernel)},
+        detail={"carrier_size": len(kernel)},
     )
 
     # index-2 and ball-generation evidence for ker(phi) = <b, a^2, (ab)^2>
     cosets = {phi(g).value for g in carrier}
     gen_ball = ball([a * a, (a * b) * (a * b), b], 2 * radius)
     generated = all(g in gen_ball for g in kernel)
-    add(
+    checks.add(
         "kernel-index-2-and-generated",
         cosets == {0, 1} and generated,
-        {"kernel_size": len(kernel)},
+        detail={"kernel_size": len(kernel)},
     )
 
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "schema": 1,
         "radius": radius,
-        "status": status,
+        "status": checks.status,
         "checks": checks,
         "alpha": alpha_report,
     }
@@ -908,8 +862,7 @@ def promislow_spectrum(cap: int, radius: int = 3) -> SpectrumReport:
     e, exponent_record = exponent_obstruction(PROMISLOW_PRESENTATION)
     if e != 4:
         raise CertificateError(f"Promislow abelianization exponent is {e}, not 4")
-    group = PromislowGroup()
-    carrier = ball([group.gen_a(), group.gen_b()], radius)
+    carrier = ball(PROMISLOW.generators(), radius)
 
     obstructed: dict[int, dict] = {}
     unobstructed: dict[int, dict] = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -186,14 +186,6 @@ class SESData:
 
     def kernel_contains(self, g: Element) -> bool:
         return self.projection(g) == self.quotient.identity()
-
-    def validate(self, carrier: Sequence[Element]) -> bool:
-        """Extensional sanity check of the pieces over a carrier."""
-        if not self.projection.validate_on_carrier(carrier):
-            return False
-        kernel_part = [g for g in carrier if self.kernel_contains(g)]
-        report = validate_left_ordering(self.kernel_order, kernel_part)
-        return report.passed
 
 
 def lex_circular(ses: SESData) -> CircularOrdering:
@@ -380,8 +372,49 @@ class ValidationReport:
         }
 
 
-def _encode_tuple(group: Group, elems: Iterable[Element]) -> list:
-    return [group.encode(g.value) for g in elems]
+def sweep(
+    name: str,
+    cases: Iterable[dict | None],
+    mode: str = "exhaustive",
+    notes: Sequence[str] = (),
+) -> ValidationReport:
+    """Run a check body and report its first counterexample.
+
+    The body walks its cases in canonical order: ``yield None`` is one
+    checked case, ``yield {...}`` is the counterexample at a checked case
+    (counted, and the sweep stops there), and ``return {...}`` is a failure
+    that no counted case carries.  Cases the body skips are not counted.
+    `notes` is read once the body stops, so a body may append to it.
+    """
+    cases = iter(cases)
+    checked = 0
+    while True:
+        try:
+            counter = next(cases)
+        except StopIteration as stop:
+            counter = stop.value
+            break
+        checked += 1
+        if counter is not None:
+            break
+    status = "pass" if counter is None else "fail"
+    return ValidationReport(name, status, checked, counter, mode, tuple(notes))
+
+
+class CheckList(list):
+    """Entries {"name", "status", **fields} of a dict-shaped check report."""
+
+    def add(self, name: str, passed: bool, **fields: Any) -> None:
+        self.append({"name": name, "status": "pass" if passed else "fail", **fields})
+
+    @property
+    def status(self) -> str:
+        return "pass" if all(c["status"] == "pass" for c in self) else "fail"
+
+
+def counterexample(kind: str, elems: Iterable[Element], **detail: Any) -> dict:
+    """A counterexample record: its kind, the encoded tuple, then details."""
+    return {"kind": kind, "tuple": [g.encode() for g in elems], **detail}
 
 
 _DEFAULT_TUPLE_CAP = 2_000_000
@@ -403,15 +436,9 @@ def validate_circular(
     whose translates stay inside the carrier.  Falls back to deterministic
     sampling when the tuple space exceeds tuple_cap; the report says so.
     """
+    sides = ("left",) if check_left_invariance else ()
     return _validate_ordering(
-        c,
-        carrier,
-        check_left_invariance=check_left_invariance,
-        check_right_invariance=False,
-        tuple_cap=tuple_cap,
-        sample_size=sample_size,
-        seed=seed,
-        name="validate-circular",
+        c, carrier, sides, tuple_cap, sample_size, seed, "validate-circular"
     )
 
 
@@ -425,34 +452,23 @@ def validate_bi_invariance(
 ) -> ValidationReport:
     """validate_circular plus right-invariance on applicable tuples."""
     return _validate_ordering(
-        c,
-        carrier,
-        check_left_invariance=True,
-        check_right_invariance=True,
-        tuple_cap=tuple_cap,
-        sample_size=sample_size,
-        seed=seed,
-        name="validate-bi-invariance",
+        c, carrier, ("left", "right"), tuple_cap, sample_size, seed,
+        "validate-bi-invariance",
     )
 
 
 def _validate_ordering(
     c: CircularOrdering,
     carrier,
-    *,
-    check_left_invariance: bool,
-    check_right_invariance: bool,
+    sides: tuple[str, ...],
     tuple_cap: int,
     sample_size: int,
     seed: int,
     name: str,
 ) -> ValidationReport:
     elems = as_carrier(carrier)
-    group = c.group
     values = {g.value for g in elems}
     size = len(elems)
-    checked = 0
-    notes: list[str] = []
 
     # the cocycle and invariance passes revisit each triple many times;
     # memoize by canonical forms
@@ -466,108 +482,73 @@ def _validate_ordering(
             memo[key] = v
         return v
 
-    def fail(kind: str, tup: tuple[Element, ...], detail: dict) -> ValidationReport:
-        counter = {
-            "kind": kind,
-            "tuple": _encode_tuple(group, tup),
-            **detail,
-        }
-        return ValidationReport(
-            name, "fail", checked, counter, mode, tuple(notes)
-        )
-
     exhaustive = size**4 <= tuple_cap
-    mode = "exhaustive" if exhaustive else "sampled"
+    notes = ()
     if not exhaustive:
-        notes.append(
+        notes = (
             f"carrier of {size} elements exceeds the exhaustive cap; "
-            f"checked {sample_size} deterministic samples per axiom (seed {seed})"
+            f"checked {sample_size} deterministic samples per axiom (seed {seed})",
         )
     rng = random.Random(seed)
 
-    def triples() -> Iterable[tuple[Element, Element, Element]]:
+    def tuples(arity: int) -> Iterable[tuple[Element, ...]]:
         if exhaustive:
-            return itertools.product(elems, repeat=3)
+            return itertools.product(elems, repeat=arity)
         return (
-            (rng.choice(elems), rng.choice(elems), rng.choice(elems))
+            tuple(rng.choice(elems) for _ in range(arity))
             for _ in range(sample_size)
         )
 
-    def quadruples() -> Iterable[tuple[Element, ...]]:
-        if exhaustive:
-            return itertools.product(elems, repeat=4)
-        return (
-            tuple(rng.choice(elems) for _ in range(4))
-            for _ in range(sample_size)
-        )
-
-    # axiom 1: c vanishes exactly on degenerate triples (and stays in range)
-    for g1, g2, g3 in triples():
-        checked += 1
-        v = cval(g1, g2, g3)
-        degenerate = (
-            g1.value == g2.value or g2.value == g3.value or g1.value == g3.value
-        )
-        if v not in (-1, 0, 1):
-            return fail("value-range", (g1, g2, g3), {"value": v})
-        if degenerate and v != 0:
-            return fail("nonzero-on-degenerate", (g1, g2, g3), {"value": v})
-        if not degenerate and v == 0:
-            return fail("zero-on-distinct", (g1, g2, g3), {"value": v})
-
-    # axiom 2: 4-term cocycle identity
-    for g1, g2, g3, g4 in quadruples():
-        checked += 1
-        total = (
-            cval(g2, g3, g4) - cval(g1, g3, g4) + cval(g1, g2, g4) - cval(g1, g2, g3)
-        )
-        if total != 0:
-            return fail(
-                "cocycle", (g1, g2, g3, g4), {"defect": total}
+    def cases():
+        # axiom 1: c vanishes exactly on degenerate triples (and stays in range)
+        for triple in tuples(3):
+            g1, g2, g3 = triple
+            v = cval(g1, g2, g3)
+            degenerate = (
+                g1.value == g2.value or g2.value == g3.value or g1.value == g3.value
             )
+            if v not in (-1, 0, 1):
+                yield counterexample("value-range", triple, value=v)
+            elif degenerate and v != 0:
+                yield counterexample("nonzero-on-degenerate", triple, value=v)
+            elif not degenerate and v == 0:
+                yield counterexample("zero-on-distinct", triple, value=v)
+            else:
+                yield None
 
-    # axiom 3: left-invariance, restricted to translates inside the carrier
-    if check_left_invariance:
-        for h, g1, g2, g3 in quadruples():
-            t1, t2, t3 = h * g1, h * g2, h * g3
-            if (
-                t1.value not in values
-                or t2.value not in values
-                or t3.value not in values
-            ):
-                continue
-            checked += 1
-            if cval(g1, g2, g3) != cval(t1, t2, t3):
-                return fail(
-                    "left-invariance",
-                    (h, g1, g2, g3),
-                    {
-                        "base": cval(g1, g2, g3),
-                        "translated": cval(t1, t2, t3),
-                    },
+        # axiom 2: 4-term cocycle identity
+        for quad in tuples(4):
+            g1, g2, g3, g4 = quad
+            total = (
+                cval(g2, g3, g4) - cval(g1, g3, g4) + cval(g1, g2, g4) - cval(g1, g2, g3)
+            )
+            yield counterexample("cocycle", quad, defect=total) if total else None
+
+        # axiom 3: invariance, restricted to translates inside the carrier
+        for side in sides:
+            for quad in tuples(4):
+                h, g1, g2, g3 = quad
+                if side == "left":
+                    t1, t2, t3 = h * g1, h * g2, h * g3
+                else:
+                    t1, t2, t3 = g1 * h, g2 * h, g3 * h
+                if (
+                    t1.value not in values
+                    or t2.value not in values
+                    or t3.value not in values
+                ):
+                    continue
+                base, translated = cval(g1, g2, g3), cval(t1, t2, t3)
+                yield (
+                    None
+                    if base == translated
+                    else counterexample(
+                        f"{side}-invariance", quad, base=base, translated=translated
+                    )
                 )
 
-    if check_right_invariance:
-        for h, g1, g2, g3 in quadruples():
-            t1, t2, t3 = g1 * h, g2 * h, g3 * h
-            if (
-                t1.value not in values
-                or t2.value not in values
-                or t3.value not in values
-            ):
-                continue
-            checked += 1
-            if cval(g1, g2, g3) != cval(t1, t2, t3):
-                return fail(
-                    "right-invariance",
-                    (h, g1, g2, g3),
-                    {
-                        "base": cval(g1, g2, g3),
-                        "translated": cval(t1, t2, t3),
-                    },
-                )
-
-    return ValidationReport(name, "pass", checked, None, mode, tuple(notes))
+    mode = "exhaustive" if exhaustive else "sampled"
+    return sweep(name, cases(), mode, notes)
 
 
 def validate_left_ordering(
@@ -579,9 +560,7 @@ def validate_left_ordering(
     those probes are skipped and counted in the notes.
     """
     elems = as_carrier(carrier)
-    group = lo.group
-    ident = group.identity()
-    checked = 0
+    ident = lo.group.identity()
     skipped = 0
 
     def probe(g: Element) -> bool | None:
@@ -592,47 +571,37 @@ def validate_left_ordering(
             skipped += 1
             return None
 
-    counter = None
-    if probe(ident) is True:
-        counter = {
-            "kind": "identity-positive",
-            "tuple": _encode_tuple(group, (ident,)),
-        }
-    if counter is None:
+    def cases():
+        if probe(ident) is True:
+            return counterexample("identity-positive", (ident,))
+        # trichotomy: every non-identity element counts, skipped probes too
         for g in elems:
             if g.value == ident.value:
                 continue
-            checked += 1
             p, q = probe(g), probe(~g)
-            if p is None or q is None:
-                continue
-            if p == q:
-                counter = {
-                    "kind": "trichotomy",
-                    "tuple": _encode_tuple(group, (g,)),
-                    "positive": p,
-                    "inverse_positive": q,
-                }
-                break
-    if counter is None:
+            if p is not None and p == q:
+                yield counterexample(
+                    "trichotomy", (g,), positive=p, inverse_positive=q
+                )
+            else:
+                yield None
+        # closure: only positive-positive pairs count
         for g, h in itertools.product(elems, repeat=2):
             pg, ph = probe(g), probe(h)
-            if not (pg and ph):
-                continue
-            checked += 1
-            prod = probe(g * h)
-            if prod is False:
-                counter = {
-                    "kind": "cone-not-closed",
-                    "tuple": _encode_tuple(group, (g, h, g * h)),
-                }
-                break
+            if pg and ph:
+                prod = g * h
+                yield (
+                    counterexample("cone-not-closed", (g, h, prod))
+                    if probe(prod) is False
+                    else None
+                )
 
-    notes = (f"skipped {skipped} probes outside the carrier",) if skipped else ()
-    status = "pass" if counter is None else "fail"
-    return ValidationReport(
-        "validate-left-ordering", status, checked, counter, "exhaustive", notes
-    )
+    report = sweep("validate-left-ordering", cases())
+    if skipped:
+        report = replace(
+            report, notes=(f"skipped {skipped} probes outside the carrier",)
+        )
+    return report
 
 
 def convexity_check(
@@ -651,7 +620,6 @@ def convexity_check(
     radius = membership_radius or 2 * carrier.radius
     c_ball = ball(subgroup_gens, radius)
     elems = list(carrier.elements)
-    group = lo.group
 
     # cosets = components of certified same-coset pairs (g^-1 h inside the
     # secondary ball); non-membership beyond that ball stays unresolved
@@ -674,39 +642,31 @@ def convexity_check(
         grouped.setdefault(find(i), []).append(g)
     cosets = [grouped[root] for root in sorted(grouped)]
 
-    checked = 0
-    counter = None
-    for xi, X in enumerate(cosets):
-        for yi in range(xi + 1, len(cosets)):
-            Y = cosets[yi]
-            lt_pair = gt_pair = None
-            for g in X:
-                for h in Y:
-                    checked += 1
-                    if lo.less(g, h):
-                        lt_pair = lt_pair or (g, h)
-                    else:
-                        gt_pair = gt_pair or (g, h)
-                if lt_pair and gt_pair:
-                    break
-            if lt_pair and gt_pair:
-                counter = {
-                    "kind": "coset-order-ill-defined",
-                    "tuple": _encode_tuple(
-                        group,
-                        (lt_pair[0], gt_pair[0], lt_pair[1], gt_pair[1]),
-                    ),
-                    "explanation": "g < h but g' > h' with gC = g'C, hC = h'C",
-                }
-                break
-        if counter:
-            break
+    def cases():
+        # a coset pair is decided row by row: each row g x Y is compared
+        # in full and counted at once
+        for xi, X in enumerate(cosets):
+            for Y in cosets[xi + 1 :]:
+                lt_pair = gt_pair = None
+                for g in X:
+                    for h in Y:
+                        if lo.less(g, h):
+                            lt_pair = lt_pair or (g, h)
+                        else:
+                            gt_pair = gt_pair or (g, h)
+                    yield from itertools.repeat(None, len(Y) - 1)
+                    yield (
+                        counterexample(
+                            "coset-order-ill-defined",
+                            (lt_pair[0], gt_pair[0], lt_pair[1], gt_pair[1]),
+                            explanation="g < h but g' > h' with gC = g'C, hC = h'C",
+                        )
+                        if lt_pair and gt_pair
+                        else None
+                    )
 
-    notes = [
+    notes = (
         f"membership ball radius {radius} with {len(c_ball)} elements",
         "distinct-coset claims are resolved only up to that radius",
-    ]
-    status = "pass" if counter is None else "fail"
-    return ValidationReport(
-        "convexity-check", status, checked, counter, "exhaustive", tuple(notes)
     )
+    return sweep("convexity-check", cases(), notes=notes)

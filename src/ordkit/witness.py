@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .groups import Element, Group
+from .orders import CheckList, counterexample, sweep
 
 
 def _is_prime(n: int) -> bool:
@@ -241,16 +242,13 @@ def random_subgroup_element(
 # -- claim verification -------------------------------------------------------
 
 
-def _check(name: str, cases: int, failure: dict | None, note: str = "") -> dict:
-    out = {
-        "name": name,
-        "status": "pass" if failure is None else "fail",
-        "cases": cases,
-        "failure": failure,
-    }
-    if note:
-        out["note"] = note
-    return out
+def _guarded(cases: Iterable[dict | None]) -> Iterator[dict | None]:
+    """A family body whose arithmetic errors become its failure at the
+    case that raised, which is counted."""
+    try:
+        yield from cases
+    except (ValueError, ZeroDivisionError) as exc:
+        yield {"error": str(exc)}
 
 
 def verify_witness_claims(
@@ -273,176 +271,127 @@ def verify_witness_claims(
     G = group or WitnessAmbientGroup(p)
     p = G.p
     rng = random.Random(seed)
-    checks: list[dict] = []
-    j_range = list(range(-3, 4))
+    ident = G.identity()
+    gij_cases = [(i, j) for i in range(p) for j in range(-3, 4)]
 
-    # (1) the product y_1...y_p acts trivially on H (raw action, so the
-    # K/(y) quotient cannot mask a broken exponent)
-    cases = 0
-    failure = None
-    ones = (1,) * p
-    for i in range(p):
-        cases += 1
-        basis = tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(p)
-        )
-        conjugated = G.scale_vector(basis, ones)
-        if conjugated != basis:
-            failure = {
-                "generator": i,
-                "conjugated_exponents": [str(q) for q in conjugated],
-            }
-            break
-    checks.append(_check("y-centralizes-each-x", cases, failure))
+    def g_ij(i: int, j: int) -> tuple[Fraction, Element]:
+        t = Fraction(1, (p + 1) ** j) if j >= 0 else Fraction((p + 1) ** (-j))
+        return t, G.x_gen(i, t) * G.x_gen(i + 1, -t)
 
-    # (2) g_{i,j} in G
-    cases = 0
-    failure = None
-    try:
+    def y_centralizes():
+        # the product y_1...y_p acts trivially on H (raw action, so the
+        # K/(y) quotient cannot mask a broken exponent)
         for i in range(p):
-            for j in j_range:
-                cases += 1
-                t = Fraction(1, (p + 1) ** j) if j >= 0 else Fraction((p + 1) ** (-j))
-                g = G.x_gen(i, t) * G.x_gen(i + 1, -t)
-                m = membership_G(g)
-                if not m.in_subgroup:
-                    failure = {"i": i, "j": j, "phi": m.phi_value}
-                    raise StopIteration
-    except StopIteration:
-        pass
-    except (ValueError, ZeroDivisionError) as exc:
-        failure = {"error": str(exc)}
-    checks.append(_check("gij-in-subgroup", cases, failure))
+            basis = tuple(Fraction(int(j == i)) for j in range(p))
+            conjugated = G.scale_vector(basis, (1,) * p)
+            yield (
+                {"generator": i, "conjugated_exponents": [str(q) for q in conjugated]}
+                if conjugated != basis
+                else None
+            )
 
-    # (3) [g_{i,j}, y_{i+1}] has the closed-form x-part
-    cases = 0
-    failure = None
-    try:
-        for i in range(p):
-            for j in j_range:
-                cases += 1
-                t = Fraction(1, (p + 1) ** j) if j >= 0 else Fraction((p + 1) ** (-j))
-                g = G.x_gen(i, t) * G.x_gen(i + 1, -t)
-                y = G.y_gen(i + 1)
-                comm = g * y * ~g * ~y
-                expected_a = [Fraction(0)] * p
-                expected_a[(i + 1) % p] += t * p
-                if p == 2:
-                    expected_a[i] += t * p / (p + 1)
-                expected = G.from_parts(expected_a, (0,) * p, 0)
-                if comm != expected:
-                    failure = {
-                        "i": i,
-                        "j": j,
-                        "got": comm.encode(),
-                        "expected": expected.encode(),
-                    }
-                    raise StopIteration
-                if not membership_G(comm).in_subgroup:
-                    failure = {"i": i, "j": j, "reason": "commutator left G"}
-                    raise StopIteration
-    except StopIteration:
-        pass
-    except (ValueError, ZeroDivisionError) as exc:
-        failure = {"error": str(exc)}
-    checks.append(
-        _check(
-            "gij-y-commutator",
-            cases,
-            failure,
-            note="closed form carries the index-wrap term when p = 2",
-        )
-    )
+    def gij_in_subgroup():
+        for i, j in gij_cases:
+            m = membership_G(g_ij(i, j)[1])
+            yield None if m.in_subgroup else {"i": i, "j": j, "phi": m.phi_value}
 
-    # (4) [x_i z, x_{i+1} z] = x_i x_{i+1}^-2 x_{i+2}
-    cases = 0
-    failure = None
-    try:
+    def gij_y_commutator():
+        for i, j in gij_cases:
+            t, g = g_ij(i, j)
+            y = G.y_gen(i + 1)
+            comm = g * y * ~g * ~y
+            expected_a = [Fraction(0)] * p
+            expected_a[(i + 1) % p] += t * p
+            if p == 2:
+                expected_a[i] += t * p / (p + 1)
+            expected = G.from_parts(expected_a, (0,) * p, 0)
+            if comm != expected:
+                yield {"i": i, "j": j, "got": comm.encode(), "expected": expected.encode()}
+            elif not membership_G(comm).in_subgroup:
+                yield {"i": i, "j": j, "reason": "commutator left G"}
+            else:
+                yield None
+
+    def xz_commutator():
         for i in range(p):
-            cases += 1
             u = G.x_gen(i) * G.z_gen()
             v = G.x_gen(i + 1) * G.z_gen()
             if not (membership_G(u).in_subgroup and membership_G(v).in_subgroup):
-                failure = {"i": i, "reason": "x_i z not in G"}
-                raise StopIteration
+                yield {"i": i, "reason": "x_i z not in G"}
+                continue
             comm = u * v * ~u * ~v
             expected_a = [Fraction(0)] * p
             expected_a[i % p] += 1
             expected_a[(i + 1) % p] += -2
             expected_a[(i + 2) % p] += 1
             expected = G.from_parts(expected_a, (0,) * p, 0)
-            if comm != expected:
-                failure = {
-                    "i": i,
-                    "got": comm.encode(),
-                    "expected": expected.encode(),
-                }
-                raise StopIteration
-    except StopIteration:
-        pass
-    except (ValueError, ZeroDivisionError) as exc:
-        failure = {"error": str(exc)}
-    checks.append(_check("xz-commutator", cases, failure))
+            yield (
+                {"i": i, "got": comm.encode(), "expected": expected.encode()}
+                if comm != expected
+                else None
+            )
 
-    # (5) closure of G under sampled products and inverses
-    cases = 0
-    failure = None
-    try:
+    def subgroup_closure():
+        # closure of G under sampled products and inverses
         for _ in range(max(10, budget // 2)):
-            cases += 1
             g = random_subgroup_element(G, rng)
             h = random_subgroup_element(G, rng)
-            prod = g * h
-            if not membership_G(prod).in_subgroup:
-                failure = {"kind": "product", "tuple": [g.encode(), h.encode()]}
-                break
-            if not membership_G(~g).in_subgroup:
-                failure = {"kind": "inverse", "tuple": [g.encode()]}
-                break
-            if (g * ~g) != G.identity() or (~g * g) != G.identity():
-                failure = {"kind": "inverse-law", "tuple": [g.encode()]}
-                break
-    except (ValueError, ZeroDivisionError) as exc:
-        failure = {"error": str(exc)}
-    checks.append(_check("subgroup-closure", cases, failure))
+            if not membership_G(g * h).in_subgroup:
+                yield counterexample("product", (g, h))
+            elif not membership_G(~g).in_subgroup:
+                yield counterexample("inverse", (g,))
+            elif (g * ~g) != ident or (~g * g) != ident:
+                yield counterexample("inverse-law", (g,))
+            else:
+                yield None
 
-    # (6) torsion spot check: no sampled g != id in G has order <= p
-    cases = 0
-    failure = None
-    try:
-        ident = G.identity()
+    def torsion_spot_check():
+        # no sampled g != id in G has order <= p; identity samples not counted
         for _ in range(max(10, budget // 4)):
             g = random_subgroup_element(G, rng)
             if g == ident:
                 continue
-            cases += 1
-            power = g
+            power, order = g, None
             for k in range(2, p + 1):
                 power = power * g
                 if power == ident:
-                    failure = {"element": g.encode(), "order": k}
+                    order = k
                     break
-            if failure:
-                break
-    except (ValueError, ZeroDivisionError) as exc:
-        failure = {"error": str(exc)}
-    checks.append(
-        _check(
-            "torsion-spot-check",
-            cases,
-            failure,
-            note="consistent with torsion-freeness; not a proof",
-        )
-    )
+            yield None if order is None else {"element": g.encode(), "order": order}
 
-    status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
+    checks = CheckList()
+    for name, family, note in (
+        ("y-centralizes-each-x", y_centralizes, ""),
+        ("gij-in-subgroup", gij_in_subgroup, ""),
+        (
+            "gij-y-commutator",
+            gij_y_commutator,
+            "closed form carries the index-wrap term when p = 2",
+        ),
+        ("xz-commutator", xz_commutator, ""),
+        ("subgroup-closure", subgroup_closure, ""),
+        (
+            "torsion-spot-check",
+            torsion_spot_check,
+            "consistent with torsion-freeness; not a proof",
+        ),
+    ):
+        report = sweep(name, _guarded(family()))
+        checks.add(
+            name,
+            report.passed,
+            cases=report.checked_tuples,
+            failure=report.counterexample,
+            **({"note": note} if note else {}),
+        )
+
     return {
         "schema": 1,
         "p": p,
         "group": G.descriptor,
         "budget": budget,
         "seed": seed,
-        "status": status,
+        "status": checks.status,
         "checks": checks,
         "recorded_facts": [
             "circular-orderability of the ambient group is recorded from its "

@@ -192,6 +192,17 @@ class TestSpectrum:
         assert [e["n"] for e in payload["obstructed"]] == [4, 8]
         assert payload["undetermined"] == [2, 3, 5, 6, 7, 9, 10]
 
+    def test_nested_product(self, capsys):
+        code, out = run(
+            capsys, "spectrum", "--group",
+            "product:product:cyclic:2,cyclic:2,cyclic:3", "--cap", "6",
+        )
+        assert code == 0
+        payload = json.loads(out)["report"]
+        assert payload["group"] == "product:product:cyclic:2,cyclic:2,cyclic:3"
+        # (Z/2)^2 x Z/3 is not cyclic, so every n is obstructed
+        assert [e["n"] for e in payload["obstructed"]] == [2, 3, 4, 5, 6]
+
     def test_missing_presentation_file(self, capsys, tmp_path):
         code, _ = run(
             capsys, "spectrum", "--group",

@@ -338,10 +338,58 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_group("nonsense:1")
 
+    def test_promislow_handle_is_shared(self):
+        from ordkit.groups import PROMISLOW
+        from ordkit.obstruction import promislow_kernel_order, promislow_phi
+
+        assert get_group("promislow") is PROMISLOW
+        assert promislow_phi().source is PROMISLOW
+        assert promislow_kernel_order().group is PROMISLOW
+
     def test_klein_four_is_not_cyclic_product(self):
         k4 = klein_four_group()
         assert k4.descriptor == "klein4"
         assert all(element_order(g, 4) in (1, 2) for g in k4.elements())
+
+
+def group_trees():
+    leaves = st.one_of(
+        st.integers(1, 12).map(CyclicGroup),
+        st.just(IntegerGroup()),
+        st.integers(0, 3).map(FreeAbelianGroup),
+        st.just(klein_four_group()),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.tuples(children, children).map(
+            lambda pair: DirectProductGroup(*pair)
+        ),
+        max_leaves=6,
+    )
+
+
+class TestNestedProducts:
+    @given(group_trees())
+    def test_descriptor_roundtrip(self, group):
+        back = get_group(group.descriptor)
+        assert back == group
+        assert back.descriptor == group.descriptor
+
+    def test_nested_left_factor(self):
+        inner = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
+        group = DirectProductGroup(inner, CyclicGroup(3))
+        assert group.descriptor == "product:product:cyclic:2,cyclic:2,cyclic:3"
+        back = get_group(group.descriptor)
+        assert back.left == inner and back.right == CyclicGroup(3)
+        assert back.order == 12
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["product:cyclic:2", "product:cyclic:2,cyclic:3,cyclic:4", "cyclic:2,cyclic:3"],
+    )
+    def test_wrong_arity_rejected(self, descriptor):
+        with pytest.raises(ValueError):
+            get_group(descriptor)
 
 
 class TestCodec:

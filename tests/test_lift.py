@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordkit import lift as lift_module
 from ordkit.groups import CyclicGroup, IntegerGroup, ball
 from ordkit.lift import (
     Cocycle,
@@ -213,6 +214,31 @@ class TestCyclicLiftIso:
         with pytest.raises(ValueError):
             cyclic_lift_iso_check(4, c3)
 
+    def test_counts_and_note_on_pass(self):
+        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1), window=2)
+        # 20 window elements: 20^2 homomorphism pairs, then 20 powers
+        assert report.checked_tuples == 20**2 + 20
+        assert report.notes == (
+            "window |m| <= 2; image is the contiguous range [-8, 11]; "
+            "torsion-free on window",
+        )
+
+    def test_not_bijective_adds_no_count_and_no_note(self, monkeypatch):
+        # a window listing (0, 0) twice: every pair still obeys the
+        # homomorphism law, but the image repeats 0
+        def doubled(lift, degree_bound, carrier):
+            identity = lift_window(lift, 0, carrier)[:1]
+            return lift_window(lift, degree_bound, carrier) + identity
+
+        monkeypatch.setattr(lift_module, "lift_window", doubled)
+        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1), window=1)
+        assert report.checked_tuples == 13**2
+        assert report.counterexample == {
+            "kind": "not-bijective-on-window",
+            "images": [-4, -3, -2, -1, 0, 0, 1, 2, 3, 4],
+        }
+        assert report.notes == ()
+
 
 class TestLiftCheckReport:
     def test_natural_passes(self, c3):
@@ -242,6 +268,24 @@ class TestLiftCheckReport:
     def test_negative_degree_bound_rejected(self, c3):
         with pytest.raises(ValueError):
             lift_check_report(c3, CyclicGroup(3), degree_bound=-1)
+
+    def test_cone_identity_positive_adds_no_count(self, monkeypatch):
+        monkeypatch.setattr(
+            lift_module,
+            "lift_is_positive",
+            lambda x: lift_is_positive(x) or x.value == (0, 0),
+        )
+        report = lift_check_report(
+            natural_circular_cyclic(4, 1), CyclicGroup(4), degree_bound=1
+        )
+        cone = report["checks"][2]
+        assert cone["name"] == "lift-cone-axioms"
+        # the 12 window elements pass identity, inverse and trichotomy; the
+        # positive identity then fails the cone without a further count
+        assert cone["checked_tuples"] == 12
+        assert cone["counterexample"] == {
+            "kind": "identity-positive", "tuple": [[0, 0]]
+        }
 
 
 class TestLiftAssociativity:

@@ -259,6 +259,41 @@ class TestMonotonicity:
         assert not report.passed
         assert report.counterexample["kind"] == "kernel-evidence"
 
+    def test_inclusion_adds_cap_minus_one_at_once(self):
+        c2, c6 = CyclicGroup(2), CyclicGroup(6)
+        inc = Homomorphism(c2, c6, lambda g: c6.element(3 * g.value), name="inc")
+        report = monotonicity_check(
+            inc, "trivial-kernel",
+            obstruction_finite(c6, 12), obstruction_finite(c2, 12),
+        )
+        # two elements of Z/2, then n = 2..12 decided in one step, although
+        # 3 is the first missing value
+        assert report.checked_tuples == 2 + 11
+        assert report.counterexample["missing"] == [3, 9]
+
+    def test_kernel_evidence_count_carries_over(self):
+        z, c2 = IntegerGroup(), CyclicGroup(2)
+        parity = Homomorphism(z, c2, lambda g: c2.element(g.value % 2), name="mod2")
+        lo = usual_integer_order(z)
+        carrier = ball([z.element(1)], 3)
+        spectrum = left_orderable_spectrum(lo, 12, carrier)
+        evidence = LeftOrderEvidence("cone-table", lo)
+        report = monotonicity_check(parity, evidence, spectrum, spectrum, carrier)
+        # kernel part {-2, 0, 2}: 2 trichotomy cases and the pair (2, 2)
+        assert report.passed
+        assert report.checked_tuples == 3 + 11
+
+    def test_failing_evidence_keeps_its_count(self):
+        c6, c2 = CyclicGroup(6), CyclicGroup(2)
+        proj = Homomorphism(c6, c2, lambda g: c2.element(g.value % 2), name="proj")
+        spectrum = obstruction_finite(c6, 12)
+        everything = LeftOrderEvidence(
+            "cone-table", LeftOrdering(c6, "all", lambda g: True, "all")
+        )
+        report = monotonicity_check(proj, everything, spectrum, spectrum)
+        assert report.checked_tuples == 0
+        assert report.counterexample == {"kind": "identity-positive", "tuple": [0]}
+
 
 class TestExponentObstruction:
     def test_promislow(self):

@@ -6,6 +6,7 @@ import pytest
 
 from ordkit.groups import (
     CyclicGroup,
+    DirectProductGroup,
     FreeAbelianGroup,
     IntegerGroup,
     PromislowGroup,
@@ -13,8 +14,11 @@ from ordkit.groups import (
 )
 from ordkit.obstruction import promislow_circular
 from ordkit.orders import (
+    LeftOrdering,
     OrderingTable,
     as_carrier,
+    restricted_cone,
+    sweep,
     convexity_check,
     lex_circular,
     lex_free_abelian_order,
@@ -195,10 +199,6 @@ class TestLexCircular:
         report = validate_circular(c, carrier, tuple_cap=60_000)
         assert report.passed
 
-    def test_ses_validate(self, ses):
-        carrier = [ses.group.element((i, j)) for i in range(-2, 3) for j in range(3)]
-        assert ses.validate(carrier)
-
 
 class TestProductCircular:
     def test_formula_values(self):
@@ -304,6 +304,18 @@ class TestOrderingTable:
         assert back.entries == table.entries
         assert back.group == group
 
+    def test_json_roundtrip_nested_product(self):
+        inner = DirectProductGroup(CyclicGroup(2), CyclicGroup(3))
+        group = DirectProductGroup(inner, CyclicGroup(1))
+        carrier = as_carrier(group)
+        table = OrderingTable.from_arrangement(group, carrier)
+        obj = json.loads(json.dumps(table.to_json_dict()))
+        assert obj["group"] == "product:product:cyclic:2,cyclic:3,cyclic:1"
+        back = OrderingTable.from_json_dict(obj)
+        assert back.group == group
+        assert back.carrier == table.carrier
+        assert back.entries == table.entries
+
     def test_from_arrangement_matches_natural(self):
         group = CyclicGroup(5)
         arrangement = [group.element(k) for k in range(5)]
@@ -311,3 +323,98 @@ class TestOrderingTable:
         natural = natural_circular_cyclic(5, 1)
         for t in itertools.permutations(group.elements(), 3):
             assert table.ordering()(*t) == natural(*t)
+
+
+class TestSweepCounts:
+    """The count rule every check report shares, pinned on concrete runs."""
+
+    def test_protocol(self):
+        notes = []
+
+        def body():
+            yield None
+            yield None
+            notes.append("reached the end")
+            return {"kind": "uncounted"}
+
+        report = sweep("demo", body(), notes=notes)
+        assert (report.status, report.checked_tuples) == ("fail", 2)
+        assert report.counterexample == {"kind": "uncounted"}
+        assert report.notes == ("reached the end",)
+        stopped = sweep("demo", iter([None, {"kind": "x"}, None]), mode="sampled")
+        assert (stopped.checked_tuples, stopped.mode) == (2, "sampled")
+
+    def test_failing_case_is_counted(self):
+        group = CyclicGroup(4)
+        table = OrderingTable.from_ordering(
+            natural_circular_cyclic(4, 1), as_carrier(group)
+        ).flipped((0, 1, 2))
+        report = validate_circular(table.ordering(), group)
+        # all 4^3 triples pass, then the 19th quadruple breaks the cocycle
+        assert report.checked_tuples == 64 + 19
+        assert report.counterexample == {
+            "kind": "cocycle", "tuple": [0, 1, 0, 2], "defect": -2
+        }
+
+    def test_invariance_counts_only_translates_inside_the_carrier(self):
+        z = IntegerGroup()
+        c = secret_from_left(usual_integer_order(z))
+        report = validate_circular(c, ball([z.element(1)], 2))
+        # h + g stays in [-2, 2] for 5 - |h| of the g, so each h contributes
+        # (5 - |h|)^3 left-invariance tuples
+        applicable = sum((5 - abs(h)) ** 3 for h in range(-2, 3))
+        assert report.passed
+        assert report.checked_tuples == 5**3 + 5**4 + applicable == 1057
+
+    def test_invariance_failure_count(self):
+        group = CyclicGroup(5)
+        arrangement = [group.element(v) for v in (0, 2, 1, 3, 4)]
+        table = OrderingTable.from_arrangement(group, arrangement)
+        report = validate_circular(table.ordering(), group)
+        assert report.checked_tuples == 884
+        assert report.counterexample == {
+            "kind": "left-invariance",
+            "tuple": [1, 0, 1, 3],
+            "base": 1,
+            "translated": -1,
+        }
+
+    def test_left_ordering_identity_positive_checks_nothing(self):
+        z = IntegerGroup()
+        lo = LeftOrdering(z, "nonneg", lambda g: g.value >= 0, "x >= 0")
+        report = validate_left_ordering(lo, ball([z.element(1)], 5))
+        assert report.checked_tuples == 0
+        assert report.counterexample == {"kind": "identity-positive", "tuple": [0]}
+
+    def test_left_ordering_counts_skipped_trichotomy_probes(self):
+        z = IntegerGroup()
+        inner = [z.element(v) for v in range(-3, 4)]
+        lo = restricted_cone(z, [z.element(v) for v in (1, 2, 3)], inner)
+        report = validate_left_ordering(lo, ball([z.element(1)], 5))
+        # trichotomy counts all 10 non-identity elements, +-4 and +-5 whose
+        # probes are skipped included; closure counts the 3 x 3 pairs of
+        # positives only
+        assert report.passed
+        assert report.checked_tuples == 10 + 9
+        assert report.notes == ("skipped 102 probes outside the carrier",)
+
+    def test_left_ordering_trichotomy_failure_count(self):
+        z = IntegerGroup()
+        lo = LeftOrdering(z, "odd", lambda g: g.value % 2 == 1, "odd")
+        report = validate_left_ordering(lo, ball([z.element(1)], 5))
+        assert report.checked_tuples == 1
+        assert report.counterexample == {
+            "kind": "trichotomy",
+            "tuple": [-5],
+            "positive": True,
+            "inverse_positive": True,
+        }
+
+    def test_convexity_counts_whole_rows(self):
+        z = IntegerGroup()
+        lo = usual_integer_order(z)
+        report = convexity_check(lo, [z.element(2)], ball([z.element(1)], 3))
+        # cosets {-3,-1,1,3} and {-2,0,2}: the first row (-3 against the
+        # even coset) is consistent, the second (-1) is not
+        assert report.checked_tuples == 6
+        assert report.counterexample["tuple"] == [-3, -1, -2, -2]

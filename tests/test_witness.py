@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordkit import witness as witness_module
 from ordkit.witness import (
     WitnessAmbientGroup,
     membership_G,
@@ -161,6 +162,49 @@ class TestClaimVerification:
         assert first["name"] == "y-centralizes-each-x"
         assert first["status"] == "fail"
         assert report["status"] == "fail"
+
+    def test_raising_family_counts_the_raising_case(self):
+        report = verify_witness_claims(
+            2, budget=40, group=WitnessAmbientGroup(2, up_base=0)
+        )
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["gij-y-commutator"]["cases"] == 1
+        assert checks["gij-y-commutator"]["failure"] == {"error": "Fraction(1, 0)"}
+        assert checks["subgroup-closure"]["cases"] == 1
+        assert checks["subgroup-closure"]["failure"] == {"error": "Fraction(-1, 0)"}
+        assert checks["torsion-spot-check"]["cases"] == 3
+
+    def test_first_family_errors_are_reported(self):
+        # down_base = 0 makes the raw action of y divide by zero in family (1)
+        report = verify_witness_claims(
+            3, budget=40, group=WitnessAmbientGroup(3, down_base=0)
+        )
+        first = report["checks"][0]
+        assert first["name"] == "y-centralizes-each-x"
+        assert first["status"] == "fail"
+        assert first["cases"] == 1
+        assert first["failure"] == {"error": "Fraction(1, 0)"}
+        assert report["status"] == "fail"
+
+    def test_torsion_family_skips_identity_samples(self, monkeypatch):
+        calls = 0
+
+        def every_third_is_identity(group, rng):
+            nonlocal calls
+            calls += 1
+            g = random_subgroup_element(group, rng)
+            return group.identity() if calls % 3 == 0 else g
+
+        monkeypatch.setattr(
+            witness_module, "random_subgroup_element", every_third_is_identity
+        )
+        report = verify_witness_claims(2, budget=40)
+        closure, torsion = report["checks"][4:]
+        # closure draws 2 x 20 samples; torsion's 10 draws are calls 41..50,
+        # of which 42, 45 and 48 are the identity and go uncounted
+        assert closure["cases"] == 20
+        assert torsion["cases"] == 7
+        assert torsion["status"] == "pass"
 
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
