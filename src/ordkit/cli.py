@@ -280,6 +280,11 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, bool]:
         report = presentation_spectrum(presentation, args.cap)
     elif desc.startswith("witness:"):
         group = resolve_group(desc)
+        if not group.standard:
+            raise UsageError(
+                f"{group.descriptor}: the recorded witness spectrum holds only "
+                "for the standard construction"
+            )
         report = _witness_recorded_spectrum(group.p, args.cap)
     else:
         group = resolve_group(desc)

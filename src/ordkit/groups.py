@@ -9,6 +9,7 @@ identity) rather than full enumeration.
 from __future__ import annotations
 
 import os
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -538,7 +539,12 @@ def _leaf_group(descriptor: str) -> Group:
     if descriptor.startswith("witness:"):
         from . import witness
 
-        return witness.WitnessAmbientGroup(int(descriptor.split(":", 1)[1]))
+        # witness:p, or witness:p:upU:downD as a sabotaged group writes it
+        form = re.fullmatch(r"witness:(\d+)(?::up(-?\d+):down(-?\d+))?", descriptor)
+        if form is None:
+            raise ValueError(f"bad witness descriptor: {descriptor!r}")
+        p, up, down = (x if x is None else int(x) for x in form.groups())
+        return witness.WitnessAmbientGroup(p, up, down)
     raise ValueError(f"unknown group descriptor: {descriptor!r}")
 
 

@@ -13,7 +13,7 @@ import functools
 import itertools
 from typing import Any, Iterable
 
-from .groups import Ball, CyclicGroup, Element, Group
+from .groups import Ball, CyclicGroup, Element, Group, GroupMismatchError
 from .orders import (
     CheckList,
     CircularOrdering,
@@ -49,6 +49,13 @@ class Cocycle:
         self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
 
     def __call__(self, a: Element, b: Element) -> int:
+        group = self.group
+        for g in (a, b):
+            if g.group is not group and g.group != group:
+                raise GroupMismatchError(
+                    f"cocycle on {group.descriptor} applied to element "
+                    f"of {g.group.descriptor}"
+                )
         return self.of_values(a.value, b.value)
 
     def of_values(self, a: Any, b: Any) -> int:

@@ -350,7 +350,7 @@ def monotonicity_check(
             report = validate_left_ordering(kernel_evidence.order, kernel_part)
             yield from itertools.repeat(None, report.checked_tuples)
             if not report.passed:
-                return {"kind": "kernel-evidence", **(report.counterexample or {})}
+                return {"kind": "kernel-evidence", "evidence": report.counterexample}
         # the inclusion of obstructed sets is decided for all of 2..cap at once
         yield from itertools.repeat(None, rep_source.cap - 1)
         missing = sorted(rep_source.obstructed_set - rep_target.obstructed_set)

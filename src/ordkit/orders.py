@@ -184,9 +184,6 @@ class SESData:
     kernel_order: LeftOrdering
     quotient_ordering: CircularOrdering
 
-    def kernel_contains(self, g: Element) -> bool:
-        return self.projection(g) == self.quotient.identity()
-
 
 def lex_circular(ses: SESData) -> CircularOrdering:
     """The three-case lexicographic circular ordering of a short exact sequence.

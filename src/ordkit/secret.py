@@ -32,12 +32,7 @@ class CoboundarySolution:
     d: dict[Any, int]
 
     def cone_elements(self) -> list[Element]:
-        ident = self.group.identity()
-        return [
-            g
-            for g in self.carrier
-            if self.d[g.value] == 0 and g.value != ident.value
-        ]
+        return [g for g in self.carrier if self.d[g.value] == 0 and not g.is_identity]
 
 
 @dataclass(frozen=True)
@@ -90,22 +85,6 @@ class Inconclusive:
 DetectionVerdict = SecretWitness | NotSecretOnCarrier | Inconclusive
 
 
-@dataclass
-class _Constraint:
-    index: int
-    g: Any
-    h: Any
-    gh: Any
-    rhs: int
-    coeffs: dict[Any, int]
-
-
-class _Conflict(Exception):
-    def __init__(self, constraint: _Constraint, detail: str):
-        self.constraint = constraint
-        self.detail = detail
-
-
 def detect_secret(
     c: CircularOrdering,
     carrier: Ball | Group | Iterable[Element],
@@ -117,211 +96,162 @@ def detect_secret(
     Seeds d(id) = 0, propagates d(gh) = d(g) + d(h) - f_c(g,h) across every
     pair with g, h and gh inside the carrier, then searches the remaining
     free values depth-first (smallest canonical form first, value 0 before
-    1) with chronological backtracking.  Deterministic, including the
-    contradiction trace; the trace of a failed search shows the last
-    falsified branch after all alternatives were exhausted.
+    1) with chronological backtracking on one trail of assignments.
+    Deterministic, including the contradiction trace; the trace of a failed
+    search shows the last falsified branch after all alternatives were
+    exhausted.
     """
     elems = as_carrier(carrier)
     group = c.group
     ident = group.identity()
-    values = {g.value for g in elems}
-    if ident.value not in values:
+    # the variables are carrier indices; vals[i] is the canonical form of i
+    vals = list(dict.fromkeys(g.value for g in elems))
+    index = {v: i for i, v in enumerate(vals)}
+    if ident.value not in index:
         raise ValueError("carrier must contain the identity")
     f = Cocycle(c)
-    by_value = {g.value: g for g in elems}
 
-    constraints: list[_Constraint] = []
-    by_var: dict[Any, list[int]] = {v: [] for v in values}
+    # constraint (g, h, gh, f, terms) over indices: the nonzero coefficients
+    # of d(g) + d(h) - d(gh) = f, watched by each index they mention
+    constraints: list[tuple[int, int, int, int, tuple]] = []
+    watch: list[list[int]] = [[] for _ in vals]
     for g in elems:
+        gi = index[g.value]
         for h in elems:
-            gh = g * h
-            if gh.value not in values:
+            ghi = index.get((g * h).value)
+            if ghi is None:
                 continue
-            coeffs: dict[Any, int] = {}
-            for var, coeff in ((g.value, 1), (h.value, 1), (gh.value, -1)):
-                coeffs[var] = coeffs.get(var, 0) + coeff
-            coeffs = {v: k for v, k in coeffs.items() if k != 0}
-            con = _Constraint(
-                len(constraints), g.value, h.value, gh.value, f(g, h), coeffs
-            )
-            constraints.append(con)
-            for var in coeffs:
-                by_var[var].append(con.index)
+            hi = index[h.value]
+            coeffs: dict[int, int] = {}
+            for var, k in ((gi, 1), (hi, 1), (ghi, -1)):
+                coeffs[var] = coeffs.get(var, 0) + k
+            terms = tuple((var, k) for var, k in coeffs.items() if k)
+            for var, _ in terms:
+                watch[var].append(len(constraints))
+            constraints.append((gi, hi, ghi, f(g, h), terms))
 
-    assignment: dict[Any, int] = {}
-    origin: dict[Any, int] = {}
-    steps: list[dict] = []
+    # trail entries (kind, var, value, constraint); origin[var] is the trail
+    # position of var's entry while value[var] is not None
+    trail: list[tuple[str, int, int, int | None]] = []
+    value: list[int | None] = [None] * len(vals)
+    origin = [0] * len(vals)
 
-    def encode(v: Any) -> Any:
-        return group.encode(v)
+    def assign(kind: str, var: int, x: int, ci: int | None) -> None:
+        value[var] = x
+        origin[var] = len(trail)
+        trail.append((kind, var, x, ci))
 
-    def record(kind: str, var: Any, value: int, con: _Constraint | None) -> int:
-        entry: dict[str, Any] = {
-            "step": len(steps),
-            "kind": kind,
-            "element": encode(var),
-            "value": value,
-        }
-        if con is not None:
-            entry["constraint"] = {
-                "g": encode(con.g),
-                "h": encode(con.h),
-                "gh": encode(con.gh),
-                "f": con.rhs,
-            }
-        steps.append(entry)
-        return len(steps) - 1
-
-    def assign(var: Any, value: int, kind: str, con: _Constraint | None) -> None:
-        assignment[var] = value
-        origin[var] = record(kind, var, value, con)
-
-    def propagate(queue: deque[int]) -> None:
+    def propagate(var: int) -> tuple[int, str] | None:
+        """Derive forced values from var on; the first violated constraint."""
+        queue = deque(watch[var])
         while queue:
-            con = constraints[queue.popleft()]
-            unknown = [
-                (var, k) for var, k in con.coeffs.items() if var not in assignment
-            ]
-            known = sum(
-                k * assignment[var]
-                for var, k in con.coeffs.items()
-                if var in assignment
-            )
+            ci = queue.popleft()
+            rhs, terms = constraints[ci][3:]
+            known, unknown = 0, []
+            for v, k in terms:
+                if value[v] is None:
+                    unknown.append((v, k))
+                else:
+                    known += k * value[v]
             if not unknown:
-                if known != con.rhs:
-                    raise _Conflict(
-                        con, f"constraint evaluates to {known}, needs {con.rhs}"
-                    )
+                if known != rhs:
+                    return ci, f"constraint evaluates to {known}, needs {rhs}"
                 continue
             if len(unknown) > 1:
                 continue
-            var, k = unknown[0]
-            num = con.rhs - known
-            if num % k != 0:
-                raise _Conflict(
-                    con, f"d({group.format_value(var)}) = {num}/{k} is not integral"
-                )
-            value = num // k
-            if value not in (0, 1):
-                raise _Conflict(
-                    con,
-                    f"derived d({group.format_value(var)}) = {value} outside {{0,1}}",
-                )
-            assign(var, value, "derive", con)
-            for ci in by_var[var]:
-                queue.append(ci)
-
-    def conflict_trace(conflict: _Conflict) -> tuple[dict, ...]:
-        con = conflict.constraint
-        chain: list[int] = []
-        seen: set[int] = set()
-        stack = [v for v in (con.g, con.h, con.gh) if v in origin]
-        while stack:
-            var = stack.pop()
-            idx = origin[var]
-            if idx in seen:
+            (v, k), num = unknown[0], rhs - known
+            if num % k == 0 and num // k in (0, 1):
+                assign("derive", v, num // k, ci)
+                queue.extend(watch[v])
                 continue
-            seen.add(idx)
-            chain.append(idx)
-            entry = steps[idx]
-            if "constraint" in entry:
-                raw = entry["constraint"]
-                for enc in (raw["g"], raw["h"], raw["gh"]):
-                    val = group.decode(enc)
-                    if val in origin and origin[val] not in seen:
-                        stack.append(val)
-        chain.sort()
-        trace = [steps[i] for i in chain]
-        trace.append(
-            {
-                "step": len(steps),
-                "kind": "conflict",
-                "detail": conflict.detail,
-                "constraint": {
-                    "g": encode(con.g),
-                    "h": encode(con.h),
-                    "gh": encode(con.gh),
-                    "f": con.rhs,
-                },
-            }
-        )
-        return tuple(trace)
-
-    try:
-        assign(ident.value, 0, "seed", None)
-        queue = deque(by_var[ident.value])
-        propagate(queue)
-    except _Conflict as conflict:
-        return NotSecretOnCarrier(conflict_trace(conflict), len(constraints))
-
-    sorted_vars = sorted(values, key=group.sort_key)
-
-    def next_unassigned() -> Any | None:
-        for v in sorted_vars:
-            if v not in assignment:
-                return v
+            name = group.format_value(vals[v])
+            if num % k:
+                return ci, f"d({name}) = {num}/{k} is not integral"
+            return ci, f"derived d({name}) = {num // k} outside {{0,1}}"
         return None
 
+    def constraint_dict(ci: int) -> dict:
+        g, h, gh, rhs, _ = constraints[ci]
+        return {
+            "g": group.encode(vals[g]),
+            "h": group.encode(vals[h]),
+            "gh": group.encode(vals[gh]),
+            "f": rhs,
+        }
+
+    def conflict_trace(ci: int, detail: str) -> tuple[dict, ...]:
+        # the trail positions the violated constraint depends on, transitively
+        chain: set[int] = set()
+        stack = [ci]
+        while stack:
+            for var in constraints[stack.pop()][:3]:
+                if value[var] is not None and origin[var] not in chain:
+                    chain.add(origin[var])
+                    if trail[origin[var]][3] is not None:
+                        stack.append(trail[origin[var]][3])
+        trace = []
+        for pos in sorted(chain):
+            kind, var, x, cause = trail[pos]
+            entry = {
+                "step": pos,
+                "kind": kind,
+                "element": group.encode(vals[var]),
+                "value": x,
+            }
+            if cause is not None:
+                entry["constraint"] = constraint_dict(cause)
+            trace.append(entry)
+        conflict = {"step": len(trail), "kind": "conflict", "detail": detail}
+        return (*trace, {**conflict, "constraint": constraint_dict(ci)})
+
+    assign("seed", index[ident.value], 0, None)
+    conflict = propagate(index[ident.value])
+    if conflict is not None:
+        return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
+
+    order = sorted(range(len(vals)), key=lambda i: group.sort_key(vals[i]))
+
+    def next_free() -> int | None:
+        return next((i for i in order if value[i] is None), None)
+
     # depth-first search over the leftover variables: smallest canonical form
-    # first, value 0 before 1, chronological backtracking, capped trials
+    # first, value 0 before 1, capped trials; a frame (var, value, mark) is a
+    # branch taken when the trail had length mark
     trials = 0
-    frames: list[tuple[Any, list[int], dict, dict, int]] = []
-    var = next_unassigned()
-    pending_value: int | None = 0 if var is not None else None
+    frames: list[tuple[int, int, int]] = []
+    var, x = next_free(), 0
     while var is not None:
         if trials >= max_trials:
-            free = tuple(encode(v) for v in sorted_vars if v not in assignment)
-            return Inconclusive(
-                f"branching exceeded the cap of {max_trials} trials",
-                (free,),
-            )
+            free = tuple(group.encode(vals[i]) for i in order if value[i] is None)
+            reason = f"branching exceeded the cap of {max_trials} trials"
+            return Inconclusive(reason, (free,))
         trials += 1
-        saved = (dict(assignment), dict(origin), len(steps))
-        try:
-            assign(var, pending_value, "branch", None)
-            propagate(deque(by_var[var]))
-        except _Conflict as conflict:
-            trace = conflict_trace(conflict)
-            assignment.clear()
-            assignment.update(saved[0])
-            origin.clear()
-            origin.update(saved[1])
-            del steps[saved[2]:]
-            if pending_value == 0:
-                pending_value = 1
-                continue
-            # both values failed: unwind to the deepest frame with value 0
-            while frames:
-                fvar, fvalue, fassign, forigin, fsteps = frames.pop()
-                assignment.clear()
-                assignment.update(fassign)
-                origin.clear()
-                origin.update(forigin)
-                del steps[fsteps:]
-                if fvalue == 0:
-                    var, pending_value = fvar, 1
-                    break
-            else:
-                return NotSecretOnCarrier(trace, len(constraints))
+        frames.append((var, x, len(trail)))
+        assign("branch", var, x, None)
+        conflict = propagate(var)
+        if conflict is None:
+            var, x = next_free(), 0
             continue
-        frames.append((var, pending_value, *saved))
-        var = next_unassigned()
-        pending_value = 0
+        # retry the deepest branch still at value 0 with value 1
+        while frames and frames[-1][1] == 1:
+            frames.pop()
+        if not frames:
+            return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
+        var, _, mark = frames.pop()
+        for entry in trail[mark:]:
+            value[entry[1]] = None
+        del trail[mark:]
+        x = 1
 
     # soundness: every carrier constraint must hold exactly
-    for con in constraints:
-        total = sum(k * assignment[var] for var, k in con.coeffs.items())
-        if total != con.rhs:
-            raise AssertionError(
-                f"solver produced an inconsistent assignment at {con}"
-            )
+    for g, h, _, rhs, terms in constraints:
+        if sum(k * value[v] for v, k in terms) != rhs:
+            raise AssertionError(f"inconsistent assignment at {vals[g]!r}, {vals[h]!r}")
 
-    solution = CoboundarySolution(group, tuple(elems), dict(assignment))
-    return SecretWitness(solution, len(constraints))
+    d = {vals[var]: x for _, var, x, _ in trail}
+    return SecretWitness(CoboundarySolution(group, tuple(elems), d), len(constraints))
 
 
 def cone_from_solution(solution: CoboundarySolution) -> LeftOrdering:
     """Positive-cone oracle of a witness, restricted to its carrier."""
-    return restricted_cone(
-        solution.group, solution.cone_elements(), solution.carrier
-    )
+    return restricted_cone(solution.group, solution.cone_elements(), solution.carrier)

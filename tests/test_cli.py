@@ -253,6 +253,14 @@ class TestBadArguments:
             "--radius", "-1",
         )
 
+    def test_sabotaged_witness_spectrum(self, capsys):
+        # the recorded spectrum is a conclusion about the standard action only
+        argv = ["spectrum", "--group", "witness:3:up2:down4", "--cap", "10"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "standard construction" in err
+
     def test_negative_budget(self, capsys):
         self.assert_usage_error(capsys, "witness", "--p", "3", "--budget", "-5")
 

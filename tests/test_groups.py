@@ -338,6 +338,22 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_group("nonsense:1")
 
+    @pytest.mark.parametrize("up,down", [(None, None), (2, None), (4, 7)])
+    def test_witness_descriptor_round_trip(self, up, down):
+        from ordkit.witness import WitnessAmbientGroup
+
+        group = WitnessAmbientGroup(3, up_base=up, down_base=down)
+        parsed = get_group(group.descriptor)
+        assert parsed == group
+        assert (parsed.up, parsed.down) == (group.up, group.down)
+
+    @pytest.mark.parametrize(
+        "descriptor", ["witness:x", "witness:3:up2", "witness:3:down2:up4"]
+    )
+    def test_bad_witness_descriptor(self, descriptor):
+        with pytest.raises(ValueError, match="bad witness descriptor"):
+            get_group(descriptor)
+
     def test_promislow_handle_is_shared(self):
         from ordkit.groups import PROMISLOW
         from ordkit.obstruction import promislow_kernel_order, promislow_phi

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordkit import lift as lift_module
-from ordkit.groups import CyclicGroup, IntegerGroup, ball
+from ordkit.groups import CyclicGroup, GroupMismatchError, IntegerGroup, ball
 from ordkit.lift import (
     Cocycle,
     InvalidOrderingError,
@@ -155,6 +155,17 @@ class TestCocycleIdentity:
         c = CircularOrdering(triv, "explicit-table", lambda *args: 0, "zero")
         report = check_inhomogeneous_cocycle(Cocycle(c), triv)
         assert report.passed
+
+    def test_elements_of_another_group_rejected(self):
+        # f_c of Z/5 must not re-tag elements of Z/7 as its own
+        z7 = CyclicGroup(7)
+        with pytest.raises(GroupMismatchError):
+            Cocycle(natural_circular_cyclic(5, 1))(z7.element(1), z7.element(5))
+
+    def test_carrier_of_another_group_rejected(self):
+        f = Cocycle(natural_circular_cyclic(5, 1))
+        with pytest.raises(GroupMismatchError):
+            check_inhomogeneous_cocycle(f, CyclicGroup(7))
 
 
 class TestRecover:

@@ -292,7 +292,10 @@ class TestMonotonicity:
         )
         report = monotonicity_check(proj, everything, spectrum, spectrum)
         assert report.checked_tuples == 0
-        assert report.counterexample == {"kind": "identity-positive", "tuple": [0]}
+        assert report.counterexample == {
+            "kind": "kernel-evidence",
+            "evidence": {"kind": "identity-positive", "tuple": [0]},
+        }
 
 
 class TestExponentObstruction:

@@ -6,6 +6,7 @@ from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
     FreeAbelianGroup,
+    GroupMismatchError,
     IntegerGroup,
     ball,
 )
@@ -177,3 +178,105 @@ class TestSolverMechanics:
             gh = g * h
             if gh.value in values:
                 assert d[g.value] - d[gh.value] + d[h.value] == f(g, h)
+
+    def test_carrier_of_another_group_rejected(self):
+        with pytest.raises(GroupMismatchError):
+            detect_secret(natural_circular_cyclic(5, 1), CyclicGroup(7))
+
+
+def _lex_torsion(n, radius):
+    c = product_circular(usual_integer_order(IntegerGroup()), n)
+    carrier = ball([c.group.element((1, 0)), c.group.element((0, 1))], radius)
+    return detect_secret(c, carrier)
+
+
+def _branch(step, element):
+    return {"step": step, "kind": "branch", "element": element, "value": 1}
+
+
+def _derive(step, element, value, g, h, gh, f):
+    return {
+        "step": step,
+        "kind": "derive",
+        "element": element,
+        "value": value,
+        "constraint": {"g": g, "h": h, "gh": gh, "f": f},
+    }
+
+
+def _conflict(step, detail, g, h, gh, f):
+    return {
+        "step": step,
+        "kind": "conflict",
+        "detail": detail,
+        "constraint": {"g": g, "h": h, "gh": gh, "f": f},
+    }
+
+
+class TestPinnedSearch:
+    """Full search outcomes; both traces end after two refuted branches."""
+
+    def test_lex_z_times_z5_radius_10(self):
+        verdict = _lex_torsion(5, 10)
+        assert verdict.checked_constraints == 6451
+        assert list(verdict.trace) == [
+            _branch(1, [-10, 0]),
+            _branch(21, [-9, 1]),
+            _derive(22, [1, 1], 1, [-10, 0], [1, 1], [-9, 1], 1),
+            _conflict(
+                27, "derived d((-8, 2)) = 2 outside {0,1}", [-9, 1], [1, 1], [-8, 2], 0
+            ),
+        ]
+
+    def test_lex_z_times_z3_radius_4(self):
+        verdict = _lex_torsion(3, 4)
+        assert verdict.checked_constraints == 393
+        assert list(verdict.trace) == [
+            _branch(1, [-4, 0]),
+            _derive(3, [-2, 0], 1, [-2, 0], [-2, 0], [-4, 0], 1),
+            _derive(4, [2, 0], 0, [2, 0], [-4, 0], [-2, 0], 0),
+            _derive(5, [-1, 0], 1, [-1, 0], [-1, 0], [-2, 0], 1),
+            _derive(8, [-3, 0], 1, [-3, 0], [2, 0], [-1, 0], 0),
+            _branch(9, [-3, 1]),
+            _derive(11, [0, 1], 1, [-3, 0], [0, 1], [-3, 1], 1),
+            _conflict(
+                13, "derived d((-3, 2)) = 2 outside {0,1}", [-3, 1], [0, 1], [-3, 2], 0
+            ),
+        ]
+
+    @pytest.mark.parametrize(
+        "max_trials,free",
+        [
+            (1, [*range(-10, 0), *range(1, 11)]),
+            (3, [-9, -8, -7, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 7, 8, 9]),
+        ],
+    )
+    def test_inconclusive_integers_radius_10(self, max_trials, free):
+        z = IntegerGroup()
+        c = secret_from_left(usual_integer_order(z))
+        verdict = detect_secret(c, ball([z.element(1)], 10), max_trials=max_trials)
+        assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
+        assert verdict.components == (tuple(free),)
+
+    @pytest.mark.parametrize(
+        "max_trials,free",
+        [
+            (
+                1,
+                [[-2, -1], [-2, 0], [-2, 1], [-1, -2], [-1, -1], [-1, 0], [-1, 1],
+                 [-1, 2], [0, -3], [0, -2], [0, -1], [0, 1], [0, 2], [0, 3],
+                 [1, -2], [1, -1], [1, 0], [1, 1], [1, 2], [2, -1], [2, 0], [2, 1]],
+            ),
+            (
+                3,
+                [[-2, 0], [-2, 1], [-1, -1], [-1, 0], [-1, 2], [0, -2], [0, -1],
+                 [0, 1], [0, 2], [1, -2], [1, 0], [1, 1], [2, -1], [2, 0]],
+            ),
+        ],
+    )
+    def test_inconclusive_free_abelian_radius_3(self, max_trials, free):
+        z2 = FreeAbelianGroup(2)
+        c = secret_from_left(lex_free_abelian_order(z2))
+        verdict = detect_secret(c, ball(z2.basis(), 3), max_trials=max_trials)
+        assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
+        assert verdict.components == (tuple(free),)
