@@ -126,9 +126,13 @@ def brute_force_circular_orders(
 ) -> list[OrderingTable]:
     """All left-invariant circular orderings of a small finite group.
 
-    Enumerates cyclic arrangements with the identity pinned first, keeps
-    those whose left translations are all rotations, then confirms each
-    survivor with the exhaustive axiom validator.  Sorted canonically.
+    With the identity pinned first, translation by the element a in
+    position 1 must rotate the arrangement by one place, which forces it to
+    be e, a, ..., a^(n-1).  So the candidates are these arrangements for
+    the a whose powers cover the group, at most n-1 instead of (n-1)!, in
+    lexicographic order of their carrier indices.  Those whose left
+    translations are all rotations are confirmed with the exhaustive axiom
+    validator.  Sorted canonically.
     """
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
@@ -138,21 +142,19 @@ def brute_force_circular_orders(
             f"brute force capped at order {cap}, group has order {n}"
         )
     elems = as_carrier(group)
-    ident = group.identity()
-    others = [g for g in elems if g.value != ident.value]
+    others = [g for g in elems if not g.is_identity]
+    index = {g.value: k for k, g in enumerate(elems)}
 
+    powers = ([a**k for k in range(n)] for a in elems)  # a = e covers only Z/1
+    candidates = sorted(
+        (arrangement for arrangement in powers if len(set(arrangement)) == n),
+        key=lambda arrangement: [index[g.value] for g in arrangement],
+    )
     tables: list[OrderingTable] = []
-    for perm in itertools.permutations(others):
-        arrangement = [ident, *perm]
+    for arrangement in candidates:
         position = {g.value: idx for idx, g in enumerate(arrangement)}
-        ok = True
-        for h in others:
-            shifted = [position[(h * g).value] for g in arrangement]
-            start = shifted[0]
-            if any(shifted[i] != (start + i) % n for i in range(n)):
-                ok = False
-                break
-        if not ok:
+        shifted = ([position[(h * g).value] for g in arrangement] for h in others)
+        if any(s[i] != (s[0] + i) % n for s in shifted for i in range(n)):
             continue
         table = OrderingTable.from_arrangement(group, arrangement)
         report = validate_circular(table.ordering(), elems)

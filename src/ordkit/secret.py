@@ -214,6 +214,24 @@ def detect_secret(
     def next_free() -> int | None:
         return next((i for i in order if value[i] is None), None)
 
+    def free_components() -> tuple[tuple, ...]:
+        """Unassigned variables linked by shared constraints, each component
+        in canonical order and labelled by its first element."""
+        label: dict[int, int] = {}
+        for start in (i for i in order if value[i] is None and i not in label):
+            label[start], stack = start, [start]
+            while stack:
+                for ci in watch[stack.pop()]:
+                    for v in constraints[ci][:3]:
+                        if value[v] is None and v not in label:
+                            label[v] = start
+                            stack.append(v)
+        components: dict[int, list] = {}
+        for i in order:
+            if i in label:
+                components.setdefault(label[i], []).append(group.encode(vals[i]))
+        return tuple(map(tuple, components.values()))
+
     # depth-first search over the leftover variables: smallest canonical form
     # first, value 0 before 1, capped trials; a frame (var, value, mark) is a
     # branch taken when the trail had length mark
@@ -222,9 +240,8 @@ def detect_secret(
     var, x = next_free(), 0
     while var is not None:
         if trials >= max_trials:
-            free = tuple(group.encode(vals[i]) for i in order if value[i] is None)
             reason = f"branching exceeded the cap of {max_trials} trials"
-            return Inconclusive(reason, (free,))
+            return Inconclusive(reason, free_components())
         trials += 1
         frames.append((var, x, len(trail)))
         assign("branch", var, x, None)

@@ -8,10 +8,10 @@ shifts indices.  The subgroup of interest is
 
     G = { h k z^i  :  phi(h) = i }   with   phi(x_i^(1/(p+1)^j)) = 1 mod p.
 
-Elements are triples (a, b, i): exact rational exponent vector a for the
-x-part, integer vector b for the y-part in the canonical representative
-with last coordinate zero, and the z-twist i mod p.  All arithmetic is
-exact; claims about the group are verified by recomputation, not trusted.
+Elements are triples (a, b, i): x-part exponents as reduced int pairs
+(num, den), den > 0, printed as fractions; the y-part b in the canonical
+representative with last coordinate zero; the z-twist i mod p.  All
+arithmetic is exact; claims about the group are verified by recomputation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Any, Iterable, Iterator, Sequence
 
 from .groups import Element, Group
@@ -27,14 +27,19 @@ from .orders import CheckList, counterexample, sweep
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d (d != 0) as a pair in lowest terms with a positive denominator."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g
+
+
+def _fmt(q: tuple[int, int]) -> str:
+    """A reduced pair as str(Fraction) writes it: "3", "-1/4"."""
+    n, d = q
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class WitnessAmbientGroup(Group):
@@ -56,6 +61,7 @@ class WitnessAmbientGroup(Group):
             if self.standard
             else f"witness:{p}:up{self.up}:down{self.down}"
         )
+        self._factors: dict[tuple[int, int], tuple[int, int]] = {}
 
     @property
     def is_finite(self) -> bool:
@@ -67,42 +73,53 @@ class WitnessAmbientGroup(Group):
         last = b[-1]
         return tuple(x - last for x in b)
 
-    def _shift(self, vec: Sequence[Any], s: int) -> tuple[Any, ...]:
-        p = self.p
-        out = [None] * p
-        for idx in range(p):
-            out[(idx + s) % p] = vec[idx]
-        return tuple(out)
-
-    def _factor(self, b: Sequence[int], j: int) -> Fraction:
-        return Fraction(self.up) ** b[j] * Fraction(self.down) ** (-b[(j - 1) % self.p])
+    def _factor(self, bj: int, bprev: int) -> tuple[int, int]:
+        """up^bj * down^-bprev as a reduced pair: y-exponents bj on y_j and
+        bprev on y_{j-1} scale x_j by it.  Memoised; a miss computes it with
+        Fraction, so a degenerate base raises the error Fraction raises."""
+        pair = self._factors.get((bj, bprev))
+        if pair is None:
+            q = Fraction(self.up) ** bj * Fraction(self.down) ** (-bprev)
+            pair = self._factors[bj, bprev] = q.as_integer_ratio()
+        return pair
 
     def scale_vector(
-        self, vec: Sequence[Fraction], b: Sequence[int]
-    ) -> tuple[Fraction, ...]:
+        self, vec: Sequence[tuple[int, int]], b: Sequence[int]
+    ) -> tuple[tuple[int, int], ...]:
         """Conjugation action of the y-word with raw exponent vector b on H."""
-        return tuple(vec[j] * self._factor(b, j) for j in range(self.p))
+        out = []
+        for j, (n, d) in enumerate(vec):
+            fn, fd = self._factor(b[j], b[j - 1])
+            out.append(_reduced(n * fn, d * fd))
+        return tuple(out)
 
     def _identity_value(self):
-        p = self.p
-        return ((Fraction(0),) * p, (0,) * p, 0)
+        return (((0, 1),) * self.p, (0,) * self.p, 0)
 
     def _op_values(self, x, y):
         a, b, i = x
         a2, b2, i2 = y
-        shifted_a2 = self._shift(a2, i)
-        shifted_b2 = self._shift(b2, i)
-        new_a = tuple(
-            a[j] + v for j, v in enumerate(self.scale_vector(shifted_a2, b))
-        )
-        new_b = self._canon_b(tuple(b[j] + shifted_b2[j] for j in range(self.p)))
-        return (new_a, new_b, (i + i2) % self.p)
+        # z^i shifts the indices of the right factor by i
+        a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
+        new_a = []
+        for j, (n1, d1) in enumerate(a):
+            n2, d2 = a2[j]
+            fn, fd = self._factor(b[j], b[j - 1])
+            d2 *= fd
+            new_a.append(_reduced(n1 * d2 + n2 * fn * d1, d1 * d2))
+        new_b = self._canon_b([u + v for u, v in zip(b, b2)])
+        return (tuple(new_a), new_b, (i + i2) % self.p)
 
     def _inv_value(self, x):
         a, b, i = x
-        unscaled = tuple(-a[j] / self._factor(b, j) for j in range(self.p))
-        a_star = self._shift(unscaled, -i)
-        b_star = self._shift(tuple(-v for v in b), -i)
+        unscaled = []
+        for j, (n, d) in enumerate(a):
+            fn, fd = self._factor(b[j], b[j - 1])
+            if not fn:
+                Fraction(-n, d) / 0  # raises the ZeroDivisionError Fraction does
+            unscaled.append(_reduced(-n * fd, d * fn))
+        neg_b = tuple(-v for v in b)
+        a_star, b_star = tuple(unscaled[i:] + unscaled[:i]), neg_b[i:] + neg_b[:i]
         return (a_star, self._canon_b(b_star), (-i) % self.p)
 
     def check_value(self, value: Any) -> None:
@@ -113,16 +130,20 @@ class WitnessAmbientGroup(Group):
         p = self.p
         if len(a) != p or len(b) != p:
             raise ValueError(f"vectors must have length {p}: {value!r}")
-        if not all(isinstance(q, Fraction) for q in a):
-            raise ValueError(f"x-part must be exact fractions: {a!r}")
+        for q in a:
+            ints = isinstance(q, tuple) and len(q) == 2 and all(
+                isinstance(v, int) for v in q
+            )
+            if not (ints and q[1] > 0 and gcd(*q) == 1):
+                raise ValueError(f"x-part must be reduced (num, den) int pairs: {a!r}")
         if self.standard:
             for q in a:
-                den = q.denominator
+                den = q[1]
                 while den != 1:
                     g = gcd(den, p + 1)
                     if g == 1:
                         raise ValueError(
-                            f"denominator of {q} is not a power of {p + 1}"
+                            f"denominator of {_fmt(q)} is not a power of {p + 1}"
                         )
                     den //= g
         if not all(isinstance(v, int) for v in b) or b[-1] != 0:
@@ -132,73 +153,68 @@ class WitnessAmbientGroup(Group):
 
     def sort_key(self, value):
         a, b, i = value
-        return (a, b, i)
+        return (tuple(Fraction(n, d) for n, d in a), b, i)
 
     def encode(self, value):
         a, b, i = value
-        return {"x": [str(q) for q in a], "y": list(b), "z": i}
+        return {"x": [_fmt(q) for q in a], "y": list(b), "z": i}
 
     def decode(self, obj):
-        value = (
-            tuple(Fraction(s) for s in obj["x"]),
-            tuple(int(v) for v in obj["y"]),
-            int(obj["z"]),
-        )
+        x = tuple(Fraction(s).as_integer_ratio() for s in obj["x"])
+        value = (x, tuple(int(v) for v in obj["y"]), int(obj["z"]))
         self.check_value(value)
         return value
 
     def format_value(self, value):
         a, b, i = value
-        return f"x{tuple(str(q) for q in a)} y{b} z^{i}"
+        return f"x{tuple(_fmt(q) for q in a)} y{b} z^{i}"
 
     # -- constructors --------------------------------------------------------
 
     def from_parts(
         self, a: Sequence[Fraction | int], b: Sequence[int], i: int
     ) -> Element:
-        value = (
-            tuple(Fraction(q) for q in a),
-            self._canon_b(tuple(int(v) for v in b)),
-            i % self.p,
-        )
-        self.check_value(value)
-        return Element(self, value)
+        """The element with rational x-exponents a, y-part b and z-twist i."""
+        x = tuple(Fraction(q).as_integer_ratio() for q in a)
+        return self.element((x, self._canon_b([int(v) for v in b]), i % self.p))
 
     def x_gen(self, index: int, exponent: Fraction | int = 1) -> Element:
         """x_index^exponent (index is 0-based)."""
-        a = [Fraction(0)] * self.p
-        a[index % self.p] = Fraction(exponent)
+        a = [0] * self.p
+        a[index % self.p] = exponent
         return self.from_parts(a, (0,) * self.p, 0)
 
     def y_gen(self, index: int) -> Element:
         b = [0] * self.p
         b[index % self.p] = 1
-        return self.from_parts((Fraction(0),) * self.p, b, 0)
+        return self.from_parts((0,) * self.p, b, 0)
 
     def z_gen(self, power: int = 1) -> Element:
-        return self.from_parts((Fraction(0),) * self.p, (0,) * self.p, power)
+        return self.from_parts((0,) * self.p, (0,) * self.p, power)
 
 
 # -- the subgroup G --------------------------------------------------------
 
 
-def phi_H(group: WitnessAmbientGroup, a: Sequence[Fraction]) -> int:
+def phi_H(group: WitnessAmbientGroup, a: Sequence[tuple[int, int]]) -> int:
     """Sum of scaled numerators mod p: x_i^(1/(p+1)^j) counts as 1.
 
-    Well defined because p+1 = 1 mod p, so rescaling a representation
-    m/(p+1)^j to m(p+1)/(p+1)^(j+1) leaves the numerator class fixed.
+    a is an x-part of (num, den) pairs.  Well defined because p+1 = 1 mod p,
+    so rescaling a representation m/(p+1)^j to m(p+1)/(p+1)^(j+1) leaves the
+    numerator class fixed.
     """
     base = group.p + 1
     total = 0
-    for q in a:
-        scaled = q
-        while scaled.denominator != 1:
-            if gcd(scaled.denominator, base) == 1:
+    for n, d in a:
+        num, den = n, d
+        while den != 1:
+            g = gcd(den, base)
+            if g == 1 or not den:
                 raise ValueError(
-                    f"exponent {q} has denominator outside powers of {base}"
+                    f"exponent {_fmt((n, d))} has denominator outside powers of {base}"
                 )
-            scaled *= base
-        total += scaled.numerator
+            num, den = num * (base // g), den // g
+        total += num
     return total % group.p
 
 
@@ -231,12 +247,12 @@ def random_subgroup_element(
 ) -> Element:
     """A random element of G: the z-twist is forced to phi of the x-part."""
     p = group.p
-    a = tuple(
-        Fraction(rng.randint(-4, 4), (p + 1) ** rng.randint(0, 3))
-        for _ in range(p)
-    )
+    a = []
+    for _ in range(p):
+        n = rng.randint(-4, 4)
+        a.append(_reduced(n, (p + 1) ** rng.randint(0, 3)))
     b = tuple(rng.randint(-3, 3) for _ in range(p))
-    return group.from_parts(a, b, phi_H(group, a))
+    return group.element((tuple(a), group._canon_b(b), phi_H(group, a)))
 
 
 # -- claim verification -------------------------------------------------------
@@ -282,10 +298,10 @@ def verify_witness_claims(
         # the product y_1...y_p acts trivially on H (raw action, so the
         # K/(y) quotient cannot mask a broken exponent)
         for i in range(p):
-            basis = tuple(Fraction(int(j == i)) for j in range(p))
+            basis = tuple((int(j == i), 1) for j in range(p))
             conjugated = G.scale_vector(basis, (1,) * p)
             yield (
-                {"generator": i, "conjugated_exponents": [str(q) for q in conjugated]}
+                {"generator": i, "conjugated_exponents": [_fmt(q) for q in conjugated]}
                 if conjugated != basis
                 else None
             )
@@ -300,11 +316,9 @@ def verify_witness_claims(
             t, g = g_ij(i, j)
             y = G.y_gen(i + 1)
             comm = g * y * ~g * ~y
-            expected_a = [Fraction(0)] * p
-            expected_a[(i + 1) % p] += t * p
-            if p == 2:
-                expected_a[i] += t * p / (p + 1)
-            expected = G.from_parts(expected_a, (0,) * p, 0)
+            expected = G.x_gen(i + 1, t * p)
+            if p == 2:  # x_{i+2} = x_i adds the wrap-around term
+                expected = expected * G.x_gen(i, t * p / (p + 1))
             if comm != expected:
                 yield {"i": i, "j": j, "got": comm.encode(), "expected": expected.encode()}
             elif not membership_G(comm).in_subgroup:
@@ -320,11 +334,7 @@ def verify_witness_claims(
                 yield {"i": i, "reason": "x_i z not in G"}
                 continue
             comm = u * v * ~u * ~v
-            expected_a = [Fraction(0)] * p
-            expected_a[i % p] += 1
-            expected_a[(i + 1) % p] += -2
-            expected_a[(i + 2) % p] += 1
-            expected = G.from_parts(expected_a, (0,) * p, 0)
+            expected = G.x_gen(i) * G.x_gen(i + 1, -2) * G.x_gen(i + 2)
             yield (
                 {"i": i, "got": comm.encode(), "expected": expected.encode()}
                 if comm != expected

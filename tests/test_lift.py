@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ordkit import lift as lift_module
-from ordkit.groups import CyclicGroup, GroupMismatchError, IntegerGroup, ball
+from ordkit.groups import CyclicGroup, GroupMismatchError, IntegerGroup, ball, get_group
 from ordkit.lift import (
     Cocycle,
     InvalidOrderingError,
@@ -330,3 +331,37 @@ class TestLiftAssociativity:
         pairs = (((x * y) * z, (x0 * y0) * z0), (x * (y * z), x0 * (y0 * z0)))
         for window, slice0 in pairs:
             assert window.value == (slice0.value[0] + shift, slice0.value[1])
+
+
+class TestLiftCodec:
+    """Lift elements survive encode -> JSON -> decode, and a lift rebuilt
+    from the base descriptor its own descriptor names equals the original."""
+
+    @pytest.mark.parametrize(
+        "group_desc,ordering_desc",
+        [
+            ("cyclic:5", "natural:2"),
+            ("cyclic:12", "natural:5"),
+            ("integers", "secret"),
+            ("product:integers,cyclic:3", "lex"),
+        ],
+    )
+    def test_roundtrip(self, group_desc, ordering_desc):
+        from ordkit.cli import builtin_generators, resolve_ordering
+
+        base = get_group(group_desc)
+        lift = LiftGroup(Cocycle(resolve_ordering(base, ordering_desc)))
+        assert lift.descriptor.startswith(f"lift:{base.descriptor}:")
+        rebuilt = LiftGroup(
+            Cocycle(resolve_ordering(get_group(base.descriptor), ordering_desc))
+        )
+        assert rebuilt == lift and rebuilt.descriptor == lift.descriptor
+        carrier = (
+            base.elements() if base.is_finite else ball(builtin_generators(base), 2)
+        )
+        sample = [lift.element_from(n, a) for n in (-2, 0, 3) for a in carrier]
+        sample += [g * h for g, h in zip(sample, reversed(sample))]
+        for g in sample:
+            wire = json.loads(json.dumps(g.encode()))
+            assert lift.decode(wire) == g.value
+            assert rebuilt.decode(wire) == g.value

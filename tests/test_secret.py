@@ -213,6 +213,31 @@ def _conflict(step, detail, g, h, gh, f):
     }
 
 
+def _linked_components(free, carrier, add):
+    """Union-find over the free elements: two are linked when g, h and g+h
+    all lie in the carrier and both are among them.  Components come in
+    the order of free, each listing its members in that order."""
+    parent = {g: g for g in free}
+
+    def find(g):
+        while parent[g] != g:
+            g = parent[g]
+        return g
+
+    for g in carrier:
+        for h in carrier:
+            gh = add(g, h)
+            if gh not in carrier:
+                continue
+            linked = [x for x in (g, h, gh) if x in parent]
+            for x in linked[1:]:
+                parent[find(x)] = find(linked[0])
+    components = {}
+    for g in free:
+        components.setdefault(find(g), []).append(g)
+    return tuple(tuple(c) for c in components.values())
+
+
 class TestPinnedSearch:
     """Full search outcomes; both traces end after two refuted branches."""
 
@@ -256,7 +281,9 @@ class TestPinnedSearch:
         c = secret_from_left(usual_integer_order(z))
         verdict = detect_secret(c, ball([z.element(1)], 10), max_trials=max_trials)
         assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
-        assert verdict.components == (tuple(free),)
+        expected = _linked_components(free, range(-10, 11), lambda g, h: g + h)
+        assert len(expected) == 1
+        assert verdict.components == expected
 
     @pytest.mark.parametrize(
         "max_trials,free",
@@ -277,6 +304,33 @@ class TestPinnedSearch:
     def test_inconclusive_free_abelian_radius_3(self, max_trials, free):
         z2 = FreeAbelianGroup(2)
         c = secret_from_left(lex_free_abelian_order(z2))
-        verdict = detect_secret(c, ball(z2.basis(), 3), max_trials=max_trials)
+        carrier = ball(z2.basis(), 3)
+        verdict = detect_secret(c, carrier, max_trials=max_trials)
         assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
-        assert verdict.components == (tuple(free),)
+        expected = _linked_components(
+            [tuple(g) for g in free],
+            {g.value for g in carrier},
+            lambda g, h: (g[0] + h[0], g[1] + h[1]),
+        )
+        assert len(expected) == 1
+        assert verdict.components == tuple(
+            tuple(list(g) for g in component) for component in expected
+        )
+
+    @pytest.mark.parametrize(
+        "points,components",
+        [
+            ([0, 5, 7], [[5], [7]]),
+            ([0, 3, 5, 10, 20], [[3], [5, 10, 20]]),
+            ([-4, 0, 1, 4, 8], [[-4, 4, 8], [1]]),
+        ],
+    )
+    def test_inconclusive_sparse_components(self, points, components):
+        z = IntegerGroup()
+        c = secret_from_left(usual_integer_order(z))
+        verdict = detect_secret(c, [z.element(v) for v in points], max_trials=0)
+        free = [v for v in points if v]
+        assert _linked_components(free, points, lambda g, h: g + h) == tuple(
+            map(tuple, components)
+        )
+        assert verdict.to_dict()["unconstrained_components"] == components

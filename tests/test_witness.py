@@ -1,9 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordkit import witness as witness_module
+from ordkit.groups import get_group
 from ordkit.witness import (
     WitnessAmbientGroup,
     membership_G,
@@ -74,7 +80,8 @@ class TestGroupAxioms:
         for _ in range(80):
             g = random_subgroup_element(group, rng)
             a, b, i = g.value
-            shifted = group.from_parts(a, tuple(v + 2 for v in b), i)
+            exponents = [Fraction(n, d) for n, d in a]
+            shifted = group.from_parts(exponents, tuple(v + 2 for v in b), i)
             assert shifted == g
             h = random_subgroup_element(group, rng)
             assert shifted * h == g * h
@@ -89,24 +96,34 @@ class TestGroupAxioms:
             seen[g.value] = g
 
 
+def _x_part(group, *exponents):
+    """The (num, den) x-part of x_0^e_0 x_1^e_1 ..."""
+    return group.from_parts(exponents, (0,) * group.p, 0).value[0]
+
+
 class TestPhi:
     def test_examples(self):
         g2 = WitnessAmbientGroup(2)
-        assert phi_H(g2, (Fraction(1, 3), Fraction(0))) == 1
+        assert phi_H(g2, _x_part(g2, Fraction(1, 3), 0)) == 1
         g3 = WitnessAmbientGroup(3)
-        assert phi_H(g3, (Fraction(1, 4),) * 3) == 0
-        assert phi_H(g2, (Fraction(0), Fraction(0))) == 0
+        assert phi_H(g3, _x_part(g3, *[Fraction(1, 4)] * 3)) == 0
+        assert phi_H(g2, _x_part(g2, 0, 0)) == 0
 
     def test_well_defined_across_representations(self):
-        # 1/2 = 2/4 in Z[1/4]; both representations give the same class
+        # 1/2 = 8/16 in Z[1/4]; both representations give the same class
         g3 = WitnessAmbientGroup(3)
-        assert phi_H(g3, (Fraction(1, 2), Fraction(0), Fraction(0))) == 2
-        assert phi_H(g3, (Fraction(8, 16), Fraction(0), Fraction(0))) == 2
+        assert phi_H(g3, _x_part(g3, Fraction(1, 2), 0, 0)) == 2
+        assert phi_H(g3, ((8, 16), (0, 1), (0, 1))) == 2
 
     def test_invalid_denominator(self):
         g2 = WitnessAmbientGroup(2)
         with pytest.raises(ValueError):
-            phi_H(g2, (Fraction(1, 5), Fraction(0)))
+            phi_H(g2, ((1, 5), (0, 1)))
+
+    def test_zero_denominator_raises(self):
+        g2 = WitnessAmbientGroup(2)
+        with pytest.raises(ValueError, match="1/0 has denominator outside"):
+            phi_H(g2, ((1, 0), (0, 1)))
 
     def test_conjugation_invariance(self, group):
         rng = random.Random(19)
@@ -213,3 +230,163 @@ class TestClaimVerification:
     def test_recorded_facts_present(self):
         report = verify_witness_claims(2, budget=20)
         assert any("recorded" in fact for fact in report["recorded_facts"])
+
+
+SABOTAGE_GOLDEN = json.loads(
+    (Path(__file__).with_name("data") / "witness_sabotage_reports.json").read_text()
+)
+
+
+@pytest.mark.parametrize("base", [0, 1, -2])
+@pytest.mark.parametrize("knob", ["up_base", "down_base"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_sabotaged_report_matches_golden(p, knob, base):
+    """Full reports of sabotaged groups, captured from the Fraction-based
+    arithmetic, including the ZeroDivisionError texts of degenerate bases
+    and the case at which each family failed; key order included."""
+    group = WitnessAmbientGroup(p, **{knob: base})
+    report = verify_witness_claims(p, budget=20, seed=0, group=group)
+    assert json.dumps(report) == json.dumps(SABOTAGE_GOLDEN[group.descriptor])
+
+
+# -- the int-pair kernel against a Fraction reference model ---------------------
+#
+# The reference is the arithmetic the module used before its x-parts became
+# (num, den) pairs: the same formulas on Fraction vectors.
+
+
+def _ref_factor(group, b, j):
+    return Fraction(group.up) ** b[j] * Fraction(group.down) ** (-b[(j - 1) % group.p])
+
+
+def _ref_shift(vec, s):
+    out = [None] * len(vec)
+    for idx, v in enumerate(vec):
+        out[(idx + s) % len(vec)] = v
+    return tuple(out)
+
+
+def _ref_canon(b):
+    return tuple(v - b[-1] for v in b)
+
+
+def _ref_op(group, x, y):
+    (a, b, i), (a2, b2, i2) = x, y
+    p = group.p
+    a2, b2 = _ref_shift(a2, i), _ref_shift(b2, i)
+    scaled = [a2[j] * _ref_factor(group, b, j) for j in range(p)]
+    new_a = tuple(a[j] + scaled[j] for j in range(p))
+    return (new_a, _ref_canon([b[j] + b2[j] for j in range(p)]), (i + i2) % p)
+
+
+def _ref_inv(group, x):
+    a, b, i = x
+    unscaled = tuple(-a[j] / _ref_factor(group, b, j) for j in range(group.p))
+    b_star = _ref_shift(tuple(-v for v in b), -i)
+    return (_ref_shift(unscaled, -i), _ref_canon(b_star), (-i) % group.p)
+
+
+def _ref_phi(group, a):
+    base = group.p + 1
+    total = 0
+    for q in a:
+        scaled = q
+        while scaled.denominator != 1:
+            if gcd(scaled.denominator, base) == 1:
+                raise ValueError(
+                    f"exponent {q} has denominator outside powers of {base}"
+                )
+            scaled *= base
+        total += scaled.numerator
+    return total % group.p
+
+
+def _ref_encode(value):
+    a, b, i = value
+    return {"x": [str(q) for q in a], "y": list(b), "z": i}
+
+
+def _as_ref(value):
+    """The kernel value with Fraction x-parts; fails unless every pair is
+    reduced with a positive denominator."""
+    a, b, i = value
+    fractions = tuple(Fraction(n, d) for n, d in a)
+    assert [(q.numerator, q.denominator) for q in fractions] == list(a)
+    return (fractions, b, i)
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except (ValueError, ZeroDivisionError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+
+
+KERNEL_GROUPS = [WitnessAmbientGroup(p) for p in (2, 3, 5)] + [
+    WitnessAmbientGroup(p, up, down)
+    for p in (2, 3)
+    for up, down in ((2, None), (4, 7), (-2, 3), (3, 3), (0, None), (None, 0))
+]
+
+
+@st.composite
+def _elements(draw, group):
+    """A random element of the ambient group, built by from_parts from
+    Fraction exponents (any denominator where the group allows it)."""
+    p = group.p
+    dens = (
+        st.integers(0, 4).map(lambda k: (p + 1) ** k)
+        if group.standard
+        else st.integers(1, 60)
+    )
+    a = [Fraction(draw(st.integers(-30, 30)), draw(dens)) for _ in range(p)]
+    b = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    return group.from_parts(a, b, draw(st.integers(0, p - 1)))
+
+
+@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=lambda g: g.descriptor)
+class TestKernelMatchesFractionReference:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_op(self, group, data):
+        x, y = data.draw(_elements(group)), data.draw(_elements(group))
+        got = _outcome(lambda: _as_ref((x * y).value))
+        assert got == _outcome(lambda: _ref_op(group, _as_ref(x.value), _as_ref(y.value)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_inverse(self, group, data):
+        x = data.draw(_elements(group))
+        got = _outcome(lambda: _as_ref((~x).value))
+        assert got == _outcome(lambda: _ref_inv(group, _as_ref(x.value)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_phi(self, group, data):
+        a = data.draw(_elements(group)).value[0]
+        got = _outcome(lambda: phi_H(group, a))
+        assert got == _outcome(lambda: _ref_phi(group, _as_ref((a, (), 0))[0]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_encode_format_and_order(self, group, data):
+        xs = data.draw(st.lists(_elements(group), min_size=1, max_size=6))
+        for x in xs:
+            ref = _as_ref(x.value)
+            assert x.encode() == _ref_encode(ref)
+            assert repr(x) == (
+                f"<{group.descriptor}: x{tuple(str(q) for q in ref[0])} "
+                f"y{ref[1]} z^{ref[2]}>"
+            )
+        by_kernel = sorted(xs, key=lambda x: x.sort_key())
+        assert [_as_ref(x.value) for x in by_kernel] == sorted(map(_as_ref, (x.value for x in xs)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_codec_roundtrip(self, group, data):
+        x = data.draw(_elements(group))
+        resolved = get_group(group.descriptor)
+        assert resolved == group and resolved.descriptor == group.descriptor
+        wire = json.loads(json.dumps(x.encode()))
+        assert group.decode(wire) == x.value
+        assert resolved.decode(wire) == x.value
