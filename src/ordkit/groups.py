@@ -23,6 +23,16 @@ class GroupMismatchError(ValueError):
     """Raised when elements of different groups are combined."""
 
 
+def require_members(group: "Group", elems: Iterable["Element"], user: str) -> None:
+    """Raise GroupMismatchError naming the group's `user` unless elems lie in it."""
+    for g in elems:
+        if g.group is not group and g.group != group:
+            raise GroupMismatchError(
+                f"{user} on {group.descriptor} applied to element "
+                f"of {g.group.descriptor}"
+            )
+
+
 class ResourceCapError(RuntimeError):
     """Raised when a construction exceeds its configured size cap."""
 

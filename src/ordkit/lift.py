@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
-from .groups import Ball, CyclicGroup, Element, Group, GroupMismatchError
+from .groups import Ball, CyclicGroup, Element, Group, require_members
 from .orders import (
     CheckList,
     CircularOrdering,
@@ -26,6 +26,25 @@ from .orders import (
 
 class InvalidOrderingError(ValueError):
     """The ordering behind a cocycle violates the circular-ordering axioms."""
+
+
+def _ladder(a, b, ident, times: Callable, orient: Callable, element: Callable) -> int:
+    """The cocycle's case ladder over handles of a, b and the identity;
+    times(a, b) is the handle of ab, asked for only past the identity case,
+    orient(x, y) is c(id, x, y) and element(x) is shown in the error."""
+    if a == ident or b == ident:
+        return 0
+    ab = times(a, b)
+    if ab == ident:
+        return 1
+    if orient(a, ab) == 1:
+        return 0
+    if orient(ab, a) == 1:
+        return 1
+    raise InvalidOrderingError(
+        f"no cocycle case fires at ({element(a)!r}, {element(b)!r}); "
+        "the underlying circular ordering is invalid"
+    )
 
 
 class Cocycle:
@@ -45,17 +64,15 @@ class Cocycle:
         overrides: dict[tuple[Any, Any], int] | None = None,
     ):
         self.ordering = ordering
-        self.group = ordering.group
+        self.group = group = ordering.group
         self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
+        ident = group.identity()
+        self._ident, self._element = ident.value, functools.partial(Element, group)
+        self._orient = lambda x, y: ordering(ident, Element(group, x), Element(group, y))
 
     def __call__(self, a: Element, b: Element) -> int:
-        group = self.group
-        for g in (a, b):
-            if g.group is not group and g.group != group:
-                raise GroupMismatchError(
-                    f"cocycle on {group.descriptor} applied to element "
-                    f"of {g.group.descriptor}"
-                )
+        if not (a.group is self.group and b.group is self.group):
+            require_members(self.group, (a, b), "cocycle")
         return self.of_values(a.value, b.value)
 
     def of_values(self, a: Any, b: Any) -> int:
@@ -63,26 +80,27 @@ class Cocycle:
         key = (a, b)
         value = self._cache.get(key)
         if value is None:
-            value = self._cache[key] = self._evaluate(
-                Element(self.group, a), Element(self.group, b)
+            value = self._cache[key] = _ladder(
+                a, b, self._ident, self.group._op_values, self._orient, self._element
             )
         return value
 
-    def _evaluate(self, a: Element, b: Element) -> int:
-        if a.is_identity or b.is_identity:
-            return 0
-        ab = a * b
-        if ab.is_identity:
-            return 1
-        ident = self.group.identity()
-        if self.ordering(ident, a, ab) == 1:
-            return 0
-        if self.ordering(ident, ab, a) == 1:
-            return 1
-        raise InvalidOrderingError(
-            f"no cocycle case fires at ({a!r}, {b!r}); "
-            "the underlying circular ordering is invalid"
-        )
+    def on_carrier(self, elems: Sequence[Element]) -> Callable[[int, int, int], int]:
+        """f_c(elems[i], elems[j]) as f(i, j, k), elems[k] being their product,
+        read from the ordering's table; the distinct elems hold the identity."""
+        values, ident = [g.value for g in elems], self.group._identity_value()
+        if ident not in values:
+            raise ValueError("carrier must contain the identity")
+        require_members(self.group, elems, "cocycle")
+        e = values.index(ident)
+        orient, cache = functools.partial(self.ordering.table(elems), e), self._cache
+
+        def f(i: int, j: int, k: int) -> int:
+            if (value := cache.get((elems[i].value, elems[j].value))) is None:
+                return _ladder(i, j, e, lambda *_: k, orient, elems.__getitem__)
+            return value
+
+        return f
 
 
 class LiftGroup(Group):

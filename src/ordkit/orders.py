@@ -9,6 +9,7 @@ finite carrier and report the first counterexample in canonical order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -21,9 +22,9 @@ from .groups import (
     DirectProductGroup,
     Element,
     Group,
-    GroupMismatchError,
     Homomorphism,
     ball,
+    require_members,
 )
 
 
@@ -50,16 +51,26 @@ class CircularOrdering:
     provenance: str
     fn: Callable[[Element, Element, Element], int] = field(repr=False)
     description: str = ""
+    # the builder's table: distinct carrier values -> c on index triples
+    _tabulate: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, g1: Element, g2: Element, g3: Element) -> int:
         group = self.group
-        for g in (g1, g2, g3):
-            if g.group is not group and g.group != group:
-                raise GroupMismatchError(
-                    f"ordering on {group.descriptor} applied to element "
-                    f"of {g.group.descriptor}"
-                )
+        if not (g1.group is group and g2.group is group and g3.group is group):
+            require_members(group, (g1, g2, g3), "ordering")
         return self.fn(g1, g2, g3)
+
+    def table(self, elems: Sequence[Element]) -> Callable[[int, int, int], int]:
+        """c on index triples (i, j, k) of distinct carrier elements, from the
+        builder's per-element and per-pair ingredients with no oracle call
+        per triple; other orderings call `fn` on each triple."""
+        require_members(self.group, elems, "ordering")
+        values = [g.value for g in elems]
+        if len(set(values)) != len(values):
+            raise ValueError("carrier elements must be distinct")
+        if self._tabulate is None:
+            return lambda i, j, k: self.fn(elems[i], elems[j], elems[k])
+        return self._tabulate(values)
 
 
 @dataclass(frozen=True)
@@ -72,11 +83,8 @@ class LeftOrdering:
     description: str = ""
 
     def positive(self, g: Element) -> bool:
-        if g.group is not self.group and g.group != self.group:
-            raise GroupMismatchError(
-                f"ordering on {self.group.descriptor} applied to element "
-                f"of {g.group.descriptor}"
-            )
+        if g.group is not self.group:
+            require_members(self.group, (g,), "ordering")
         return self.cone(g)
 
     def less(self, g: Element, h: Element) -> bool:
@@ -132,23 +140,40 @@ def restricted_cone(
 # -- builders ----------------------------------------------------------------
 
 
+def _less_values(group: Group, cone: Callable[[Element], bool]):
+    """x < y on canonical forms: the cone holds x^-1 y."""
+    op, inv = group._op_values, group._inv_value
+    return lambda x, y: bool(cone(Element(group, op(inv(x), y))))
+
+
+def _secret_entry(x, y, z, lt: Callable[[Any, Any], bool]) -> int:
+    """+1 on increasing triples up to cyclic shift, by inversion parity."""
+    if x == y or y == z or x == z:
+        return 0
+    return 1 if (lt(y, x) + lt(z, x) + lt(z, y)) % 2 == 0 else -1
+
+
 def secret_from_left(lo: LeftOrdering) -> CircularOrdering:
     """Circular ordering that is +1 on increasing triples up to cyclic shift."""
+    lt = _less_values(lo.group, lo.cone)
 
     def fn(g1: Element, g2: Element, g3: Element) -> int:
-        if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
-            return 0
-        items = (g1, g2, g3)
-        inversions = sum(
-            1
-            for i, j in ((0, 1), (0, 2), (1, 2))
-            if lo.less(items[j], items[i])
-        )
-        return 1 if inversions % 2 == 0 else -1
+        return _secret_entry(g1.value, g2.value, g3.value, lt)
 
-    return CircularOrdering(
-        lo.group, "secret-of-left-order", fn, f"secret of {lo.provenance}"
-    )
+    def tabulate(values: list) -> Callable:
+        memo = functools.cache(lambda x, y: lt(values[x], values[y]))
+        return functools.partial(_secret_entry, lt=memo)
+
+    name = f"secret of {lo.provenance}"
+    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, tabulate)
+
+
+def _cyclic_entry(n: int, p1: int, p2: int, p3: int) -> int:
+    """Orientation of three positions on a circle of n places."""
+    u, v = (p2 - p1) % n, (p3 - p1) % n
+    if u == 0 or v == 0 or u == v:
+        return 0
+    return 1 if u < v else -1
 
 
 def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
@@ -161,13 +186,13 @@ def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
     k = k % n
 
     def fn(g1: Element, g2: Element, g3: Element) -> int:
-        u = k * (g2.value - g1.value) % n
-        v = k * (g3.value - g1.value) % n
-        if u == 0 or v == 0 or u == v:
-            return 0
-        return 1 if u < v else -1
+        return _cyclic_entry(n, k * g1.value, k * g2.value, k * g3.value)
 
-    return CircularOrdering(group, "natural-cyclic", fn, f"unit {k} mod {n}")
+    def tabulate(values: list) -> Callable:
+        pos = [k * r % n for r in values]
+        return lambda x, y, z: _cyclic_entry(n, pos[x], pos[y], pos[z])
+
+    return CircularOrdering(group, "natural-cyclic", fn, f"unit {k} mod {n}", tabulate)
 
 
 def natural_units(n: int) -> list[int]:
@@ -185,6 +210,22 @@ class SESData:
     quotient_ordering: CircularOrdering
 
 
+def _lex_entry(x, y, z, image, quotient, lt, twin) -> int:
+    """lex_circular's cases: quotient on distinct images, else the kernel's
+    secret ordering, which twin(x, y) gives when only x and y share one."""
+    if x == y or y == z or x == z:
+        return 0
+    ix, iy, iz = image(x), image(y), image(z)
+    if ix != iy and iy != iz and ix != iz:
+        return quotient(ix, iy, iz)
+    if ix == iy == iz:
+        # the kernel's secret ordering at (x^-1 z, e, x^-1 y)
+        return _secret_entry(z, x, y, lt)
+    if ix == iy:
+        return twin(x, y)
+    return twin(y, z) if iy == iz else twin(z, x)
+
+
 def lex_circular(ses: SESData) -> CircularOrdering:
     """The three-case lexicographic circular ordering of a short exact sequence.
 
@@ -192,32 +233,38 @@ def lex_circular(ses: SESData) -> CircularOrdering:
     triples with a repeated image are cyclically rotated until the matching
     pair leads, then decided by the kernel's secret ordering.
     """
-    kernel_secret = secret_from_left(ses.kernel_order)
-    ident = ses.group.identity()
+    group, cone, quotient = ses.group, ses.kernel_order.cone, ses.quotient_ordering
+    op, inv, ident = group._op_values, group._inv_value, group._identity_value()
+    lt = _less_values(group, cone)
+
+    def image(x):
+        return ses.projection(Element(group, x))
+
+    def twin(x, y):
+        # the kernel's secret ordering at (a, e, a^-1), a = y^-1 x, counts
+        # the inversions e < a, a^-1 < a, a^-1 < e: only a^2 > e decides
+        a = op(inv(y), x)
+        square = op(a, a)
+        if square == ident:
+            return 0
+        return -1 if cone(Element(group, square)) else 1
 
     def fn(g1: Element, g2: Element, g3: Element) -> int:
-        if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
-            return 0
-        triple = (g1, g2, g3)
-        images = tuple(ses.projection(g) for g in triple)
-        distinct = len({im.value for im in images})
-        if distinct == 3:
-            return ses.quotient_ordering(*images)
-        if distinct == 1:
-            return kernel_secret(~g1 * g3, ident, ~g1 * g2)
-        for r in range(3):
-            h1, h2, h3 = triple[r:] + triple[:r]
-            i1, i2, i3 = images[r:] + images[:r]
-            if i1.value == i2.value and i1.value != i3.value:
-                return kernel_secret(~h2 * h1, ident, ~h1 * h2)
-        raise AssertionError("unreachable: some rotation matches a case")
+        return _lex_entry(g1.value, g2.value, g3.value, image, quotient, lt, twin)
 
-    return CircularOrdering(
-        ses.group,
-        "lexicographic",
-        fn,
-        f"lexicographic via {ses.projection.name}",
-    )
+    def tabulate(values: list) -> Callable:
+        images = [image(x) for x in values]
+        slot = {w: s for s, w in enumerate(dict.fromkeys(images))}
+        return functools.partial(
+            _lex_entry,
+            image=[slot[w] for w in images].__getitem__,
+            quotient=quotient.table(list(slot)),
+            lt=functools.cache(lambda x, y: lt(values[x], values[y])),
+            twin=functools.cache(lambda x, y: twin(values[x], values[y])),
+        )
+
+    name = f"lexicographic via {ses.projection.name}"
+    return CircularOrdering(group, "lexicographic", fn, name, tabulate)
 
 
 def product_ses(lo: LeftOrdering, n: int, unit: int = 1) -> SESData:

@@ -103,32 +103,34 @@ def detect_secret(
     """
     elems = as_carrier(carrier)
     group = c.group
-    ident = group.identity()
     # the variables are carrier indices; vals[i] is the canonical form of i
-    vals = list(dict.fromkeys(g.value for g in elems))
+    points = list(dict.fromkeys(elems))
+    vals = [g.value for g in points]
     index = {v: i for i, v in enumerate(vals)}
-    if ident.value not in index:
-        raise ValueError("carrier must contain the identity")
-    f = Cocycle(c)
+    f = Cocycle(c).on_carrier(points)
 
     # constraint (g, h, gh, f, terms) over indices: the nonzero coefficients
-    # of d(g) + d(h) - d(gh) = f, watched by each index they mention
+    # of d(g) + d(h) - d(gh) = f, watched by each index they mention; terms
+    # of three distinct indices share their (index, coefficient) pairs
     constraints: list[tuple[int, int, int, int, tuple]] = []
     watch: list[list[int]] = [[] for _ in vals]
-    for g in elems:
-        gi = index[g.value]
-        for h in elems:
-            ghi = index.get((g * h).value)
+    pairs = [((i, 1), (i, -1)) for i in range(len(vals))]
+    ids = [index[g.value] for g in elems]
+    for gi in ids:
+        g = vals[gi]
+        for hi in ids:
+            ghi = index.get(group._op_values(g, vals[hi]))
             if ghi is None:
                 continue
-            hi = index[h.value]
-            coeffs: dict[int, int] = {}
-            for var, k in ((gi, 1), (hi, 1), (ghi, -1)):
-                coeffs[var] = coeffs.get(var, 0) + k
-            terms = tuple((var, k) for var, k in coeffs.items() if k)
+            terms: tuple = (pairs[gi][0], pairs[hi][0], pairs[ghi][1])
+            if gi == hi or gi == ghi or hi == ghi:
+                coeffs: dict[int, int] = {}
+                for var, k in terms:
+                    coeffs[var] = coeffs.get(var, 0) + k
+                terms = tuple((var, k) for var, k in coeffs.items() if k)
             for var, _ in terms:
                 watch[var].append(len(constraints))
-            constraints.append((gi, hi, ghi, f(g, h), terms))
+            constraints.append((gi, hi, ghi, f(gi, hi, ghi), terms))
 
     # trail entries (kind, var, value, constraint); origin[var] is the trail
     # position of var's entry while value[var] is not None
@@ -146,7 +148,7 @@ def detect_secret(
         queue = deque(watch[var])
         while queue:
             ci = queue.popleft()
-            rhs, terms = constraints[ci][3:]
+            _, _, _, rhs, terms = constraints[ci]
             known, unknown = 0, []
             for v, k in terms:
                 if value[v] is None:
@@ -204,8 +206,8 @@ def detect_secret(
         conflict = {"step": len(trail), "kind": "conflict", "detail": detail}
         return (*trace, {**conflict, "constraint": constraint_dict(ci)})
 
-    assign("seed", index[ident.value], 0, None)
-    conflict = propagate(index[ident.value])
+    assign("seed", index[group._identity_value()], 0, None)
+    conflict = propagate(index[group._identity_value()])
     if conflict is not None:
         return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
 
@@ -261,8 +263,8 @@ def detect_secret(
         x = 1
 
     # soundness: every carrier constraint must hold exactly
-    for g, h, _, rhs, terms in constraints:
-        if sum(k * value[v] for v, k in terms) != rhs:
+    for g, h, gh, rhs, _ in constraints:
+        if value[g] + value[h] - value[gh] != rhs:
             raise AssertionError(f"inconsistent assignment at {vals[g]!r}, {vals[h]!r}")
 
     d = {vals[var]: x for _, var, x, _ in trail}

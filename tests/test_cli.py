@@ -211,6 +211,32 @@ class TestSpectrum:
         assert code == 2
 
 
+class TestCorruptedTables:
+    """An invalid table stops detect-secret at the first cocycle pair where no
+    case of the ladder fires, in the canonical pair order."""
+
+    @pytest.mark.parametrize("entry", ["flip", 0, 5])
+    def test_detect_secret_error(self, capsys, tmp_path, entry):
+        group = CyclicGroup(5)
+        table = OrderingTable.from_ordering(
+            natural_circular_cyclic(5, 1), group.elements()
+        )
+        entries = dict(table.entries)
+        entries[(0, 1, 2)] = -entries[(0, 1, 2)] if entry == "flip" else entry
+        path = tmp_path / "table.json"
+        path.write_text(
+            json.dumps(OrderingTable(group, table.carrier, entries).to_json_dict())
+        )
+        argv = ["detect-secret", "--group", "cyclic:5", "--ordering", f"table:{path}"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: no cocycle case fires at (<cyclic:5: 1>, <cyclic:5: 1>); "
+            "the underlying circular ordering is invalid\n"
+        )
+
+
 class TestBadCap:
     def test_spectrum_promislow_cap_1(self, capsys):
         assert main(["spectrum", "--group", "promislow", "--cap", "1"]) == 2

@@ -180,7 +180,10 @@ class TestSolverMechanics:
                 assert d[g.value] - d[gh.value] + d[h.value] == f(g, h)
 
     def test_carrier_of_another_group_rejected(self):
-        with pytest.raises(GroupMismatchError):
+        with pytest.raises(
+            GroupMismatchError,
+            match="^cocycle on cyclic:5 applied to element of cyclic:7$",
+        ):
             detect_secret(natural_circular_cyclic(5, 1), CyclicGroup(7))
 
 

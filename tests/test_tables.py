@@ -1,0 +1,287 @@
+"""Carrier-indexed tables of circular orderings and of their cocycles.
+
+`CircularOrdering.table` must give the ordering's value on every index
+triple: it is compared with the oracle `fn` and with reference models of
+the per-triple oracles, which call the cone on group elements for every
+comparison.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordkit.groups import (
+    CyclicGroup,
+    Element,
+    FreeAbelianGroup,
+    GroupMismatchError,
+    IntegerGroup,
+    PROMISLOW,
+    ball,
+)
+from ordkit.lift import Cocycle
+from ordkit.obstruction import (
+    promislow_circular,
+    promislow_product_c2_circular,
+    promislow_ses,
+)
+from ordkit.orders import (
+    CircularOrdering,
+    LeftOrdering,
+    OrderingTable,
+    as_carrier,
+    lex_circular,
+    lex_free_abelian_order,
+    natural_circular_cyclic,
+    natural_units,
+    product_ses,
+    secret_from_left,
+    usual_integer_order,
+)
+from ordkit.secret import SecretWitness, detect_secret
+
+
+def circle_orientation(n, k, a, b, c):
+    """Orientation of the angles k*a/n, k*b/n, k*c/n on the circle."""
+    pts = [Fraction(k * x % n, n) for x in (a, b, c)]
+    if len(set(pts)) < 3:
+        return 0
+    return 1 if (pts[1] - pts[0]) % 1 < (pts[2] - pts[0]) % 1 else -1
+
+
+def reference_secret(lo):
+    """The secret ordering by three `less` calls per triple."""
+
+    def c(g1, g2, g3):
+        if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
+            return 0
+        items = (g1, g2, g3)
+        inversions = sum(
+            1 for i, j in ((0, 1), (0, 2), (1, 2)) if lo.less(items[j], items[i])
+        )
+        return 1 if inversions % 2 == 0 else -1
+
+    return c
+
+
+def reference_lex(ses):
+    """The lexicographic ordering by rotation to the matching pair."""
+    kernel_secret = reference_secret(ses.kernel_order)
+    ident = ses.group.identity()
+
+    def c(g1, g2, g3):
+        if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
+            return 0
+        triple = (g1, g2, g3)
+        images = tuple(ses.projection(g) for g in triple)
+        distinct = len({im.value for im in images})
+        if distinct == 3:
+            return ses.quotient_ordering(*images)
+        if distinct == 1:
+            return kernel_secret(~g1 * g3, ident, ~g1 * g2)
+        for r in range(3):
+            h1, h2, _ = triple[r:] + triple[:r]
+            i1, i2, i3 = images[r:] + images[:r]
+            if i1.value == i2.value and i1.value != i3.value:
+                return kernel_secret(~h2 * h1, ident, ~h1 * h2)
+        raise AssertionError("no rotation matches")
+
+    return c
+
+
+def assert_table_matches(c, elems, reference):
+    table = c.table(elems)
+    for i, j, k in itertools.product(range(len(elems)), repeat=3):
+        triple = (elems[i], elems[j], elems[k])
+        want = reference(*triple)
+        assert c.fn(*triple) == want, triple
+        assert table(i, j, k) == want, triple
+
+
+def subsets(elems, max_size=9):
+    """Nonempty subsets of elems in any order."""
+    return st.lists(st.sampled_from(elems), min_size=1, max_size=max_size, unique=True)
+
+
+Z = IntegerGroup()
+Z2 = FreeAbelianGroup(2)
+
+
+class TestTableMatchesOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_natural(self, n, data):
+        k = data.draw(st.sampled_from(natural_units(n)))
+        elems = data.draw(subsets(CyclicGroup(n).elements(), 12))
+        assert_table_matches(
+            natural_circular_cyclic(n, k),
+            elems,
+            lambda a, b, c: circle_orientation(n, k, a.value, b.value, c.value),
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=10, unique=True))
+    def test_secret_integers(self, points):
+        lo = usual_integer_order(Z)
+        assert_table_matches(
+            secret_from_left(lo), [Z.element(p) for p in points], reference_secret(lo)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_secret_free_abelian(self, data):
+        lo = lex_free_abelian_order(Z2)
+        elems = data.draw(subsets(list(ball(Z2.basis(), 3))))
+        assert_table_matches(secret_from_left(lo), elems, reference_secret(lo))
+
+    @pytest.mark.parametrize(
+        "c,carrier",
+        [
+            (secret_from_left(usual_integer_order(Z)), ball([Z.element(1)], 6)),
+            (secret_from_left(lex_free_abelian_order(Z2)), ball(Z2.basis(), 2)),
+        ],
+    )
+    def test_secret_on_whole_balls(self, c, carrier):
+        lo = usual_integer_order(Z) if c.group == Z else lex_free_abelian_order(Z2)
+        assert_table_matches(c, as_carrier(carrier), reference_secret(lo))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_lex_product(self, n, data):
+        ses = product_ses(usual_integer_order(Z), n)
+        pool = [ses.group.element((a, b)) for a in range(-4, 5) for b in range(n)]
+        elems = data.draw(subsets(pool, 10))
+        assert_table_matches(lex_circular(ses), elems, reference_lex(ses))
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(1, 2), st.data())
+    def test_lex_promislow(self, radius, data):
+        pool = as_carrier(ball([PROMISLOW.gen_a(), PROMISLOW.gen_b()], radius))
+        elems = data.draw(subsets(pool, 8))
+        assert_table_matches(promislow_circular(), elems, reference_lex(promislow_ses()))
+
+    def test_lex_promislow_product_ball(self):
+        c = promislow_product_c2_circular()
+        t = c.group.element((PROMISLOW._identity_value(), 1))
+        a = c.group.element((PROMISLOW.gen_a().value, 0))
+        elems = as_carrier(ball([t, a], 2))
+        table = c.table(elems)
+        for i, j, k in itertools.product(range(len(elems)), repeat=3):
+            assert table(i, j, k) == c(elems[i], elems[j], elems[k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 7), st.data())
+    def test_flipped_table(self, n, data):
+        group = CyclicGroup(n)
+        table = OrderingTable.from_ordering(natural_circular_cyclic(n, 1), group.elements())
+        flipped = table.flipped(data.draw(st.sampled_from(sorted(table.entries))))
+        elems = data.draw(subsets(group.elements(), n))
+        entries = flipped.entries
+        assert_table_matches(
+            flipped.ordering(),
+            elems,
+            lambda a, b, c: entries.get((a.value, b.value, c.value), 0),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([IntegerGroup(), CyclicGroup(2), CyclicGroup(4)]),
+        st.integers(2, 5),
+        st.data(),
+    )
+    def test_lex_with_corrupted_kernel_cone(self, base, n, data):
+        # an arbitrary positive set: it may hold both g and g^-1, a square,
+        # the identity, or (in a torsion kernel) elements with a^2 = e
+        span = range(-4, 5) if base == Z else range(base.order)
+        positive = data.draw(st.sets(st.sampled_from(list(span))))
+        lo = LeftOrdering(base, "corrupt", lambda g: g.value in positive)
+        ses = product_ses(lo, n)
+        pool = [ses.group.element((a, b)) for a in span for b in range(n)]
+        elems = data.draw(subsets(pool, 10))
+        assert_table_matches(lex_circular(ses), elems, reference_lex(ses))
+
+    @pytest.mark.parametrize(
+        "base,positive,n",
+        [
+            (IntegerGroup(), {1}, 2),
+            (IntegerGroup(), {-1, 1}, 3),
+            (IntegerGroup(), {0, 2, -3}, 2),
+            (CyclicGroup(2), {1}, 3),
+            (CyclicGroup(4), {0, 2}, 2),
+        ],
+    )
+    def test_lex_with_fixed_corrupted_kernel_cone(self, base, positive, n):
+        span = range(-3, 4) if base == Z else range(base.order)
+        ses = product_ses(LeftOrdering(base, "corrupt", lambda g: g.value in positive), n)
+        elems = [ses.group.element((a, b)) for a in span for b in range(n)]
+        assert_table_matches(lex_circular(ses), elems, reference_lex(ses))
+
+
+class TestTableContract:
+    def test_fallback_calls_fn(self):
+        group = CyclicGroup(4)
+        c = CircularOrdering(group, "sum", lambda a, b, d: (a.value + b.value + d.value) % 3)
+        elems = group.elements()
+        table = c.table(elems)
+        for i, j, k in itertools.product(range(4), repeat=3):
+            assert table(i, j, k) == c(elems[i], elems[j], elems[k])
+
+    def test_foreign_element_rejected(self):
+        c = natural_circular_cyclic(5, 1)
+        with pytest.raises(
+            GroupMismatchError, match="^ordering on cyclic:5 applied to element of cyclic:7$"
+        ):
+            c.table(CyclicGroup(7).elements())
+
+    def test_repeated_element_rejected(self):
+        group = CyclicGroup(5)
+        with pytest.raises(ValueError, match="distinct"):
+            natural_circular_cyclic(5, 1).table([group.element(1), group.element(1)])
+
+
+class TestCocycleOnCarrier:
+    @pytest.mark.parametrize(
+        "c,carrier",
+        [
+            (natural_circular_cyclic(7, 3), CyclicGroup(7).elements()),
+            (secret_from_left(usual_integer_order(Z)), ball([Z.element(1)], 5)),
+            (promislow_circular(), ball([PROMISLOW.gen_a(), PROMISLOW.gen_b()], 2)),
+        ],
+    )
+    def test_matches_pair_cocycle(self, c, carrier):
+        elems = as_carrier(carrier)
+        index = {g.value: i for i, g in enumerate(elems)}
+        f = Cocycle(c)
+        f_idx = Cocycle(c).on_carrier(elems)
+        for (i, g), (j, h) in itertools.product(enumerate(elems), repeat=2):
+            k = index.get((g * h).value)
+            if k is not None:
+                assert f_idx(i, j, k) == f(g, h)
+
+    def test_overrides_win(self):
+        group = CyclicGroup(3)
+        f = Cocycle(natural_circular_cyclic(3, 1), overrides={(1, 1): 0})
+        assert f.on_carrier(group.elements())(1, 1, 2) == 0
+
+    def test_identity_required(self):
+        elems = [Z.element(1), Z.element(2)]
+        with pytest.raises(ValueError, match="identity"):
+            Cocycle(secret_from_left(usual_integer_order(Z))).on_carrier(elems)
+
+
+def test_detect_secret_cone_calls_bounded_by_pairs():
+    # the cone is probed once per ordered carrier pair at most, not once per
+    # comparison inside every cocycle evaluation
+    calls = []
+
+    def cone(g: Element) -> bool:
+        calls.append(g.value)
+        return g.value > 0
+
+    carrier = ball([Z.element(1)], 20)
+    verdict = detect_secret(secret_from_left(LeftOrdering(Z, "usual", cone)), carrier)
+    assert isinstance(verdict, SecretWitness)
+    assert 0 < len(calls) <= len(carrier) ** 2
