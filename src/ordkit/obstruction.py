@@ -415,8 +415,6 @@ class UnobstructedCertificate:
 def verify_unobstructed(
     cert: UnobstructedCertificate,
     carrier: Ball | Group | Iterable[Element],
-    *,
-    chain_radius: int = 6,
 ) -> dict:
     """Validate an unobstructed certificate at desk scale.
 
@@ -472,7 +470,7 @@ def verify_unobstructed(
         )
 
         if cert.kernel_evidence.kind == "poly-z-chain":
-            escape = _chain_escape(cert.kernel_evidence.generators, chain_radius)
+            escape = _chain_escape(cert.kernel_evidence.generators)
             checks.add(
                 "poly-z-chain-normality",
                 escape is None,
@@ -495,11 +493,11 @@ def verify_unobstructed(
     }
 
 
-def _chain_escape(gens: Sequence[Element], radius: int) -> dict | None:
+def _chain_escape(gens: Sequence[Element]) -> dict | None:
     """First conjugate of a chain generator by a later one that leaves the
-    ball of the generators below it, or None when every conjugate stays."""
+    radius-6 ball of the generators below it, or None when all stay."""
     for i in range(1, len(gens)):
-        lower = ball(gens[:i], radius)
+        lower = ball(gens[:i], 6)
         for j in range(i, len(gens)):
             if gens[j] * gens[i - 1] * ~gens[j] not in lower:
                 return {

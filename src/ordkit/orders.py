@@ -1,10 +1,11 @@
 """Left orderings and circular orderings: builders and validators.
 
-Orderings are oracle-based (pure functions over canonical forms) so they
-work on infinite groups; explicit tables adapt finite carriers for
-exhaustive validation.  Validators check the circular-ordering axioms --
-degeneracy, the 4-term cocycle identity, and left-invariance -- over a
-finite carrier and report the first counterexample in canonical order.
+An ordering is an oracle over canonical forms, so it lives on infinite
+groups too; on a finite carrier it also gives its table, c on carrier
+index triples.  Validators read that table to check the circular-ordering
+axioms -- degeneracy, the 4-term cocycle identity, and left-invariance --
+over a finite carrier and report the first counterexample in canonical
+order.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ def as_carrier(source: Ball | Group | Iterable[Element]) -> list[Element]:
     else:
         elems = list(source)
     return sorted(elems, key=lambda e: e.sort_key())
+
+
+def intern_carrier(elems: Sequence[Element]) -> tuple[list, list, dict, list[int]]:
+    """Distinct elems, their forms, form -> index, and each position's index."""
+    points = list(dict.fromkeys(elems))
+    index = {g.value: i for i, g in enumerate(points)}
+    return points, [g.value for g in points], index, [index[g.value] for g in elems]
 
 
 @dataclass(frozen=True)
@@ -468,7 +476,6 @@ def validate_circular(
     c: CircularOrdering,
     carrier: Ball | Group | Iterable[Element],
     *,
-    check_left_invariance: bool = True,
     tuple_cap: int = _DEFAULT_TUPLE_CAP,
     sample_size: int = 50_000,
     seed: int = 0,
@@ -477,12 +484,13 @@ def validate_circular(
 
     Runs, in order: value range and the degeneracy axiom on triples, the
     4-term cocycle identity on quadruples, and left-invariance on tuples
-    whose translates stay inside the carrier.  Falls back to deterministic
-    sampling when the tuple space exceeds tuple_cap; the report says so.
+    whose translates stay inside the carrier.  c is read from its table on
+    the carrier's distinct elements; repeated carrier elements count once
+    per position.  Falls back to deterministic sampling when the tuple
+    space exceeds tuple_cap; the report says so.
     """
-    sides = ("left",) if check_left_invariance else ()
     return _validate_ordering(
-        c, carrier, sides, tuple_cap, sample_size, seed, "validate-circular"
+        c, carrier, ("left",), tuple_cap, sample_size, seed, "validate-circular"
     )
 
 
@@ -510,21 +518,12 @@ def _validate_ordering(
     seed: int,
     name: str,
 ) -> ValidationReport:
-    elems = as_carrier(carrier)
-    values = {g.value for g in elems}
-    size = len(elems)
-
-    # the cocycle and invariance passes revisit each triple many times;
-    # memoize by canonical forms
-    memo: dict[tuple, int] = {}
-
-    def cval(g1: Element, g2: Element, g3: Element) -> int:
-        key = (g1.value, g2.value, g3.value)
-        v = memo.get(key)
-        if v is None:
-            v = c(g1, g2, g3)
-            memo[key] = v
-        return v
+    # the sweeps run over carrier indices, one per input position; the
+    # passes revisit each triple many times, so the table is memoised
+    points, vals, index, ids = intern_carrier(as_carrier(carrier))
+    cval = functools.cache(c.table(points))
+    op = c.group._op_values
+    size = len(ids)
 
     exhaustive = size**4 <= tuple_cap
     notes = ()
@@ -535,61 +534,53 @@ def _validate_ordering(
         )
     rng = random.Random(seed)
 
-    def tuples(arity: int) -> Iterable[tuple[Element, ...]]:
+    def tuples(arity: int) -> Iterable[tuple[int, ...]]:
         if exhaustive:
-            return itertools.product(elems, repeat=arity)
+            return itertools.product(ids, repeat=arity)
         return (
-            tuple(rng.choice(elems) for _ in range(arity))
+            tuple(rng.choice(ids) for _ in range(arity))
             for _ in range(sample_size)
         )
 
+    def record(kind: str, t: tuple[int, ...], **detail: Any) -> dict:
+        return counterexample(kind, [points[i] for i in t], **detail)
+
     def cases():
         # axiom 1: c vanishes exactly on degenerate triples (and stays in range)
-        for triple in tuples(3):
-            g1, g2, g3 = triple
-            v = cval(g1, g2, g3)
-            degenerate = (
-                g1.value == g2.value or g2.value == g3.value or g1.value == g3.value
-            )
+        for t in tuples(3):
+            i, j, k = t
+            v = cval(i, j, k)
+            degenerate = i == j or j == k or i == k
             if v not in (-1, 0, 1):
-                yield counterexample("value-range", triple, value=v)
+                yield record("value-range", t, value=v)
             elif degenerate and v != 0:
-                yield counterexample("nonzero-on-degenerate", triple, value=v)
+                yield record("nonzero-on-degenerate", t, value=v)
             elif not degenerate and v == 0:
-                yield counterexample("zero-on-distinct", triple, value=v)
+                yield record("zero-on-distinct", t, value=v)
             else:
                 yield None
 
         # axiom 2: 4-term cocycle identity
-        for quad in tuples(4):
-            g1, g2, g3, g4 = quad
-            total = (
-                cval(g2, g3, g4) - cval(g1, g3, g4) + cval(g1, g2, g4) - cval(g1, g2, g3)
-            )
-            yield counterexample("cocycle", quad, defect=total) if total else None
+        for t in tuples(4):
+            i, j, k, m = t
+            total = cval(j, k, m) - cval(i, k, m) + cval(i, j, m) - cval(i, j, k)
+            yield record("cocycle", t, defect=total) if total else None
 
         # axiom 3: invariance, restricted to translates inside the carrier
         for side in sides:
-            for quad in tuples(4):
-                h, g1, g2, g3 = quad
-                if side == "left":
-                    t1, t2, t3 = h * g1, h * g2, h * g3
-                else:
-                    t1, t2, t3 = g1 * h, g2 * h, g3 * h
-                if (
-                    t1.value not in values
-                    or t2.value not in values
-                    or t3.value not in values
-                ):
+            for t in tuples(4):
+                h, *g = t
+                x = vals[h]
+                moved = [
+                    index.get(op(x, vals[i]) if side == "left" else op(vals[i], x))
+                    for i in g
+                ]
+                if None in moved:
                     continue
-                base, translated = cval(g1, g2, g3), cval(t1, t2, t3)
-                yield (
-                    None
-                    if base == translated
-                    else counterexample(
-                        f"{side}-invariance", quad, base=base, translated=translated
-                    )
-                )
+                base, translated = cval(*g), cval(*moved)
+                yield record(
+                    f"{side}-invariance", t, base=base, translated=translated
+                ) if base != translated else None
 
     mode = "exhaustive" if exhaustive else "sampled"
     return sweep(name, cases(), mode, notes)
@@ -652,16 +643,14 @@ def convexity_check(
     lo: LeftOrdering,
     subgroup_gens: Sequence[Element],
     carrier: Ball,
-    *,
-    membership_radius: int | None = None,
 ) -> ValidationReport:
     """Check that the induced order on cosets of <subgroup_gens> is well defined.
 
-    Membership in the subgroup is decided inside a secondary ball (radius
-    2 * carrier radius by default); differences falling outside it are left
-    unresolved and only counted, so a pass is relative to the resolved part.
+    Membership in the subgroup is decided inside a secondary ball of radius
+    2 * carrier radius; differences falling outside it are left unresolved
+    and only counted, so a pass is relative to the resolved part.
     """
-    radius = membership_radius or 2 * carrier.radius
+    radius = 2 * carrier.radius
     c_ball = ball(subgroup_gens, radius)
     elems = list(carrier.elements)
 

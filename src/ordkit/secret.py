@@ -19,6 +19,7 @@ from .orders import (
     CircularOrdering,
     LeftOrdering,
     as_carrier,
+    intern_carrier,
     restricted_cone,
 )
 
@@ -101,12 +102,9 @@ def detect_secret(
     search shows the last falsified branch after all alternatives were
     exhausted.
     """
-    elems = as_carrier(carrier)
-    group = c.group
+    elems, group = as_carrier(carrier), c.group
     # the variables are carrier indices; vals[i] is the canonical form of i
-    points = list(dict.fromkeys(elems))
-    vals = [g.value for g in points]
-    index = {v: i for i, v in enumerate(vals)}
+    points, vals, index, ids = intern_carrier(elems)
     f = Cocycle(c).on_carrier(points)
 
     # constraint (g, h, gh, f, terms) over indices: the nonzero coefficients
@@ -115,7 +113,6 @@ def detect_secret(
     constraints: list[tuple[int, int, int, int, tuple]] = []
     watch: list[list[int]] = [[] for _ in vals]
     pairs = [((i, 1), (i, -1)) for i in range(len(vals))]
-    ids = [index[g.value] for g in elems]
     for gi in ids:
         g = vals[gi]
         for hi in ids:

@@ -252,7 +252,8 @@ def random_subgroup_element(
         n = rng.randint(-4, 4)
         a.append(_reduced(n, (p + 1) ** rng.randint(0, 3)))
     b = tuple(rng.randint(-3, 3) for _ in range(p))
-    return group.element((tuple(a), group._canon_b(b), phi_H(group, a)))
+    # canonical by construction: reduced pairs, canonical b, phi_H in [0, p)
+    return Element(group, (tuple(a), group._canon_b(b), phi_H(group, a)))
 
 
 # -- claim verification -------------------------------------------------------

@@ -8,6 +8,7 @@ from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
     FreeAbelianGroup,
+    GroupMismatchError,
     IntegerGroup,
     PromislowGroup,
     ball,
@@ -152,6 +153,18 @@ class TestValidators:
         r1 = validate_circular(bad, group)
         r2 = validate_circular(bad, group)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_foreign_element_rejected_before_any_counterexample(self):
+        # the table is built on the whole carrier, so a stranger is reported
+        # even where the sweep would fail on an earlier triple
+        group = CyclicGroup(5)
+        table = OrderingTable.from_ordering(
+            natural_circular_cyclic(5, 1), as_carrier(group)
+        )
+        bad = OrderingTable(group, table.carrier, {**table.entries, (0, 0, 1): 1})
+        carrier = [*group.elements(), CyclicGroup(7).element(6)]
+        with pytest.raises(GroupMismatchError, match="element of cyclic:7"):
+            validate_circular(bad.ordering(), carrier)
 
     def test_sampled_mode_on_large_carrier(self):
         z = IntegerGroup()
