@@ -126,7 +126,10 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
             group.right, CyclicGroup
         ):
             lo = builtin_left_order(group.left)
-            ordering = product_circular(lo, group.right.n)
+            try:
+                ordering = product_circular(lo, group.right.n)
+            except ValueError as exc:
+                raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc
             if ordering.group != group:
                 raise UsageError(
                     f"lex ordering lives on {ordering.group.descriptor}, "

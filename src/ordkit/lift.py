@@ -66,9 +66,9 @@ class Cocycle:
         self.ordering = ordering
         self.group = group = ordering.group
         self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
-        ident = group.identity()
-        self._ident, self._element = ident.value, functools.partial(Element, group)
-        self._orient = lambda x, y: ordering(ident, Element(group, x), Element(group, y))
+        self._ident = ident = group._identity_value()
+        self._element = functools.partial(Element, group)
+        self._orient = functools.partial(ordering.fn, ident)
 
     def __call__(self, a: Element, b: Element) -> int:
         if not (a.group is self.group and b.group is self.group):

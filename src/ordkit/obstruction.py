@@ -235,13 +235,9 @@ def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
     order = group.order
-    cyclic = finite_co_decide(group)
     profile = torsion_profile(group)
-    generator = None
-    if cyclic:
-        generator = next(
-            g for g in group.elements() if element_order(g, order) == order
-        )
+    cyclic = order in profile.orders
+    generator = profile.witnesses.get(order)
 
     obstructed: dict[int, dict] = {}
     unobstructed: dict[int, dict] = {}
@@ -551,7 +547,7 @@ def promislow_phi() -> Homomorphism:
     return Homomorphism(
         PROMISLOW,
         target,
-        lambda g: Element(target, PROMISLOW.phi2_value(g.value)),
+        PROMISLOW.phi2_value,
         name="phi",
         presentation=PROMISLOW_PRESENTATION,
         gen_images=[Element(target, 1), Element(target, 0)],
@@ -564,7 +560,7 @@ def promislow_psi() -> Homomorphism:
     return Homomorphism(
         PROMISLOW,
         target,
-        lambda g: Element(target, PROMISLOW.psi4_value(g.value)),
+        PROMISLOW.psi4_value,
         name="psi",
         presentation=PROMISLOW_PRESENTATION,
         gen_images=[Element(target, 1), Element(target, 0)],
@@ -581,9 +577,7 @@ def promislow_beta() -> Homomorphism:
     return Homomorphism(
         promislow_product_c2(),
         target,
-        lambda u: Element(
-            target, (PROMISLOW.psi4_value(u.value[0]) + 2 * u.value[1]) % 4
-        ),
+        lambda v: (PROMISLOW.psi4_value(v[0]) + 2 * v[1]) % 4,
         name="beta",
     )
 
@@ -595,9 +589,9 @@ def promislow_kernel_order() -> LeftOrdering:
     the cone takes the topmost nonzero coordinate (j, then w, then x)
     positive.
     """
-    def positive(g: Element) -> bool:
+    def positive(v) -> bool:
         try:
-            x, w, j = PROMISLOW.kernel_coords(g.value)
+            x, w, j = PROMISLOW.kernel_coords(v)
         except ValueError as exc:
             raise OutsideCarrierError(str(exc)) from exc
         if j != 0:
@@ -650,7 +644,7 @@ def promislow_product_c2_circular() -> CircularOrdering:
     kernel_order = LeftOrdering(
         prod,
         "poly-z-lex",
-        lambda u: kernel.positive(Element(PROMISLOW, u.value[0])),
+        lambda v: kernel.cone(v[0]),
         "pullback of the ker(phi) order through the factor projection",
     )
     ses = SESData(
@@ -686,7 +680,7 @@ def promislow_unobstructed_certificate(n: int) -> UnobstructedCertificate:
     hom = Homomorphism(
         PROMISLOW,
         target,
-        lambda g: Element(target, (scale * base(g).value) % (2 * n)),
+        lambda v: scale * base.rule(v) % (2 * n),
         name=f"{base.name}-into-{target.descriptor}",
         presentation=PROMISLOW_PRESENTATION,
         gen_images=[

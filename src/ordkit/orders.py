@@ -53,11 +53,12 @@ def intern_carrier(elems: Sequence[Element]) -> tuple[list, list, dict, list[int
 
 @dataclass(frozen=True)
 class CircularOrdering:
-    """Ternary ordering oracle c: G^3 -> {-1, 0, +1} with provenance."""
+    """Ternary ordering oracle c: G^3 -> {-1, 0, +1} with provenance; `fn`
+    is c on canonical forms."""
 
     group: Group
     provenance: str
-    fn: Callable[[Element, Element, Element], int] = field(repr=False)
+    fn: Callable[[Any, Any, Any], int] = field(repr=False)
     description: str = ""
     # the builder's table: distinct carrier values -> c on index triples
     _tabulate: Callable | None = field(default=None, repr=False, compare=False)
@@ -66,7 +67,7 @@ class CircularOrdering:
         group = self.group
         if not (g1.group is group and g2.group is group and g3.group is group):
             require_members(group, (g1, g2, g3), "ordering")
-        return self.fn(g1, g2, g3)
+        return self.fn(g1.value, g2.value, g3.value)
 
     def table(self, elems: Sequence[Element]) -> Callable[[int, int, int], int]:
         """c on index triples (i, j, k) of distinct carrier elements, from the
@@ -77,23 +78,24 @@ class CircularOrdering:
         if len(set(values)) != len(values):
             raise ValueError("carrier elements must be distinct")
         if self._tabulate is None:
-            return lambda i, j, k: self.fn(elems[i], elems[j], elems[k])
+            return lambda i, j, k: self.fn(values[i], values[j], values[k])
         return self._tabulate(values)
 
 
 @dataclass(frozen=True)
 class LeftOrdering:
-    """Positive-cone membership oracle with the derived comparison."""
+    """Positive-cone membership oracle with the derived comparison; `cone`
+    reads canonical forms."""
 
     group: Group
     provenance: str
-    cone: Callable[[Element], bool] = field(repr=False)
+    cone: Callable[[Any], bool] = field(repr=False)
     description: str = ""
 
     def positive(self, g: Element) -> bool:
         if g.group is not self.group:
             require_members(self.group, (g,), "ordering")
-        return self.cone(g)
+        return self.cone(g.value)
 
     def less(self, g: Element, h: Element) -> bool:
         return self.positive(~g * h)
@@ -104,15 +106,15 @@ class LeftOrdering:
 
 def usual_integer_order(group: Group) -> LeftOrdering:
     return LeftOrdering(
-        group, "usual", lambda g: g.value > 0, "natural order on Z"
+        group, "usual", lambda v: v > 0, "natural order on Z"
     )
 
 
 def lex_free_abelian_order(group: Group) -> LeftOrdering:
     """Lexicographic order on Z^k with the last coordinate dominant."""
 
-    def positive(g: Element) -> bool:
-        for x in reversed(g.value):
+    def positive(v: tuple[int, ...]) -> bool:
+        for x in reversed(v):
             if x != 0:
                 return x > 0
         return False
@@ -125,7 +127,7 @@ def lex_free_abelian_order(group: Group) -> LeftOrdering:
 def trivial_order(group: Group) -> LeftOrdering:
     if not (group.is_finite and group.order == 1):
         raise ValueError("trivial order exists only on the trivial group")
-    return LeftOrdering(group, "trivial", lambda g: False, "empty cone")
+    return LeftOrdering(group, "trivial", lambda v: False, "empty cone")
 
 
 def restricted_cone(
@@ -135,12 +137,12 @@ def restricted_cone(
     pos_values = frozenset(g.value for g in positives)
     carrier_values = frozenset(g.value for g in carrier)
 
-    def positive(g: Element) -> bool:
-        if g.value not in carrier_values:
+    def positive(v: Any) -> bool:
+        if v not in carrier_values:
             raise OutsideCarrierError(
-                f"element {g!r} is outside the cone's carrier"
+                f"element {Element(group, v)!r} is outside the cone's carrier"
             )
-        return g.value in pos_values
+        return v in pos_values
 
     return LeftOrdering(group, "cone-table", positive, "explicit cone on carrier")
 
@@ -148,10 +150,10 @@ def restricted_cone(
 # -- builders ----------------------------------------------------------------
 
 
-def _less_values(group: Group, cone: Callable[[Element], bool]):
+def _less_values(group: Group, cone: Callable[[Any], bool]):
     """x < y on canonical forms: the cone holds x^-1 y."""
     op, inv = group._op_values, group._inv_value
-    return lambda x, y: bool(cone(Element(group, op(inv(x), y))))
+    return lambda x, y: bool(cone(op(inv(x), y)))
 
 
 def _secret_entry(x, y, z, lt: Callable[[Any, Any], bool]) -> int:
@@ -165,14 +167,12 @@ def secret_from_left(lo: LeftOrdering) -> CircularOrdering:
     """Circular ordering that is +1 on increasing triples up to cyclic shift."""
     lt = _less_values(lo.group, lo.cone)
 
-    def fn(g1: Element, g2: Element, g3: Element) -> int:
-        return _secret_entry(g1.value, g2.value, g3.value, lt)
-
     def tabulate(values: list) -> Callable:
         memo = functools.cache(lambda x, y: lt(values[x], values[y]))
         return functools.partial(_secret_entry, lt=memo)
 
     name = f"secret of {lo.provenance}"
+    fn = functools.partial(_secret_entry, lt=lt)
     return CircularOrdering(lo.group, "secret-of-left-order", fn, name, tabulate)
 
 
@@ -193,8 +193,8 @@ def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
     group = CyclicGroup(n)
     k = k % n
 
-    def fn(g1: Element, g2: Element, g3: Element) -> int:
-        return _cyclic_entry(n, k * g1.value, k * g2.value, k * g3.value)
+    def fn(x: int, y: int, z: int) -> int:
+        return _cyclic_entry(n, k * x, k * y, k * z)
 
     def tabulate(values: list) -> Callable:
         pos = [k * r % n for r in values]
@@ -243,10 +243,7 @@ def lex_circular(ses: SESData) -> CircularOrdering:
     """
     group, cone, quotient = ses.group, ses.kernel_order.cone, ses.quotient_ordering
     op, inv, ident = group._op_values, group._inv_value, group._identity_value()
-    lt = _less_values(group, cone)
-
-    def image(x):
-        return ses.projection(Element(group, x))
+    image, lt = ses.projection.rule, _less_values(group, cone)
 
     def twin(x, y):
         # the kernel's secret ordering at (a, e, a^-1), a = y^-1 x, counts
@@ -255,10 +252,7 @@ def lex_circular(ses: SESData) -> CircularOrdering:
         square = op(a, a)
         if square == ident:
             return 0
-        return -1 if cone(Element(group, square)) else 1
-
-    def fn(g1: Element, g2: Element, g3: Element) -> int:
-        return _lex_entry(g1.value, g2.value, g3.value, image, quotient, lt, twin)
+        return -1 if cone(square) else 1
 
     def tabulate(values: list) -> Callable:
         images = [image(x) for x in values]
@@ -266,11 +260,14 @@ def lex_circular(ses: SESData) -> CircularOrdering:
         return functools.partial(
             _lex_entry,
             image=[slot[w] for w in images].__getitem__,
-            quotient=quotient.table(list(slot)),
+            quotient=quotient.table([Element(ses.projection.target, w) for w in slot]),
             lt=functools.cache(lambda x, y: lt(values[x], values[y])),
             twin=functools.cache(lambda x, y: twin(values[x], values[y])),
         )
 
+    fn = functools.partial(
+        _lex_entry, image=image, quotient=quotient.fn, lt=lt, twin=twin
+    )
     name = f"lexicographic via {ses.projection.name}"
     return CircularOrdering(group, "lexicographic", fn, name, tabulate)
 
@@ -283,15 +280,12 @@ def product_ses(lo: LeftOrdering, n: int, unit: int = 1) -> SESData:
     cyclic = CyclicGroup(n)
     prod = DirectProductGroup(base, cyclic)
     projection = Homomorphism(
-        prod,
-        cyclic,
-        lambda g: Element(cyclic, g.value[1]),
-        name=f"proj-{cyclic.descriptor}",
+        prod, cyclic, lambda v: v[1], name=f"proj-{cyclic.descriptor}"
     )
     kernel_order = LeftOrdering(
         prod,
         lo.provenance,
-        lambda g: g.value[1] == 0 and lo.cone(Element(base, g.value[0])),
+        lambda v: v[1] == 0 and lo.cone(v[0]),
         f"factor order on kernel {base.descriptor}",
     )
     return SESData(
@@ -322,8 +316,8 @@ class OrderingTable:
     def ordering(self) -> CircularOrdering:
         entries = self.entries
 
-        def fn(g1: Element, g2: Element, g3: Element) -> int:
-            return entries.get((g1.value, g2.value, g3.value), 0)
+        def fn(x: Any, y: Any, z: Any) -> int:
+            return entries.get((x, y, z), 0)
 
         return CircularOrdering(self.group, "explicit-table", fn, "table")
 
@@ -359,15 +353,21 @@ class OrderingTable:
     def from_json_dict(obj: dict, group: Group | None = None) -> "OrderingTable":
         from .groups import get_group
 
+        if not isinstance(obj, dict):
+            raise ValueError("an ordering table is a JSON object")
         if group is None:
             group = get_group(obj["group"])
+        if not (isinstance(obj["carrier"], list) and isinstance(obj["entries"], list)):
+            raise ValueError("carrier and entries must be lists")
         carrier = tuple(
             Element(group, group.decode(raw)) for raw in obj["carrier"]
         )
         entries = {}
         for raw1, raw2, raw3, value in obj["entries"]:
+            if type(value) is not int:
+                raise ValueError(f"entry value {value!r} is not an integer")
             key = (group.decode(raw1), group.decode(raw2), group.decode(raw3))
-            entries[key] = int(value)
+            entries[key] = value
         return OrderingTable(group, carrier, entries)
 
     @staticmethod
@@ -380,10 +380,8 @@ class OrderingTable:
             raise ValueError("arrangement has repeats")
         n = len(arrangement)
         entries: dict[tuple[Any, Any, Any], int] = {}
-        for t1, t2, t3 in itertools.permutations(arrangement, 3):
-            u = (position[t2.value] - position[t1.value]) % n
-            v = (position[t3.value] - position[t1.value]) % n
-            entries[(t1.value, t2.value, t3.value)] = 1 if u < v else -1
+        for (a, i), (b, j), (c, k) in itertools.permutations(position.items(), 3):
+            entries[(a, b, c)] = _cyclic_entry(n, i, j, k)
         return OrderingTable(group, tuple(arrangement), entries)
 
     @staticmethod

@@ -268,6 +268,27 @@ class TestBadArguments:
             capsys, command, "--group", "cyclic:3", "--ordering", f"table:{path}"
         )
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            '{"group":"cyclic:3","carrier":[0,1,2],"entries":5}',
+            "[0, 1, 2]",
+            '{"group":"cyclic:3","carrier":5,"entries":[]}',
+            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,null]]}',
+            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,1.7]]}',
+            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,"1"]]}',
+        ],
+        ids=["entries-5", "array", "carrier-5", "null", "float", "string"],
+    )
+    def test_malformed_ordering_table(self, capsys, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        argv = ["validate", "--group", "cyclic:3", "--ordering", f"table:{path}"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
     def test_natural_unit_not_an_integer(self, capsys):
         self.assert_usage_error(
             capsys, "validate", "--group", "cyclic:5", "--ordering", "natural:x"

@@ -27,6 +27,7 @@ GROUPS = [
     "klein4",
     "product:integers,cyclic:3",
     "product:cyclic:2,integers",
+    "product:integers,cyclic:1",
     "promislow",
     "witness:2",
     "bogus",

@@ -291,7 +291,7 @@ class TestHomomorphism:
         phi = Homomorphism(
             group,
             c2,
-            lambda g: Element(c2, group.phi2_value(g.value)),
+            group.phi2_value,
             name="phi",
             presentation=PROMISLOW_PRESENTATION,
             gen_images=[c2.element(1), c2.element(0)],
@@ -305,7 +305,7 @@ class TestHomomorphism:
             Homomorphism(
                 group,
                 c3,
-                lambda g: c3.identity(),
+                lambda v: 0,
                 name="bad",
                 presentation=PROMISLOW_PRESENTATION,
                 gen_images=[c3.element(1), c3.element(0)],

@@ -280,7 +280,7 @@ class TestLeftOrderingValidator:
         from ordkit.orders import LeftOrdering
 
         z = IntegerGroup()
-        bad = LeftOrdering(z, "broken", lambda g: g.value % 2 == 1, "odd cone")
+        bad = LeftOrdering(z, "broken", lambda v: v % 2 == 1, "odd cone")
         report = validate_left_ordering(bad, ball([z.element(1)], 5))
         assert not report.passed
 
@@ -394,7 +394,7 @@ class TestSweepCounts:
 
     def test_left_ordering_identity_positive_checks_nothing(self):
         z = IntegerGroup()
-        lo = LeftOrdering(z, "nonneg", lambda g: g.value >= 0, "x >= 0")
+        lo = LeftOrdering(z, "nonneg", lambda v: v >= 0, "x >= 0")
         report = validate_left_ordering(lo, ball([z.element(1)], 5))
         assert report.checked_tuples == 0
         assert report.counterexample == {"kind": "identity-positive", "tuple": [0]}
@@ -413,7 +413,7 @@ class TestSweepCounts:
 
     def test_left_ordering_trichotomy_failure_count(self):
         z = IntegerGroup()
-        lo = LeftOrdering(z, "odd", lambda g: g.value % 2 == 1, "odd")
+        lo = LeftOrdering(z, "odd", lambda v: v % 2 == 1, "odd")
         report = validate_left_ordering(lo, ball([z.element(1)], 5))
         assert report.checked_tuples == 1
         assert report.counterexample == {
