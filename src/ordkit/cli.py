@@ -114,7 +114,7 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
             raise UsageError("natural orderings live on cyclic groups")
         try:
             unit = int(descriptor.split(":", 1)[1]) if ":" in descriptor else 1
-            return natural_circular_cyclic(group.n, unit)
+            return natural_circular_cyclic(group.n, unit).on(group)
         except ValueError as exc:
             raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc
     if descriptor == "secret":
@@ -135,7 +135,7 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
                     f"lex ordering lives on {ordering.group.descriptor}, "
                     f"not {group.descriptor}"
                 )
-            return ordering
+            return ordering.on(group)
         raise UsageError(
             "lex orderings exist for promislow and product:<G>,cyclic:<n> groups"
         )

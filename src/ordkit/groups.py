@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 DEFAULT_MAX_BALL = 10**6
@@ -54,12 +54,53 @@ def max_ball_size() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Element:
+class Record:
+    """Base of the package's immutable records with custom fields or checks.
+
+    It stands in for a frozen dataclass: importing `dataclasses` and
+    decorating classes would cost more than the rest of the package's
+    import, which every CLI call pays.  A subclass names its fields in
+    `__slots__`, sets them in `__init__` through this one, and sets `_key`
+    to an attrgetter of the fields that equality and hashing read.  Plain
+    records are `typing.NamedTuple`s.
+    """
+
+    __slots__ = ()
+    _key: Callable[[Any], tuple]
+
+    def __init__(self, *values: Any) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = [f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_"]
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+class Element(Record):
     """A group element: group tag plus canonical form."""
 
-    group: "Group"
-    value: Any
+    __slots__ = ("group", "value")
+    _key = attrgetter(*__slots__)
+
+    def __init__(self, group: "Group", value: Any) -> None:
+        # the slots' own setters, cheaper than object.__setattr__ on this
+        # hot path
+        _set_group(self, group)
+        _set_value(self, value)
 
     def __mul__(self, other: "Element") -> "Element":
         return self.group.op(self, other)
@@ -91,6 +132,9 @@ class Element:
 
     def __repr__(self) -> str:
         return f"<{self.group.descriptor}: {self.group.format_value(self.value)}>"
+
+
+_set_group, _set_value = Element.group.__set__, Element.value.__set__
 
 
 class Group(ABC):
@@ -577,15 +621,17 @@ def element_order(g: Element, cap: int) -> int | None:
 # -- balls -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """All products of at most `radius` generators and inverses."""
 
-    group: Group
-    gens: tuple[Element, ...]
-    radius: int
-    elements: tuple[Element, ...]
-    _value_set: frozenset = field(repr=False, hash=False, compare=False)
+    __slots__ = ("group", "gens", "radius", "elements", "_value_set")
+    _key = attrgetter("group", "gens", "radius", "elements")
+
+    def __init__(
+        self, group: Group, gens: tuple[Element, ...], radius: int,
+        elements: tuple[Element, ...], value_set: frozenset,
+    ) -> None:
+        super().__init__(group, gens, radius, elements, value_set)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -657,14 +703,7 @@ def ball_with_words(
     ordered = tuple(
         sorted(seen.values(), key=lambda e: group.sort_key(e.value))
     )
-    result = Ball(
-        group=group,
-        gens=tuple(gens),
-        radius=radius,
-        elements=ordered,
-        _value_set=frozenset(seen.keys()),
-    )
-    return result, words
+    return Ball(group, tuple(gens), radius, ordered, frozenset(seen)), words
 
 
 # -- presentations -----------------------------------------------------------
@@ -682,27 +721,27 @@ def free_reduce(word: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Finite presentation: generator count plus reduced relator words."""
 
-    num_generators: int
-    relators: tuple[tuple[int, ...], ...]
-    generator_names: tuple[str, ...] = ()
+    __slots__ = ("num_generators", "relators", "generator_names")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        names = self.generator_names or tuple(
-            _default_gen_name(i) for i in range(self.num_generators)
+    def __init__(
+        self, num_generators: int, relators: tuple[tuple[int, ...], ...],
+        generator_names: tuple[str, ...] = (),
+    ) -> None:
+        names = generator_names or tuple(
+            _default_gen_name(i) for i in range(num_generators)
         )
-        object.__setattr__(self, "generator_names", names)
-        if len(names) != self.num_generators:
+        if len(names) != num_generators:
             raise ValueError("one name per generator required")
-        reduced = tuple(free_reduce(r) for r in self.relators)
-        object.__setattr__(self, "relators", reduced)
+        reduced = tuple(free_reduce(r) for r in relators)
         for rel in reduced:
             for letter in rel:
-                if not 1 <= abs(letter) <= self.num_generators:
+                if not 1 <= abs(letter) <= num_generators:
                     raise ValueError(f"letter {letter} out of range in {rel}")
+        super().__init__(num_generators, reduced, names)
 
     def exponent_sum_matrix(self) -> list[list[int]]:
         """Row per relator, column per generator: signed letter counts."""

@@ -12,9 +12,9 @@ four) is reproduced end to end at desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Any, Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .groups import (
     Ball,
@@ -26,6 +26,7 @@ from .groups import (
     Presentation,
     PROMISLOW_PRESENTATION,
     PROMISLOW,
+    Record,
     ResourceCapError,
     ball,
     element_order,
@@ -58,14 +59,18 @@ class CertificateError(RuntimeError):
 # -- torsion ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorsionProfile:
-    """Realized element orders up to a search cap, each with a witness."""
+class TorsionProfile(Record):
+    """Realized element orders up to a search cap, each with a witness; the
+    witnesses are left out of equality."""
 
-    group: Group
-    cap: int
-    orders: tuple[int, ...]
-    witnesses: dict[int, Element] = field(hash=False, compare=False)
+    __slots__ = ("group", "cap", "orders", "witnesses")
+    _key = attrgetter("group", "cap", "orders")
+
+    def __init__(
+        self, group: Group, cap: int, orders: tuple[int, ...],
+        witnesses: dict[int, Element],
+    ) -> None:
+        super().__init__(group, cap, orders, witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -166,30 +171,28 @@ def brute_force_circular_orders(
 # -- spectrum reports ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Partition of {2..cap} into obstructed / unobstructed / undetermined."""
 
-    group_label: str
-    cap: int
-    obstructed: dict[int, dict]
-    unobstructed: dict[int, dict]
-    undetermined: tuple[int, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = (
+        "group_label", "cap", "obstructed", "unobstructed", "undetermined", "notes"
+    )
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self):
-        full = set(range(2, self.cap + 1))
-        triple = (
-            set(self.obstructed),
-            set(self.unobstructed),
-            set(self.undetermined),
-        )
+    def __init__(
+        self, group_label: str, cap: int, obstructed: dict[int, dict],
+        unobstructed: dict[int, dict], undetermined: tuple[int, ...] = (),
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        full = set(range(2, cap + 1))
+        triple = (set(obstructed), set(unobstructed), set(undetermined))
         union = triple[0] | triple[1] | triple[2]
         total = sum(len(part) for part in triple)
         if union != full or total != len(full):
-            raise ValueError(
-                f"spectrum parts do not partition [2, {self.cap}]"
-            )
+            raise ValueError(f"spectrum parts do not partition [2, {cap}]")
+        super().__init__(
+            group_label, cap, obstructed, unobstructed, undetermined, notes
+        )
 
     @property
     def obstructed_set(self) -> set[int]:
@@ -365,8 +368,7 @@ def monotonicity_check(
 # -- certificates --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeftOrderEvidence:
+class LeftOrderEvidence(NamedTuple):
     """Left-orderability evidence: a named poly-Z chain or an explicit cone."""
 
     kind: str  # "poly-z-chain" | "cone-table"
@@ -382,8 +384,7 @@ class LeftOrderEvidence:
         }
 
 
-@dataclass(frozen=True)
-class UnobstructedCertificate:
+class UnobstructedCertificate(NamedTuple):
     """Keeps one n out of a spectrum: a homomorphism into a cyclic group
     whose order-n subgroup pulls back to a left-orderable subgroup."""
 

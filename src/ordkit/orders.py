@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field, replace
 from math import gcd
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .groups import (
     Ball,
@@ -23,7 +23,9 @@ from .groups import (
     DirectProductGroup,
     Element,
     Group,
+    GroupMismatchError,
     Homomorphism,
+    Record,
     ball,
     require_members,
 )
@@ -51,17 +53,30 @@ def intern_carrier(elems: Sequence[Element]) -> tuple[list, list, dict, list[int
     return points, [g.value for g in points], index, [index[g.value] for g in elems]
 
 
-@dataclass(frozen=True)
-class CircularOrdering:
+class CircularOrdering(Record):
     """Ternary ordering oracle c: G^3 -> {-1, 0, +1} with provenance; `fn`
-    is c on canonical forms."""
+    is c on canonical forms, and the builder's `tabulate`, when given, maps
+    distinct carrier values to c on index triples."""
 
-    group: Group
-    provenance: str
-    fn: Callable[[Any, Any, Any], int] = field(repr=False)
-    description: str = ""
-    # the builder's table: distinct carrier values -> c on index triples
-    _tabulate: Callable | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("group", "provenance", "fn", "description", "_tabulate")
+    _key = attrgetter("group", "provenance", "fn", "description")
+
+    def __init__(
+        self, group: Group, provenance: str, fn: Callable[[Any, Any, Any], int],
+        description: str = "", tabulate: Callable | None = None,
+    ) -> None:
+        super().__init__(group, provenance, fn, description, tabulate)
+
+    def on(self, group: Group) -> "CircularOrdering":
+        """This ordering on an equal handle of its group, so that the elements
+        of that handle take the `is` fast paths of the membership checks."""
+        if group != self.group:
+            raise GroupMismatchError(
+                f"ordering on {self.group.descriptor} moved to {group.descriptor}"
+            )
+        return CircularOrdering(
+            group, self.provenance, self.fn, self.description, self._tabulate
+        )
 
     def __call__(self, g1: Element, g2: Element, g3: Element) -> int:
         group = self.group
@@ -82,14 +97,13 @@ class CircularOrdering:
         return self._tabulate(values)
 
 
-@dataclass(frozen=True)
-class LeftOrdering:
+class LeftOrdering(NamedTuple):
     """Positive-cone membership oracle with the derived comparison; `cone`
     reads canonical forms."""
 
     group: Group
     provenance: str
-    cone: Callable[[Any], bool] = field(repr=False)
+    cone: Callable[[Any], bool]
     description: str = ""
 
     def positive(self, g: Element) -> bool:
@@ -207,8 +221,7 @@ def natural_units(n: int) -> list[int]:
     return [k for k in range(1, n) if gcd(k, n) == 1]
 
 
-@dataclass(frozen=True)
-class SESData:
+class SESData(NamedTuple):
     """Short exact sequence data backing a lexicographic circular ordering."""
 
     group: Group
@@ -305,8 +318,7 @@ def product_circular(lo: LeftOrdering, n: int) -> CircularOrdering:
 # -- explicit tables ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderingTable:
+class OrderingTable(NamedTuple):
     """Stored values of a circular ordering over a finite carrier."""
 
     group: Group
@@ -356,18 +368,27 @@ class OrderingTable:
         if not isinstance(obj, dict):
             raise ValueError("an ordering table is a JSON object")
         if group is None:
+            if not isinstance(obj["group"], str):
+                raise ValueError(f"group {obj['group']!r} is not a descriptor")
             group = get_group(obj["group"])
         if not (isinstance(obj["carrier"], list) and isinstance(obj["entries"], list)):
             raise ValueError("carrier and entries must be lists")
-        carrier = tuple(
-            Element(group, group.decode(raw)) for raw in obj["carrier"]
-        )
+
+        def decode(raw: Any) -> Any:
+            try:
+                return group.decode(raw)
+            except (TypeError, IndexError) as exc:
+                raise ValueError(f"{raw!r} is not in {group.descriptor}") from exc
+
+        carrier = tuple(Element(group, decode(raw)) for raw in obj["carrier"])
         entries = {}
-        for raw1, raw2, raw3, value in obj["entries"]:
+        for item in obj["entries"]:
+            if not (isinstance(item, list) and len(item) == 4):
+                raise ValueError(f"entry {item!r} is not [x, y, z, value]")
+            *raws, value = item
             if type(value) is not int:
                 raise ValueError(f"entry value {value!r} is not an integer")
-            key = (group.decode(raw1), group.decode(raw2), group.decode(raw3))
-            entries[key] = value
+            entries[tuple(decode(raw) for raw in raws)] = value
         return OrderingTable(group, carrier, entries)
 
     @staticmethod
@@ -397,8 +418,7 @@ class OrderingTable:
 # -- validation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     name: str
     status: str
     checked_tuples: int
@@ -631,8 +651,10 @@ def validate_left_ordering(
 
     report = sweep("validate-left-ordering", cases())
     if skipped:
-        report = replace(
-            report, notes=(f"skipped {skipped} probes outside the carrier",)
+        note = f"skipped {skipped} probes outside the carrier"
+        report = ValidationReport(
+            report.name, report.status, report.checked_tuples,
+            report.counterexample, report.mode, (note,),
         )
     return report
 

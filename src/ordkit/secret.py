@@ -10,8 +10,7 @@ ball says nothing about the whole group, and the verdict names say so.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .groups import Ball, Element, Group
 from .lift import Cocycle
@@ -24,8 +23,7 @@ from .orders import (
 )
 
 
-@dataclass(frozen=True)
-class CoboundarySolution:
+class CoboundarySolution(NamedTuple):
     """A full {0,1} assignment satisfying every carrier constraint."""
 
     group: Group
@@ -36,8 +34,7 @@ class CoboundarySolution:
         return [g for g in self.carrier if self.d[g.value] == 0 and not g.is_identity]
 
 
-@dataclass(frozen=True)
-class SecretWitness:
+class SecretWitness(NamedTuple):
     solution: CoboundarySolution
     checked_constraints: int
 
@@ -52,8 +49,7 @@ class SecretWitness:
         }
 
 
-@dataclass(frozen=True)
-class NotSecretOnCarrier:
+class NotSecretOnCarrier(NamedTuple):
     trace: tuple[dict, ...]
     checked_constraints: int
 
@@ -68,8 +64,7 @@ class NotSecretOnCarrier:
         }
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     reason: str
     components: tuple[tuple, ...] = ()
 

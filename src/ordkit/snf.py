@@ -6,8 +6,7 @@ matrices are tracked so callers can verify U * M * V = D exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import Presentation
 
@@ -166,8 +165,7 @@ def smith_normal_form(
     return D, U, V
 
 
-@dataclass(frozen=True)
-class AbelianizationResult:
+class AbelianizationResult(NamedTuple):
     """Invariant factors of G/G' (0 encodes a Z factor) plus the exponent."""
 
     invariant_factors: tuple[int, ...]

@@ -17,10 +17,9 @@ arithmetic is exact; claims about the group are verified by recomputation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .groups import Element, Group
 from .orders import CheckList, counterexample, sweep
@@ -218,8 +217,7 @@ def phi_H(group: WitnessAmbientGroup, a: Sequence[tuple[int, int]]) -> int:
     return total % group.p
 
 
-@dataclass(frozen=True)
-class WitnessMembership:
+class WitnessMembership(NamedTuple):
     element: Element
     phi_value: int
     in_subgroup: bool

@@ -16,7 +16,6 @@ Regenerate with ``PYTHONPATH=src python tests/test_callback_golden.py``.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,7 @@ from ordkit.groups import (
 from ordkit.lift import InvalidOrderingError, lift_check_report
 from ordkit.obstruction import (
     LeftOrderEvidence,
+    UnobstructedCertificate,
     left_orderable_spectrum,
     monotonicity_check,
     obstruction_finite,
@@ -134,7 +134,10 @@ def _cases():
         cert = promislow_unobstructed_certificate(n)
         yield f"unobstructed-{n}", lambda cert=cert: verify_unobstructed(cert, carrier)
     cert = promislow_unobstructed_certificate(3)
-    bad = replace(cert, subgroup_generator=cert.hom.target.element(3))
+    bad = UnobstructedCertificate(
+        cert.n, cert.hom, cert.hom.target.element(3), cert.kernel_evidence,
+        cert.hypotheses, cert.description,
+    )
     yield "unobstructed-3-wrong-order", lambda: verify_unobstructed(bad, carrier)
     for label, run in _monotonicity_cases():
         yield f"monotonicity/{label}", lambda run=run: run().to_dict()

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ordkit.cli import main
-from ordkit.groups import CyclicGroup, klein_four_group
+from ordkit.cli import main, resolve_group, resolve_ordering
+from ordkit.groups import CyclicGroup, GroupMismatchError, klein_four_group
 from ordkit.orders import OrderingTable, as_carrier, natural_circular_cyclic
 
 
@@ -269,21 +273,32 @@ class TestBadArguments:
         )
 
     @pytest.mark.parametrize(
-        "document",
+        "group, document",
         [
-            '{"group":"cyclic:3","carrier":[0,1,2],"entries":5}',
-            "[0, 1, 2]",
-            '{"group":"cyclic:3","carrier":5,"entries":[]}',
-            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,null]]}',
-            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,1.7]]}',
-            '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,"1"]]}',
+            ("cyclic:3", '{"group":"cyclic:3","carrier":[0,1,2],"entries":5}'),
+            ("cyclic:3", "[0, 1, 2]"),
+            ("cyclic:3", '{"group":"cyclic:3","carrier":5,"entries":[]}'),
+            ("cyclic:3",
+             '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,null]]}'),
+            ("cyclic:3",
+             '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,1.7]]}'),
+            ("cyclic:3",
+             '{"group":"cyclic:3","carrier":[0,1,2],"entries":[[0,1,2,"1"]]}'),
+            ("free-abelian:2", '{"group":5,"carrier":[],"entries":[]}'),
+            ("free-abelian:2",
+             '{"group":"free-abelian:2","carrier":[3],"entries":[]}'),
+            ("free-abelian:2",
+             '{"group":"free-abelian:2","carrier":[[0,0]],"entries":[7]}'),
         ],
-        ids=["entries-5", "array", "carrier-5", "null", "float", "string"],
+        ids=[
+            "entries-5", "array", "carrier-5", "null", "float", "string",
+            "group-not-a-string", "carrier-item-not-a-vector", "entry-not-a-list",
+        ],
     )
-    def test_malformed_ordering_table(self, capsys, tmp_path, document):
+    def test_malformed_ordering_table(self, capsys, tmp_path, group, document):
         path = tmp_path / "bad.json"
         path.write_text(document)
-        argv = ["validate", "--group", "cyclic:3", "--ordering", f"table:{path}"]
+        argv = ["validate", "--group", group, "--ordering", f"table:{path}"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -348,6 +363,23 @@ class TestLiftCheckCommand:
         assert json.loads(out)["report"]["status"] == "pass"
 
 
+class TestSharedGroupHandle:
+    """Orderings resolved by the CLI live on its own group handle, so the
+    membership checks of the oracle and the cocycle take their `is` path."""
+
+    def test_natural(self):
+        group = resolve_group("cyclic:10")
+        assert resolve_ordering(group, "natural:3").group is group
+
+    def test_product_lex(self):
+        group = resolve_group("product:integers,cyclic:4")
+        assert resolve_ordering(group, "lex").group is group
+
+    def test_on_rejects_another_group(self):
+        with pytest.raises(GroupMismatchError):
+            natural_circular_cyclic(5).on(CyclicGroup(6))
+
+
 class TestOutputHandling:
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -379,3 +411,21 @@ class TestOutputHandling:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
+
+
+class TestColdStart:
+    def test_import_leaves_out_dataclasses(self):
+        # every CLI call pays this import, and `dataclasses` with its
+        # decorator once made up most of it
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; before = set(sys.modules); import ordkit.cli; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ordkit.cli" in proc.stdout
+        assert "'dataclasses'" not in proc.stdout

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -21,6 +20,7 @@ from ordkit.obstruction import (
     LeftOrderEvidence,
     SpectrumReport,
     TorsionProfile,
+    UnobstructedCertificate,
     brute_force_circular_orders,
     exponent_obstruction,
     finite_co_decide,
@@ -350,12 +350,16 @@ class TestPromislowCertificates:
 
     def test_corrupted_evidence_fails(self):
         cert = promislow_unobstructed_certificate(3)
-        bad = replace(
-            cert,
-            kernel_evidence=LeftOrderEvidence(
+        bad = UnobstructedCertificate(
+            cert.n,
+            cert.hom,
+            cert.subgroup_generator,
+            LeftOrderEvidence(
                 "cone-table",
                 LeftOrdering(PromislowGroup(), "bad", lambda g: True, "all"),
             ),
+            cert.hypotheses,
+            cert.description,
         )
         group = PromislowGroup()
         report = verify_unobstructed(bad, ball(group.generators(), 2))
@@ -363,7 +367,10 @@ class TestPromislowCertificates:
 
     def test_wrong_subgroup_order_fails(self):
         cert = promislow_unobstructed_certificate(3)
-        bad = replace(cert, subgroup_generator=cert.hom.target.element(3))
+        bad = UnobstructedCertificate(
+            cert.n, cert.hom, cert.hom.target.element(3), cert.kernel_evidence,
+            cert.hypotheses, cert.description,
+        )
         group = PromislowGroup()
         report = verify_unobstructed(bad, ball(group.generators(), 2))
         assert report["status"] == "fail"
