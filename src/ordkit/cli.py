@@ -53,7 +53,7 @@ from .orders import (
     validate_bi_invariance,
     validate_circular,
 )
-from .secret import detect_secret
+from .secret import SolverInvariantError, detect_secret
 from .witness import WitnessAmbientGroup, verify_witness_claims
 
 SCHEMA = 1
@@ -454,7 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, passed = args.func(args)
-    except (UsageError, ResourceCapError, InvalidOrderingError) as exc:
+    except (
+        UsageError, ResourceCapError, InvalidOrderingError, SolverInvariantError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     emit(payload, args.format, args.output)

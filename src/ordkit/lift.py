@@ -18,6 +18,7 @@ from .orders import (
     CheckList,
     CircularOrdering,
     ValidationReport,
+    _secret_entry,
     as_carrier,
     counterexample,
     sweep,
@@ -28,13 +29,11 @@ class InvalidOrderingError(ValueError):
     """The ordering behind a cocycle violates the circular-ordering axioms."""
 
 
-def _ladder(a, b, ident, times: Callable, orient: Callable, element: Callable) -> int:
-    """The cocycle's case ladder over handles of a, b and the identity;
-    times(a, b) is the handle of ab, asked for only past the identity case,
+def _ladder(a, b, ab, ident, orient: Callable, element: Callable) -> int:
+    """The cocycle's case ladder over handles of a, b, ab and the identity;
     orient(x, y) is c(id, x, y) and element(x) is shown in the error."""
     if a == ident or b == ident:
         return 0
-    ab = times(a, b)
     if ab == ident:
         return 1
     if orient(a, ab) == 1:
@@ -81,24 +80,52 @@ class Cocycle:
         value = self._cache.get(key)
         if value is None:
             value = self._cache[key] = _ladder(
-                a, b, self._ident, self.group._op_values, self._orient, self._element
+                a, b, self.group._op_values(a, b), self._ident, self._orient,
+                self._element,
             )
         return value
 
     def on_carrier(self, elems: Sequence[Element]) -> Callable[[int, int, int], int]:
-        """f_c(elems[i], elems[j]) as f(i, j, k), elems[k] being their product,
-        read from the ordering's table; the distinct elems hold the identity."""
+        """f_c(elems[i], elems[j]) as f(i, j, k), elems[k] being their product;
+        the distinct elems hold the identity.
+
+        The ladder's orientations c(e, a, ab) and c(e, ab, a) come from the
+        ordering's table, or for a secret ordering from two bits per carrier
+        value v, cone(v) and cone(v^-1), each read at most once: the secret
+        entry compares e, a and ab, whose quotients are a, ab and b up to
+        inversion, so it is read off its values on the eight triples of
+        bits.  Both bits are read, as a corrupted cone need not satisfy
+        trichotomy.
+        """
         values, ident = [g.value for g in elems], self.group._identity_value()
         if ident not in values:
             raise ValueError("carrier must contain the identity")
         require_members(self.group, elems, "cocycle")
-        e = values.index(ident)
-        orient, cache = functools.partial(self.ordering.table(elems), e), self._cache
+        e, cache, cone = values.index(ident), self._cache, self.ordering._cone
+        step = [0, 0]  # the indices of b and ab while f evaluates a pair
+        if cone is None:
+            orient = functools.partial(self.ordering.table(elems), e)
+        else:
+            inv = self.group._inv_value
+            pos = functools.cache(lambda i: bool(cone(values[i])))
+            neg = functools.cache(lambda i: bool(cone(inv(values[i]))))
+            # _secret_entry(e, x, y, lt) reads lt(x, e), lt(y, e) and lt(y, x),
+            # lt(p, q) being cone(p^-1 q): its value on each triple of bits
+            entry = {}
+            for bits in itertools.product((False, True), repeat=3):
+                lts = dict(zip([(1, 0), (2, 0), (2, 1)], bits))
+                entry[bits] = _secret_entry(0, 1, 2, lambda p, q: lts[p, q])
+
+            def orient(x: int, y: int) -> int:
+                # lt(y, x) is cone(b^-1) for (x, y) = (a, ab), else cone(b)
+                b, ab = step
+                return entry[neg(x), neg(y), neg(b) if y == ab else pos(b)]
 
         def f(i: int, j: int, k: int) -> int:
-            if (value := cache.get((elems[i].value, elems[j].value))) is None:
-                return _ladder(i, j, e, lambda *_: k, orient, elems.__getitem__)
-            return value
+            if cache and (value := cache.get((values[i], values[j]))) is not None:
+                return value
+            step[0], step[1] = j, k
+            return _ladder(i, j, k, e, orient, elems.__getitem__)
 
         return f
 

@@ -55,17 +55,20 @@ def intern_carrier(elems: Sequence[Element]) -> tuple[list, list, dict, list[int
 
 class CircularOrdering(Record):
     """Ternary ordering oracle c: G^3 -> {-1, 0, +1} with provenance; `fn`
-    is c on canonical forms, and the builder's `tabulate`, when given, maps
-    distinct carrier values to c on index triples."""
+    is c on canonical forms, the builder's `tabulate`, when given, maps
+    distinct carrier values to c on index triples, and `cone`, given only
+    for the secret ordering of a left order, is that order's cone on
+    canonical forms."""
 
-    __slots__ = ("group", "provenance", "fn", "description", "_tabulate")
+    __slots__ = ("group", "provenance", "fn", "description", "_tabulate", "_cone")
     _key = attrgetter("group", "provenance", "fn", "description")
 
     def __init__(
         self, group: Group, provenance: str, fn: Callable[[Any, Any, Any], int],
         description: str = "", tabulate: Callable | None = None,
+        cone: Callable[[Any], bool] | None = None,
     ) -> None:
-        super().__init__(group, provenance, fn, description, tabulate)
+        super().__init__(group, provenance, fn, description, tabulate, cone)
 
     def on(self, group: Group) -> "CircularOrdering":
         """This ordering on an equal handle of its group, so that the elements
@@ -75,7 +78,8 @@ class CircularOrdering(Record):
                 f"ordering on {self.group.descriptor} moved to {group.descriptor}"
             )
         return CircularOrdering(
-            group, self.provenance, self.fn, self.description, self._tabulate
+            group, self.provenance, self.fn, self.description, self._tabulate,
+            self._cone,
         )
 
     def __call__(self, g1: Element, g2: Element, g3: Element) -> int:
@@ -178,16 +182,11 @@ def _secret_entry(x, y, z, lt: Callable[[Any, Any], bool]) -> int:
 
 
 def secret_from_left(lo: LeftOrdering) -> CircularOrdering:
-    """Circular ordering that is +1 on increasing triples up to cyclic shift."""
-    lt = _less_values(lo.group, lo.cone)
-
-    def tabulate(values: list) -> Callable:
-        memo = functools.cache(lambda x, y: lt(values[x], values[y]))
-        return functools.partial(_secret_entry, lt=memo)
-
+    """Circular ordering that is +1 on increasing triples up to cyclic shift;
+    it keeps lo's cone, from which its cocycle reads per-element bits."""
+    fn = functools.partial(_secret_entry, lt=_less_values(lo.group, lo.cone))
     name = f"secret of {lo.provenance}"
-    fn = functools.partial(_secret_entry, lt=lt)
-    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, tabulate)
+    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, cone=lo.cone)
 
 
 def _cyclic_entry(n: int, p1: int, p2: int, p3: int) -> int:
@@ -377,7 +376,7 @@ class OrderingTable(NamedTuple):
         def decode(raw: Any) -> Any:
             try:
                 return group.decode(raw)
-            except (TypeError, IndexError) as exc:
+            except (TypeError, IndexError, KeyError) as exc:
                 raise ValueError(f"{raw!r} is not in {group.descriptor}") from exc
 
         carrier = tuple(Element(group, decode(raw)) for raw in obj["carrier"])

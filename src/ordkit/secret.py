@@ -9,7 +9,6 @@ ball says nothing about the whole group, and the verdict names say so.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Iterable, NamedTuple
 
 from .groups import Ball, Element, Group
@@ -81,6 +80,11 @@ class Inconclusive(NamedTuple):
 DetectionVerdict = SecretWitness | NotSecretOnCarrier | Inconclusive
 
 
+class SolverInvariantError(RuntimeError):
+    """The search's assignment breaks a carrier constraint: a solver defect,
+    not a verdict about the ordering."""
+
+
 def detect_secret(
     c: CircularOrdering,
     carrier: Ball | Group | Iterable[Element],
@@ -89,40 +93,53 @@ def detect_secret(
 ) -> DetectionVerdict:
     """Solve the coboundary equations for c over the carrier.
 
-    Seeds d(id) = 0, propagates d(gh) = d(g) + d(h) - f_c(g,h) across every
-    pair with g, h and gh inside the carrier, then searches the remaining
-    free values depth-first (smallest canonical form first, value 0 before
-    1) with chronological backtracking on one trail of assignments.
-    Deterministic, including the contradiction trace; the trace of a failed
-    search shows the last falsified branch after all alternatives were
-    exhausted.
+    Every pair with g, h and gh inside the carrier gives the constraint
+    d(g) + d(h) - d(gh) = f_c(g,h), with f_c from `Cocycle.on_carrier`; for
+    a secret ordering that reads two cone bits per carrier element.  Seeds
+    d(id) = 0 and propagates: each constraint keeps the number of its
+    unassigned terms and the sum of its assigned ones, so a visit to one
+    with two or more unknowns costs O(1), one with none compares its sum
+    with f, and only one with a single unknown reads its terms.  The
+    remaining free values are searched depth-first (smallest canonical form
+    first, value 0 before 1) with chronological backtracking on one trail of
+    assignments, along which the counts are restored.  Deterministic,
+    including the contradiction trace; the trace of a failed search shows
+    the last falsified branch after all alternatives were exhausted.
     """
     elems, group = as_carrier(carrier), c.group
     # the variables are carrier indices; vals[i] is the canonical form of i
     points, vals, index, ids = intern_carrier(elems)
     f = Cocycle(c).on_carrier(points)
 
-    # constraint (g, h, gh, f, terms) over indices: the nonzero coefficients
-    # of d(g) + d(h) - d(gh) = f, watched by each index they mention; terms
-    # of three distinct indices share their (index, coefficient) pairs
-    constraints: list[tuple[int, int, int, int, tuple]] = []
+    # constraint (g, h, gh, f) over indices; its terms are the indices of
+    # nonzero coefficient, each watching it, and unknown[ci] counts those
+    # still unassigned; g, h and gh are distinct unless g = h or one of
+    # them is the identity
+    constraints: list[tuple[int, int, int, int]] = []
     watch: list[list[int]] = [[] for _ in vals]
-    pairs = [((i, 1), (i, -1)) for i in range(len(vals))]
+    unknown: list[int] = []
+    op, find, row = group._op_values, index.get, [(hi, vals[hi]) for hi in ids]
+    watch_add = [w.append for w in watch]
     for gi in ids:
         g = vals[gi]
-        for hi in ids:
-            ghi = index.get(group._op_values(g, vals[hi]))
+        for hi, h in row:
+            ghi = find(op(g, h))
             if ghi is None:
                 continue
-            terms: tuple = (pairs[gi][0], pairs[hi][0], pairs[ghi][1])
-            if gi == hi or gi == ghi or hi == ghi:
-                coeffs: dict[int, int] = {}
-                for var, k in terms:
-                    coeffs[var] = coeffs.get(var, 0) + k
-                terms = tuple((var, k) for var, k in coeffs.items() if k)
-            for var, _ in terms:
-                watch[var].append(len(constraints))
-            constraints.append((gi, hi, ghi, f(gi, hi, ghi), terms))
+            ci, constraint = len(constraints), (gi, hi, ghi, f(gi, hi, ghi))
+            if gi != hi and gi != ghi and hi != ghi:
+                watch_add[gi](ci)
+                watch_add[hi](ci)
+                watch_add[ghi](ci)
+                unknown.append(3)
+            else:
+                terms = [v for v in {gi, hi, ghi} if _coefficient(v, constraint)]
+                for v in terms:
+                    watch_add[v](ci)
+                unknown.append(len(terms))
+            constraints.append(constraint)
+    # known[ci] sums the assigned terms of constraint ci
+    known = [0] * len(constraints)
 
     # trail entries (kind, var, value, constraint); origin[var] is the trail
     # position of var's entry while value[var] is not None
@@ -130,42 +147,63 @@ def detect_secret(
     value: list[int | None] = [None] * len(vals)
     origin = [0] * len(vals)
 
+    def count(var: int, x: int, sign: int) -> None:
+        """Count var = x into (sign 1) or out of (sign -1) the unknowns and
+        known sums of the constraints var watches."""
+        for ci in watch[var]:
+            unknown[ci] -= sign
+        if x:
+            # _coefficient, inlined: this loop runs once per watch entry
+            for ci in watch[var]:
+                g, h, gh, _ = constraints[ci]
+                known[ci] += sign * ((var == g) + (var == h) - (var == gh))
+
     def assign(kind: str, var: int, x: int, ci: int | None) -> None:
         value[var] = x
         origin[var] = len(trail)
         trail.append((kind, var, x, ci))
+        count(var, x, 1)
+
+    def undo(mark: int) -> None:
+        for _, var, x, _ in trail[mark:]:
+            value[var] = None
+            count(var, x, -1)
+        del trail[mark:]
 
     def propagate(var: int) -> tuple[int, str] | None:
-        """Derive forced values from var on; the first violated constraint."""
-        queue = deque(watch[var])
-        while queue:
-            ci = queue.popleft()
-            _, _, _, rhs, terms = constraints[ci]
-            known, unknown = 0, []
-            for v, k in terms:
-                if value[v] is None:
-                    unknown.append((v, k))
-                else:
-                    known += k * value[v]
-            if not unknown:
-                if known != rhs:
-                    return ci, f"constraint evaluates to {known}, needs {rhs}"
-                continue
-            if len(unknown) > 1:
-                continue
-            (v, k), num = unknown[0], rhs - known
-            if num % k == 0 and num // k in (0, 1):
-                assign("derive", v, num // k, ci)
-                queue.extend(watch[v])
-                continue
-            name = group.format_value(vals[v])
-            if num % k:
-                return ci, f"d({name}) = {num}/{k} is not integral"
-            return ci, f"derived d({name}) = {num // k} outside {{0,1}}"
+        """Derive forced values from var on; the first violated constraint.
+        Visits the constraints var watches, then those each derived variable
+        watches, first in first out."""
+        batches = [watch[var]]
+        for batch in batches:
+            for ci in batch:
+                left = unknown[ci]
+                if left > 1:
+                    continue
+                constraint = constraints[ci]
+                rhs = constraint[3]
+                num = rhs - known[ci]
+                if not left:
+                    if num:
+                        return ci, f"constraint evaluates to {known[ci]}, needs {rhs}"
+                    continue
+                v = next(
+                    v for v in constraint[:3]
+                    if value[v] is None and _coefficient(v, constraint)
+                )
+                k = _coefficient(v, constraint)
+                if num % k == 0 and num // k in (0, 1):
+                    assign("derive", v, num // k, ci)
+                    batches.append(watch[v])
+                    continue
+                name = group.format_value(vals[v])
+                if num % k:
+                    return ci, f"d({name}) = {num}/{k} is not integral"
+                return ci, f"derived d({name}) = {num // k} outside {{0,1}}"
         return None
 
     def constraint_dict(ci: int) -> dict:
-        g, h, gh, rhs, _ = constraints[ci]
+        g, h, gh, rhs = constraints[ci]
         return {
             "g": group.encode(vals[g]),
             "h": group.encode(vals[h]),
@@ -249,18 +287,27 @@ def detect_secret(
         if not frames:
             return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
         var, _, mark = frames.pop()
-        for entry in trail[mark:]:
-            value[entry[1]] = None
-        del trail[mark:]
+        undo(mark)
         x = 1
 
-    # soundness: every carrier constraint must hold exactly
-    for g, h, gh, rhs, _ in constraints:
-        if value[g] + value[h] - value[gh] != rhs:
-            raise AssertionError(f"inconsistent assignment at {vals[g]!r}, {vals[h]!r}")
+    # soundness: the returned d must satisfy every carrier constraint exactly
+    solution = CoboundarySolution(
+        group, tuple(elems), {vals[var]: x for _, var, x, _ in trail}
+    )
+    d = [solution.d[v] for v in vals]
+    for g, h, gh, rhs in constraints:
+        if d[g] + d[h] - d[gh] != rhs:
+            raise SolverInvariantError(
+                f"the solver's assignment breaks d(g) + d(h) - d(gh) = {rhs} at "
+                f"g = {group.format_value(vals[g])}, h = {group.format_value(vals[h])}"
+            )
+    return SecretWitness(solution, len(constraints))
 
-    d = {vals[var]: x for _, var, x, _ in trail}
-    return SecretWitness(CoboundarySolution(group, tuple(elems), d), len(constraints))
+
+def _coefficient(var: int, constraint: tuple[int, int, int, int]) -> int:
+    """The coefficient of d(var) in the constraint d(g) + d(h) - d(gh) = f."""
+    g, h, gh, _ = constraint
+    return (var == g) + (var == h) - (var == gh)
 
 
 def cone_from_solution(solution: CoboundarySolution) -> LeftOrdering:

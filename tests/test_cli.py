@@ -289,10 +289,13 @@ class TestBadArguments:
              '{"group":"free-abelian:2","carrier":[3],"entries":[]}'),
             ("free-abelian:2",
              '{"group":"free-abelian:2","carrier":[[0,0]],"entries":[7]}'),
+            ("promislow",
+             '{"group":"promislow","carrier":[{"t":[0,0,0]}],"entries":[]}'),
         ],
         ids=[
             "entries-5", "array", "carrier-5", "null", "float", "string",
             "group-not-a-string", "carrier-item-not-a-vector", "entry-not-a-list",
+            "carrier-item-missing-a-key",
         ],
     )
     def test_malformed_ordering_table(self, capsys, tmp_path, group, document):
@@ -303,6 +306,18 @@ class TestBadArguments:
         out, err = capsys.readouterr()
         assert out == ""
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    def test_table_item_missing_a_key_is_named(self, capsys, tmp_path):
+        # a decode that misses a key names the item and the group, not the key
+        path = tmp_path / "bad.json"
+        path.write_text('{"group":"promislow","carrier":[{"t":[0,0,0]}],"entries":[]}')
+        argv = ["validate", "--group", "promislow", "--ordering", f"table:{path}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot load ordering table {path}: "
+            "{'t': [0, 0, 0]} is not in promislow\n"
+        )
 
     def test_natural_unit_not_an_integer(self, capsys):
         self.assert_usage_error(

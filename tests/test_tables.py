@@ -21,7 +21,7 @@ from ordkit.groups import (
     PROMISLOW,
     ball,
 )
-from ordkit.lift import Cocycle
+from ordkit.lift import Cocycle, InvalidOrderingError
 from ordkit.obstruction import (
     promislow_circular,
     promislow_product_c2_circular,
@@ -272,8 +272,8 @@ class TestCocycleOnCarrier:
 
 
 def test_detect_secret_cone_calls_bounded_by_pairs():
-    # the cone is probed once per ordered carrier pair at most, not once per
-    # comparison inside every cocycle evaluation
+    # the cone is probed at most twice per carrier element, for cone(v) and
+    # cone(v^-1), not once per ordered pair or per cocycle comparison
     calls = []
 
     def cone(v: int) -> bool:
@@ -283,4 +283,81 @@ def test_detect_secret_cone_calls_bounded_by_pairs():
     carrier = ball([Z.element(1)], 20)
     verdict = detect_secret(secret_from_left(LeftOrdering(Z, "usual", cone)), carrier)
     assert isinstance(verdict, SecretWitness)
-    assert 0 < len(calls) <= len(carrier) ** 2
+    assert 0 < len(calls) <= 2 * len(carrier)
+
+
+def without_cone(c):
+    """c with its cone dropped, so that its cocycle reads c's table."""
+    return CircularOrdering(c.group, c.provenance, c.fn, c.description)
+
+
+def cocycle_run(c, elems):
+    """f_c on every carrier pair whose product is in the carrier, in the
+    order `detect_secret` builds its constraints; an InvalidOrderingError
+    ends the run and is returned with the pair it was raised at."""
+    f = Cocycle(c).on_carrier(elems)
+    index = {g.value: i for i, g in enumerate(elems)}
+    values = []
+    for (i, g), (j, h) in itertools.product(enumerate(elems), repeat=2):
+        k = index.get((g * h).value)
+        if k is None:
+            continue
+        try:
+            values.append(f(i, j, k))
+        except InvalidOrderingError as exc:
+            return values, (g.value, h.value, str(exc))
+    return values, None
+
+
+class TestConeBits:
+    """A secret ordering's cocycle reads two cone bits per carrier element;
+    it must agree with the cocycle read from the ordering's table."""
+
+    @pytest.mark.parametrize(
+        "lo,carrier",
+        [
+            (usual_integer_order(Z), ball([Z.element(1)], 12)),
+            (lex_free_abelian_order(Z2), ball(Z2.basis(), 4)),
+        ],
+    )
+    def test_valid_cones_agree(self, lo, carrier):
+        calls = []
+        cone = LeftOrdering(lo.group, "counted", lambda v: calls.append(v) or lo.cone(v))
+        c, elems = secret_from_left(cone), as_carrier(carrier)
+        run = cocycle_run(c, elems)
+        assert run[1] is None
+        assert len(calls) <= 2 * len(elems)
+        assert run == cocycle_run(without_cone(c), elems)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sets(st.integers(-6, 6)),
+        st.lists(st.integers(-6, 6), max_size=8, unique=True),
+    )
+    def test_corrupted_integer_cones(self, positives, points):
+        # a cone from any set need not satisfy trichotomy or closure; then
+        # both cocycles must fail at the same first pair
+        c = secret_from_left(LeftOrdering(Z, "corrupted", positives.__contains__))
+        elems = as_carrier([Z.element(v) for v in {0, *points}])
+        assert cocycle_run(c, elems) == cocycle_run(without_cone(c), elems)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_corrupted_free_abelian_cones(self, data):
+        ball_values = [g.value for g in ball(Z2.basis(), 2)]
+        positives = data.draw(st.sets(st.sampled_from(ball_values)))
+        elems = as_carrier(
+            [Z2.identity(), *data.draw(subsets(ball(Z2.basis(), 2).elements))]
+        )
+        elems = list(dict.fromkeys(elems))
+        c = secret_from_left(LeftOrdering(Z2, "corrupted", positives.__contains__))
+        assert cocycle_run(c, elems) == cocycle_run(without_cone(c), elems)
+
+    def test_corrupted_cone_fails_at_the_first_pair(self):
+        # both 1 and -1 positive: f(1, 1) cannot decide, as c(e, 1, 2) and
+        # c(e, 2, 1) are both -1
+        c = secret_from_left(LeftOrdering(Z, "both", lambda v: v != 0))
+        elems = as_carrier(ball([Z.element(1)], 2))
+        values, failure = cocycle_run(c, elems)
+        assert failure is not None
+        assert (values, failure) == cocycle_run(without_cone(c), elems)
