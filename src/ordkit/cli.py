@@ -428,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("promislow",
                        help="reproduce the Promislow computation")
     p.add_argument("--cap", type=spectrum_cap, required=True)
-    p.add_argument("--radius", type=radius_arg, default=4)
+    # radius 0 sees one coset of ker(phi), so the worked example cannot pass
+    p.add_argument("--radius", type=at_least(1, "radius"), default=4)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")
     p.set_defaults(func=cmd_promislow)

@@ -8,6 +8,7 @@ identity) rather than full enumeration.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from abc import ABC, abstractmethod
@@ -303,10 +304,10 @@ class FreeAbelianGroup(Group):
         return (0,) * self.rank
 
     def _op_values(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def _inv_value(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def check_value(self, value: Any) -> None:
         if (
@@ -675,35 +676,33 @@ def ball_with_words(
             raise GroupMismatchError("ball generators must share one group")
     cap = max_ball_size() if max_size is None else max_size
 
-    steps: list[tuple[int, Element]] = []
+    op, key = group._op_values, group.sort_key
+    steps: list[tuple[int, Any]] = []
     for i, g in enumerate(gens):
-        steps.append((i + 1, g))
-        steps.append((-(i + 1), ~g))
+        steps.append((i + 1, g.value))
+        steps.append((-(i + 1), group._inv_value(g.value)))
 
-    ident = group.identity()
-    words: dict[Any, tuple[int, ...]] = {ident.value: ()}
-    seen: dict[Any, Element] = {ident.value: ident}
-    frontier = [ident]
+    # the BFS runs on canonical forms; Elements are built for the result only
+    frontier = [group._identity_value()]
+    words: dict[Any, tuple[int, ...]] = {frontier[0]: ()}
     for _ in range(radius):
-        frontier.sort(key=lambda e: group.sort_key(e.value))
-        next_frontier: list[Element] = []
-        for elem in frontier:
-            for letter, step in steps:
-                new = elem * step
-                if new.value in seen:
+        frontier.sort(key=key)
+        next_frontier: list[Any] = []
+        for w in frontier:
+            word = words[w]
+            for letter, s in steps:
+                v = op(w, s)
+                if v in words:
                     continue
-                if len(seen) >= cap:
+                if len(words) >= cap:
                     raise ResourceCapError(
                         f"ball of radius {radius} exceeds cap {cap} elements"
                     )
-                seen[new.value] = new
-                words[new.value] = words[elem.value] + (letter,)
-                next_frontier.append(new)
+                words[v] = word + (letter,)
+                next_frontier.append(v)
         frontier = next_frontier
-    ordered = tuple(
-        sorted(seen.values(), key=lambda e: group.sort_key(e.value))
-    )
-    return Ball(group, tuple(gens), radius, ordered, frozenset(seen)), words
+    ordered = tuple(Element(group, v) for v in sorted(words, key=key))
+    return Ball(group, tuple(gens), radius, ordered, frozenset(words)), words
 
 
 # -- presentations -----------------------------------------------------------
@@ -872,13 +871,60 @@ class Homomorphism:
         return Element(self.target, self.rule(g.value))
 
     def validate_on_carrier(self, carrier: Sequence[Element]) -> bool:
-        """Check f(gh) = f(g)f(h) over all pairs from the carrier."""
+        """Decide f(gh) = f(g)f(h) for all pairs g, h of the carrier.
+
+        On a `Ball` B = B(S, r) of the source, as `ball` builds it, with
+        r >= 1 the pair law is decided on the Cayley edges of B(S, 2r): it
+        holds on B exactly when f(ws) = f(w)f(s) for every w in B(S, 2r-1)
+        and every letter s of S and S^-1.  (=>) Write w = xy with x in B(r), y in B(r-1); the pair
+        law at (x, y), (y, s) and (x, ys) gives f(ws) = f(x)f(y)f(s) =
+        f(w)f(s).  (<=) The edge law at w = e forces f(e) = 1, so f of a
+        word of length <= 2r is the product of f over its letters, and a
+        product xy of B is such a word.  One BFS to radius 2r checks all
+        |S±| |B(2r-1)| edges, into seen vertices too, and calls `rule` once
+        per vertex and once per letter, instead of |B|^2 pairs.  Any other
+        carrier, and a ball of radius 0, gets the pair sweep.  Both paths
+        evaluate `rule` only on B(2r), the products of pairs; `rule` is
+        assumed total on canonical forms, so the verdicts agree even where
+        the two stop at different values.
+        """
+        if (
+            isinstance(carrier, Ball)
+            and carrier.radius >= 1
+            and carrier.group == self.source
+        ):
+            return self._edge_law_holds(carrier)
         img = {g.value: self(g).value for g in carrier}
         times, rule = self.target._op_values, self.rule
         return all(
             times(img[x], img[y]) == rule(self.source._op_values(x, y))
             for x in img for y in img
         )
+
+    def _edge_law_holds(self, carrier: Ball) -> bool:
+        """f(ws) = f(w)f(s) on every edge of B(carrier.gens, 2 carrier.radius)."""
+        source, rule, times = self.source, self.rule, self.target._op_values
+        op = source._op_values
+        letters = [
+            (s, rule(s))
+            for g in carrier.gens
+            for s in (g.value, source._inv_value(g.value))
+        ]
+        frontier = [source._identity_value()]
+        img = {frontier[0]: rule(frontier[0])}
+        for _ in range(2 * carrier.radius):
+            next_frontier = []
+            for w in frontier:
+                fw = img[w]
+                for s, fs in letters:
+                    v = op(w, s)
+                    if v not in img:
+                        img[v] = rule(v)
+                        next_frontier.append(v)
+                    if img[v] != times(fw, fs):
+                        return False
+            frontier = next_frontier
+        return True
 
     def kernel_contains(self, g: Element) -> bool:
         return self(g).value == self.target._identity_value()

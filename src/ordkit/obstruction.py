@@ -11,6 +11,7 @@ four) is reproduced end to end at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
 from operator import attrgetter
@@ -440,20 +441,18 @@ def verify_unobstructed(
             subgroup_values.add(power.value)
             power = power * cert.subgroup_generator
 
-        images = set()
-        for g in elems:
-            base = cert.hom(g).value
-            for t in range(cert.n):
-                images.add(
-                    (base + t * cert.subgroup_generator.value) % target.order
-                )
+        hom_values = [cert.hom(g).value for g in elems]
+        step, order = cert.subgroup_generator.value, target.order
+        images = {
+            (base + t * step) % order for base in hom_values for t in range(cert.n)
+        }
         checks.add(
             "composed-surjectivity",
             images == set(range(target.order)),
             detail={"witnessed": len(images), "needed": target.order},
         )
 
-        preimage = [g for g in elems if cert.hom(g).value in subgroup_values]
+        preimage = [g for g, v in zip(elems, hom_values) if v in subgroup_values]
         evidence_report = validate_left_ordering(
             cert.kernel_evidence.order, preimage
         )
@@ -467,7 +466,7 @@ def verify_unobstructed(
         )
 
         if cert.kernel_evidence.kind == "poly-z-chain":
-            escape = _chain_escape(cert.kernel_evidence.generators)
+            escape = _chain_escape(tuple(cert.kernel_evidence.generators))
             checks.add(
                 "poly-z-chain-normality",
                 escape is None,
@@ -490,9 +489,13 @@ def verify_unobstructed(
     }
 
 
-def _chain_escape(gens: Sequence[Element]) -> dict | None:
+@functools.lru_cache(maxsize=8)
+def _chain_escape(gens: tuple[Element, ...]) -> dict | None:
     """First conjugate of a chain generator by a later one that leaves the
-    radius-6 ball of the generators below it, or None when all stay."""
+    radius-6 ball of the generators below it, or None when all stay.
+
+    A pure function of the chain, so a spectrum's certificates, which share
+    one chain, compute it once."""
     for i in range(1, len(gens)):
         lower = ball(gens[:i], 6)
         for j in range(i, len(gens)):
@@ -730,11 +733,12 @@ def promislow_alpha_check(radius: int = 4) -> dict:
         all(phi.kernel_contains(alpha(u)) for u in kernel_beta),
         cases=len(kernel_beta),
     )
+    times, times_g = prod._op_values, PROMISLOW._op_values
     checks.add(
         "alpha-homomorphism",
         all(
-            alpha(u * v) == alpha(u) * alpha(v)
-            for u, v in itertools.product(kernel_beta, repeat=2)
+            times(u, v)[0] == times_g(u[0], v[0])
+            for u, v in itertools.product([u.value for u in kernel_beta], repeat=2)
         ),
         cases=len(kernel_beta) ** 2,
     )
@@ -804,10 +808,10 @@ def promislow_worked_example(radius: int = 4) -> dict:
 
     carrier = ball([a, b], radius)
     phi, psi, beta = promislow_phi(), promislow_psi(), promislow_beta()
-    checks.add("phi-homomorphism", phi.validate_on_carrier(list(carrier)))
-    checks.add("psi-homomorphism", psi.validate_on_carrier(list(carrier)))
+    checks.add("phi-homomorphism", phi.validate_on_carrier(carrier))
+    checks.add("psi-homomorphism", psi.validate_on_carrier(carrier))
     checks.add(
-        "beta-homomorphism", beta.validate_on_carrier(list(_product_c2_ball(radius)))
+        "beta-homomorphism", beta.validate_on_carrier(_product_c2_ball(radius))
     )
 
     alpha_report = promislow_alpha_check(radius)
@@ -825,13 +829,21 @@ def promislow_worked_example(radius: int = 4) -> dict:
         detail={"carrier_size": len(kernel)},
     )
 
-    # index-2 and ball-generation evidence for ker(phi) = <b, a^2, (ab)^2>
+    # index-2 and ball-generation evidence for ker(phi) = <b, a^2, (ab)^2>:
+    # each kernel element of B(r) equals its poly-Z word (a^2)^x ((ab)^2)^w b^j
+    # of length <= 2r, so it lies in the generators' radius-2r ball.  The
+    # bound holds because a letter moves each doubled translation coordinate
+    # by at most 1, and x and w are about half of one, j the whole of another.
     cosets = {phi(g).value for g in carrier}
-    gen_ball = ball([a * a, (a * b) * (a * b), b], 2 * radius)
-    generated = all(g in gen_ball for g in kernel)
+    a2, ab2 = a * a, (a * b) * (a * b)
+
+    def generated(g: Element) -> bool:
+        x, w, j = PROMISLOW.kernel_coords(g.value)
+        return abs(x) + abs(w) + abs(j) <= 2 * radius and a2**x * ab2**w * b**j == g
+
     checks.add(
         "kernel-index-2-and-generated",
-        cosets == {0, 1} and generated,
+        cosets == {0, 1} and all(generated(g) for g in kernel),
         detail={"kernel_size": len(kernel)},
     )
 

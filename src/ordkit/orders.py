@@ -609,42 +609,64 @@ def validate_left_ordering(
     """Check the positive-cone axioms of lo over a finite carrier.
 
     Cone oracles restricted to a carrier may raise OutsideCarrierError;
-    those probes are skipped and counted in the notes.
+    those probes are skipped and counted in the notes, once per probe the
+    axioms ask for.  The cone runs once per canonical form.  A carrier
+    element outside lo.group raises GroupMismatchError before any probe.
     """
-    elems = as_carrier(carrier)
-    ident = lo.group.identity()
+    group, elems = lo.group, as_carrier(carrier)
+    require_members(group, elems, "ordering")
+    values = [g.value for g in elems]
+    ident = group.identity()
     skipped = 0
+    memo: dict[Any, bool | None] = {}
 
-    def probe(g: Element) -> bool | None:
+    def probe(v: Any) -> bool | None:
         nonlocal skipped
-        try:
-            return lo.positive(g)
-        except OutsideCarrierError:
+        if v in memo:
+            p = memo[v]
+        else:
+            try:
+                p = memo[v] = lo.cone(v)
+            except OutsideCarrierError:
+                p = memo[v] = None
+        if p is None:
             skipped += 1
-            return None
+        return p
 
     def cases():
-        if probe(ident) is True:
+        nonlocal skipped
+        e = ident.value
+        if probe(e) is True:
             return counterexample("identity-positive", (ident,))
         # trichotomy: every non-identity element counts, skipped probes too
-        for g in elems:
-            if g.value == ident.value:
+        for g, v in zip(elems, values):
+            if v == e:
                 continue
-            p, q = probe(g), probe(~g)
+            p, q = probe(v), probe(group._inv_value(v))
             if p is not None and p == q:
                 yield counterexample(
                     "trichotomy", (g,), positive=p, inverse_positive=q
                 )
             else:
                 yield None
-        # closure: only positive-positive pairs count
-        for g, h in itertools.product(elems, repeat=2):
-            pg, ph = probe(g), probe(h)
-            if pg and ph:
-                prod = g * h
+        # closure: only positive-positive pairs count.  The trichotomy pass
+        # probed every element, so the pair probes are memo reads, and a row
+        # without a counted pair only adds its skipped probes.
+        signs = [memo[v] for v in values]
+        nones = signs.count(None)
+        op = group._op_values
+        for g, v, pg in zip(elems, values, signs):
+            if not pg:
+                skipped += len(values) * (pg is None) + nones
+                continue
+            for h, w, ph in zip(elems, values, signs):
+                if not ph:
+                    skipped += ph is None
+                    continue
+                gh = op(v, w)
                 yield (
-                    counterexample("cone-not-closed", (g, h, prod))
-                    if probe(prod) is False
+                    counterexample("cone-not-closed", (g, h, Element(group, gh)))
+                    if probe(gh) is False
                     else None
                 )
 

@@ -347,9 +347,11 @@ def verify_witness_claims(
             h = random_subgroup_element(G, rng)
             if not membership_G(g * h).in_subgroup:
                 yield counterexample("product", (g, h))
-            elif not membership_G(~g).in_subgroup:
+                continue
+            g_inv = ~g
+            if not membership_G(g_inv).in_subgroup:
                 yield counterexample("inverse", (g,))
-            elif (g * ~g) != ident or (~g * g) != ident:
+            elif (g * g_inv) != ident or (g_inv * g) != ident:
                 yield counterexample("inverse-law", (g,))
             else:
                 yield None

@@ -127,8 +127,10 @@ def _lex_cases():
 
 def _cases():
     yield "worked-example-r3", lambda: promislow_worked_example(3)
+    yield "worked-example-r4", lambda: promislow_worked_example(4)
     yield "alpha-check-r3", lambda: promislow_alpha_check(3)
     yield "spectrum-12", lambda: promislow_spectrum(12).to_dict()
+    yield "spectrum-20", lambda: promislow_spectrum(20).to_dict()
     carrier = ball(PROMISLOW.generators(), 2)
     for n in (2, 3):
         cert = promislow_unobstructed_certificate(n)

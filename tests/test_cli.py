@@ -252,6 +252,21 @@ class TestBadCap:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_promislow_radius_0(self, capsys):
+        # a one-element ball shows one coset of ker(phi), so no witness of a
+        # mathematical failure: a usage error, like --cap 1
+        assert main(["promislow", "--cap", "8", "--radius", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: argument --radius: radius must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
+    def test_spectrum_promislow_radius_0(self, capsys):
+        code, out = run(capsys, "spectrum", "--group", "promislow", "--cap", "8",
+                        "--radius", "0")
+        assert code == 0
+        assert json.loads(out)["report"]["undetermined"] == [2, 3, 5, 6, 7]
+
 
 class TestBadArguments:
     """Bad input exits 2 with one error line and no traceback."""

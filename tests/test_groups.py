@@ -72,6 +72,17 @@ class TestGroupLaw:
         assert ~(~g) == g
         assert g * ~g == group.identity()
 
+    @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99)), max_size=4))
+    def test_free_abelian_values_are_coordinatewise(self, pairs):
+        # one pair of coordinates per rank, rank 0 included
+        group = FreeAbelianGroup(len(pairs))
+        a = tuple(x for x, _ in pairs)
+        b = tuple(y for _, y in pairs)
+        assert group._op_values(a, b) == tuple(a[i] + b[i] for i in range(len(a)))
+        assert group._inv_value(a) == tuple(-a[i] for i in range(len(a)))
+        assert type(group._op_values(a, b)) is tuple
+        assert type(group._inv_value(a)) is tuple
+
     def test_promislow_axioms_on_ball(self):
         g = PromislowGroup()
         b = ball(g.generators(), 2)

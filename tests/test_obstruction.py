@@ -7,6 +7,7 @@ from ordkit.groups import (
     DirectProductGroup,
     Homomorphism,
     IntegerGroup,
+    PROMISLOW,
     PROMISLOW_PRESENTATION,
     Presentation,
     PromislowGroup,
@@ -417,6 +418,20 @@ class TestPromislowSpectrum:
     def test_cap_2(self):
         assert promislow_spectrum(2).unobstructed_set == {2}
 
+    def test_chain_normality_checked_once(self, monkeypatch):
+        # the 14 certificates up to 20 share one poly-Z chain: its two lower
+        # chain balls are built once, next to the spectrum's own carrier
+        built = []
+
+        def counted_ball(gens, radius):
+            built.append(radius)
+            return ball(gens, radius)
+
+        monkeypatch.setattr(obstruction, "ball", counted_ball)
+        obstruction._chain_escape.cache_clear()
+        assert promislow_spectrum(20).fully_determined
+        assert built == [3, 6, 6]
+
     def test_cap_4(self):
         report = promislow_spectrum(4)
         assert report.obstructed_set == {4}
@@ -434,6 +449,13 @@ class TestPromislowSpectrum:
         assert report["status"] == "pass"
         names = {c["name"] for c in report["checks"]}
         assert "abelianization" in names and "alpha-bijective-on-ball" in names
+
+    def test_kernel_generation_is_witnessed_by_words(self, monkeypatch):
+        # coordinates whose poly-Z word is not the element witness nothing
+        monkeypatch.setattr(PROMISLOW, "kernel_coords", lambda value: (0, 0, 0))
+        report = promislow_worked_example(radius=2)
+        status = {c["name"]: c["status"] for c in report["checks"]}
+        assert status["kernel-index-2-and-generated"] == "fail"
 
 
 class TestOtherSpectra:

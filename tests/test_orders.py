@@ -13,7 +13,11 @@ from ordkit.groups import (
     PromislowGroup,
     ball,
 )
-from ordkit.obstruction import promislow_circular
+from ordkit.obstruction import (
+    promislow_circular,
+    promislow_kernel_order,
+    promislow_phi,
+)
 from ordkit.orders import (
     LeftOrdering,
     OrderingTable,
@@ -283,6 +287,35 @@ class TestLeftOrderingValidator:
         bad = LeftOrdering(z, "broken", lambda v: v % 2 == 1, "odd cone")
         report = validate_left_ordering(bad, ball([z.element(1)], 5))
         assert not report.passed
+
+    def test_cone_runs_once_per_value(self):
+        kernel, phi = promislow_kernel_order(), promislow_phi()
+        calls = []
+
+        def cone(v):
+            calls.append(v)
+            return kernel.cone(v)
+
+        carrier = [
+            g for g in ball(PromislowGroup().generators(), 3)
+            if phi.kernel_contains(g)
+        ]
+        counted = kernel._replace(cone=cone)
+        assert validate_left_ordering(counted, carrier) == validate_left_ordering(
+            kernel, carrier
+        )
+        assert len(calls) == len(set(calls))
+
+    def test_foreign_element_rejected_before_any_probe(self):
+        # the trichotomy failure at -5 comes first in carrier order, but the
+        # stranger is named before the cone runs
+        z = IntegerGroup()
+        calls = []
+        odd = LeftOrdering(z, "odd", lambda v: calls.append(v) or v % 2 == 1, "odd")
+        carrier = [*ball([z.element(1)], 5), CyclicGroup(7).element(6)]
+        with pytest.raises(GroupMismatchError, match="element of cyclic:7"):
+            validate_left_ordering(odd, carrier)
+        assert calls == []
 
 
 class TestConvexity:
