@@ -708,12 +708,14 @@ def promislow_alpha_check(radius: int = 4) -> dict:
     a product ball; surjectivity is witnessed by the explicit section
     g -> (g, psi(g)/2) over the kernel part of the factor ball.
     """
+    return _alpha_check(_product_c2_ball(radius), ball(PROMISLOW.generators(), radius))
+
+
+def _alpha_check(product_ball: Ball, factor_ball: Ball) -> dict:
     phi, beta, psi = promislow_phi(), promislow_beta(), promislow_psi()
     prod = beta.source
-    kernel_beta = [u for u in _product_c2_ball(radius) if beta.kernel_contains(u)]
-    kernel_phi = [
-        g for g in ball(PROMISLOW.generators(), radius) if phi.kernel_contains(g)
-    ]
+    kernel_beta = [u for u in product_ball if beta.kernel_contains(u)]
+    kernel_phi = [g for g in factor_ball if phi.kernel_contains(g)]
 
     def alpha(u: Element) -> Element:
         return Element(PROMISLOW, u.value[0])
@@ -750,7 +752,7 @@ def promislow_alpha_check(radius: int = 4) -> dict:
     )
     return {
         "schema": 1,
-        "radius": radius,
+        "radius": factor_ball.radius,
         "status": checks.status,
         "kernel_sizes": {"beta": len(kernel_beta), "phi": len(kernel_phi)},
         "checks": checks,
@@ -806,15 +808,13 @@ def promislow_worked_example(radius: int = 4) -> dict:
         },
     )
 
-    carrier = ball([a, b], radius)
+    carrier, product_ball = ball([a, b], radius), _product_c2_ball(radius)
     phi, psi, beta = promislow_phi(), promislow_psi(), promislow_beta()
     checks.add("phi-homomorphism", phi.validate_on_carrier(carrier))
     checks.add("psi-homomorphism", psi.validate_on_carrier(carrier))
-    checks.add(
-        "beta-homomorphism", beta.validate_on_carrier(_product_c2_ball(radius))
-    )
+    checks.add("beta-homomorphism", beta.validate_on_carrier(product_ball))
 
-    alpha_report = promislow_alpha_check(radius)
+    alpha_report = _alpha_check(product_ball, carrier)
     checks.add(
         "alpha-bijective-on-ball",
         alpha_report["status"] == "pass",
@@ -856,6 +856,19 @@ def promislow_worked_example(radius: int = 4) -> dict:
     }
 
 
+def _exponent_entries(e: int, record: dict, cap: int) -> dict[int, dict]:
+    """The exponent record at e, divisibility closure at its other multiples."""
+    return {
+        n: record if n == e else {
+            "kind": "divisibility-closure",
+            "divisor": e,
+            "base_certificate": "abelianization-exponent",
+        }
+        for n in range(2, cap + 1)
+        if n % e == 0
+    }
+
+
 def promislow_spectrum(cap: int, radius: int = 3) -> SpectrumReport:
     """The Promislow group's spectrum up to cap: the multiples of four.
 
@@ -871,32 +884,22 @@ def promislow_spectrum(cap: int, radius: int = 3) -> SpectrumReport:
         raise CertificateError(f"Promislow abelianization exponent is {e}, not 4")
     carrier = ball(PROMISLOW.generators(), radius)
 
-    obstructed: dict[int, dict] = {}
+    obstructed = _exponent_entries(e, exponent_record, cap)
     unobstructed: dict[int, dict] = {}
     undetermined: list[int] = []
-    for n in range(2, cap + 1):
-        if n % 4 == 0:
-            if n == 4:
-                obstructed[n] = exponent_record
-            else:
-                obstructed[n] = {
-                    "kind": "divisibility-closure",
-                    "divisor": 4,
-                    "base_certificate": "abelianization-exponent",
-                }
+    for n in [m for m in range(2, cap + 1) if m not in obstructed]:
+        cert = promislow_unobstructed_certificate(n)
+        verification = verify_unobstructed(cert, carrier)
+        if verification["status"] == "pass":
+            unobstructed[n] = {
+                **cert.summary(),
+                "verification": {
+                    "status": "pass",
+                    "checks": [c["name"] for c in verification["checks"]],
+                },
+            }
         else:
-            cert = promislow_unobstructed_certificate(n)
-            verification = verify_unobstructed(cert, carrier)
-            if verification["status"] == "pass":
-                unobstructed[n] = {
-                    **cert.summary(),
-                    "verification": {
-                        "status": "pass",
-                        "checks": [c["name"] for c in verification["checks"]],
-                    },
-                }
-            else:
-                undetermined.append(n)
+            undetermined.append(n)
     return SpectrumReport(
         "promislow",
         cap,
@@ -937,21 +940,8 @@ def left_orderable_spectrum(
 def presentation_spectrum(presentation: Presentation, cap: int) -> SpectrumReport:
     """Bracketing report for a presented group via the exponent certificate."""
     e, record = exponent_obstruction(presentation)
-    obstructed: dict[int, dict] = {}
-    undetermined: list[int] = []
-    for n in range(2, cap + 1):
-        if e is not None and n % e == 0:
-            obstructed[n] = (
-                record
-                if n == e
-                else {
-                    "kind": "divisibility-closure",
-                    "divisor": e,
-                    "base_certificate": "abelianization-exponent",
-                }
-            )
-        else:
-            undetermined.append(n)
+    obstructed = {} if e is None else _exponent_entries(e, record, cap)
+    undetermined = [n for n in range(2, cap + 1) if n not in obstructed]
     notes = [
         "bracketing only: no unobstructed certificates are derivable from a "
         "bare presentation",

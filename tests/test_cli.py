@@ -196,6 +196,36 @@ class TestSpectrum:
         assert [e["n"] for e in payload["obstructed"]] == [4, 8]
         assert payload["undetermined"] == [2, 3, 5, 6, 7, 9, 10]
 
+    def test_exponent_one_closes_over_every_n(self, capsys, tmp_path):
+        # a trivial abelianization has exponent 1, which divides every n >= 2
+        path = tmp_path / "trivial.txt"
+        path.write_text("gens: a\nrel: a\n")
+        code, out = run(
+            capsys, "spectrum", "--group", f"presentation:{path}", "--cap", "4"
+        )
+        closure = {
+            "base_certificate": "abelianization-exponent",
+            "divisor": 1,
+            "kind": "divisibility-closure",
+        }
+        report = {
+            "cap": 4,
+            "group": "presentation(a)",
+            "notes": [
+                "bracketing only: no unobstructed certificates are derivable "
+                "from a bare presentation",
+                "obstructed entries hold under recorded hypotheses (finitely "
+                "generated, amenable, circularly-orderable)",
+            ],
+            "obstructed": [{"certificate": closure, "n": n} for n in (2, 3, 4)],
+            "schema": 1,
+            "undetermined": [],
+            "unobstructed": [],
+        }
+        expected = {"command": "spectrum", "report": report, "schema": 1}
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+
     def test_nested_product(self, capsys):
         code, out = run(
             capsys, "spectrum", "--group",

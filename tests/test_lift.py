@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordkit import lift as lift_module
-from ordkit.groups import CyclicGroup, GroupMismatchError, IntegerGroup, ball, get_group
+from ordkit.groups import (
+    CyclicGroup,
+    Group,
+    GroupMismatchError,
+    IntegerGroup,
+    ball,
+    get_group,
+)
 from ordkit.lift import (
     Cocycle,
     InvalidOrderingError,
@@ -276,6 +283,29 @@ class TestLiftCheckReport:
         assert entry["name"] == "lift-associativity"
         assert entry["mode"] == "exhaustive"
         assert entry["checked_tuples"] == 12**3
+
+    def test_slice_decided_by_one_value_pass(self, monkeypatch):
+        # both slice entries come from one pass over canonical values: no
+        # Element products, and at most four f lookups per triple besides
+        # the one each lift op of the window sweeps makes
+        calls = {"op": 0, "f": 0, "lift": 0}
+
+        def counted(key, method):
+            def wrapper(*args):
+                calls[key] += 1
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Group, "op", counted("op", Group.op))
+        monkeypatch.setattr(Cocycle, "of_values", counted("f", Cocycle.of_values))
+        for name in ("_op_values", "_inv_value"):
+            method = getattr(LiftGroup, name)
+            monkeypatch.setattr(LiftGroup, name, counted("lift", method))
+        report = lift_check_report(natural_circular_cyclic(12, 1), CyclicGroup(12), 0)
+        assert report["status"] == "pass"
+        assert calls["op"] < 12**3
+        assert calls["f"] <= 4 * 12**3 + calls["lift"]
 
     def test_negative_degree_bound_rejected(self, c3):
         with pytest.raises(ValueError):

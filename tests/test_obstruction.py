@@ -13,9 +13,10 @@ from ordkit.groups import (
     PromislowGroup,
     ResourceCapError,
     ball,
+    ball_with_words,
     klein_four_group,
 )
-from ordkit import obstruction
+from ordkit import groups, obstruction
 from ordkit.obstruction import (
     CertificateError,
     LeftOrderEvidence,
@@ -449,6 +450,19 @@ class TestPromislowSpectrum:
         assert report["status"] == "pass"
         names = {c["name"] for c in report["checks"]}
         assert "abelianization" in names and "alpha-bijective-on-ball" in names
+
+    def test_worked_example_builds_each_ball_once(self, monkeypatch):
+        # the alpha check reads the worked example's own two balls: B(S, 4)
+        # and the G x Z/2 ball are each built once
+        built = []
+
+        def counted(gens, radius, max_size=None):
+            built.append(len(gens))
+            return ball_with_words(gens, radius, max_size)
+
+        monkeypatch.setattr(groups, "ball_with_words", counted)
+        assert promislow_worked_example(radius=4)["status"] == "pass"
+        assert built == [2, 3]
 
     def test_kernel_generation_is_witnessed_by_words(self, monkeypatch):
         # coordinates whose poly-Z word is not the element witness nothing
