@@ -13,8 +13,9 @@ import functools
 import itertools
 from typing import Any, Callable, Iterable, Sequence
 
-from .groups import Ball, CyclicGroup, Element, Group, require_members
+from .groups import Ball, CyclicGroup, Element, Group, ResourceCapError, require_members
 from .orders import (
+    _DEFAULT_TUPLE_CAP,
     CheckList,
     CircularOrdering,
     ValidationReport,
@@ -347,12 +348,24 @@ def lift_check_report(
     base_carrier: Ball | Group | Iterable[Element],
     degree_bound: int = 3,
 ) -> dict:
-    """Composite cocycle/associativity/cone report for the lift of (G, c)."""
+    """Composite cocycle/associativity/cone report for the lift of (G, c).
+
+    The cone sweep multiplies pairs of window elements, so a window of
+    (2d+1)*N elements whose square exceeds the validator's tuple cap raises
+    ResourceCapError before the window is built.
+    """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     f = Cocycle(c)
     lift = LiftGroup(f)
     carrier = as_carrier(base_carrier)
+    size = (2 * degree_bound + 1) * len(carrier)
+    if size * size > _DEFAULT_TUPLE_CAP:
+        raise ResourceCapError(
+            f"lift-check window of {size} elements (degree bound {degree_bound}, "
+            f"{len(carrier)} base elements) has {size * size} pairs, over the "
+            f"cap of {_DEFAULT_TUPLE_CAP}"
+        )
     window = lift_window(lift, degree_bound, carrier)
     ident = lift.identity()
     central = lift.central_generator()

@@ -366,6 +366,9 @@ class OrderingTable(NamedTuple):
 
         if not isinstance(obj, dict):
             raise ValueError("an ordering table is a JSON object")
+        for key in ("group", "carrier", "entries"):
+            if key not in obj and (key != "group" or group is None):
+                raise ValueError(f"the ordering table is missing the {key!r} key")
         if group is None:
             if not isinstance(obj["group"], str):
                 raise ValueError(f"group {obj['group']!r} is not a descriptor")

@@ -61,6 +61,8 @@ class WitnessAmbientGroup(Group):
             else f"witness:{p}:up{self.up}:down{self.down}"
         )
         self._factors: dict[tuple[int, int], tuple[int, int]] = {}
+        self._phi_multipliers: dict[int, int] = {}
+        self._samples: list[list[tuple[tuple[int, int], int]]] | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -98,28 +100,36 @@ class WitnessAmbientGroup(Group):
     def _op_values(self, x, y):
         a, b, i = x
         a2, b2, i2 = y
-        # z^i shifts the indices of the right factor by i
-        a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
+        if i:  # z^i shifts the indices of the right factor by i
+            a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
+        factors = self._factors
         new_a = []
-        for j, (n1, d1) in enumerate(a):
-            n2, d2 = a2[j]
-            fn, fd = self._factor(b[j], b[j - 1])
+        prev = b[-1]
+        for (n1, d1), (n2, d2), bj in zip(a, a2, b):
+            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+            prev = bj
             d2 *= fd
-            new_a.append(_reduced(n1 * d2 + n2 * fn * d1, d1 * d2))
-        new_b = self._canon_b([u + v for u, v in zip(b, b2)])
+            n, d = n1 * d2 + n2 * fn * d1, d1 * d2
+            g = gcd(n, d) if d > 0 else -gcd(n, d)  # _reduced, inline
+            new_a.append((n // g, d // g))
+        last = b[-1] + b2[-1]
+        new_b = tuple([u + v - last for u, v in zip(b, b2)])
         return (tuple(new_a), new_b, (i + i2) % self.p)
 
     def _inv_value(self, x):
         a, b, i = x
+        factors = self._factors
         unscaled = []
-        for j, (n, d) in enumerate(a):
-            fn, fd = self._factor(b[j], b[j - 1])
+        prev = b[-1]
+        for (n, d), bj in zip(a, b):
+            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+            prev = bj
             if not fn:
                 Fraction(-n, d) / 0  # raises the ZeroDivisionError Fraction does
             unscaled.append(_reduced(-n * fd, d * fn))
-        neg_b = tuple(-v for v in b)
-        a_star, b_star = tuple(unscaled[i:] + unscaled[:i]), neg_b[i:] + neg_b[:i]
-        return (a_star, self._canon_b(b_star), (-i) % self.p)
+        b_star = b[i:] + b[:i]  # negated below, with the canonical shift
+        a_star, last = tuple(unscaled[i:] + unscaled[:i]), b_star[-1]
+        return (a_star, tuple([last - v for v in b_star]), (-i) % self.p)
 
     def check_value(self, value: Any) -> None:
         try:
@@ -202,19 +212,31 @@ def phi_H(group: WitnessAmbientGroup, a: Sequence[tuple[int, int]]) -> int:
     so rescaling a representation m/(p+1)^j to m(p+1)/(p+1)^(j+1) leaves the
     numerator class fixed.
     """
-    base = group.p + 1
+    multipliers = group._phi_multipliers
     total = 0
     for n, d in a:
-        num, den = n, d
-        while den != 1:
-            g = gcd(den, base)
-            if g == 1 or not den:
-                raise ValueError(
-                    f"exponent {_fmt((n, d))} has denominator outside powers of {base}"
-                )
-            num, den = num * (base // g), den // g
-        total += num
+        m = multipliers.get(d)
+        if m is None:
+            m = multipliers[d] = _phi_multiplier(group.p, d)
+        if not m:
+            raise ValueError(
+                f"exponent {_fmt((n, d))} has denominator outside powers of "
+                f"{group.p + 1}"
+            )
+        total += n * m
     return total % group.p
+
+
+def _phi_multiplier(p: int, d: int) -> int:
+    """m mod p, where d*m is a power (p+1)^j, so n/d = n*m/(p+1)^j; 0 when d
+    divides no power of p+1 (m is a unit mod p, never 0)."""
+    base, m = p + 1, 1
+    while d != 1:
+        g = gcd(d, base)
+        if g == 1 or not d:
+            return 0
+        m, d = m * (base // g), d // g
+    return m % p
 
 
 class WitnessMembership(NamedTuple):
@@ -243,15 +265,42 @@ def membership_G(x: Element) -> WitnessMembership:
 def random_subgroup_element(
     group: WitnessAmbientGroup, rng: random.Random
 ) -> Element:
-    """A random element of G: the z-twist is forced to phi of the x-part."""
+    """A random element of G: the z-twist is forced to phi of the x-part.
+
+    Per coordinate it draws n = randint(-4, 4), then j = randint(0, 3), for
+    the exponent n/(p+1)^j; then the y-part is p draws of randint(-3, 3).
+    The draws are taken straight from rng.getrandbits as randint takes
+    them (randint(a, b) is a + the first getrandbits(k) draw below
+    b - a + 1, k its bit length), so the stream matches randint's.
+    """
     p = group.p
-    a = []
+    samples = group._samples
+    if samples is None:  # samples[n + 4][j]: n/(p+1)^j and its phi class
+        samples = group._samples = []
+        for n in range(-4, 5):
+            pairs = [_reduced(n, (p + 1) ** j) for j in range(4)]
+            samples.append([(q, phi_H(group, (q,))) for q in pairs])
+    bits = rng.getrandbits
+    a, phi = [], 0
     for _ in range(p):
-        n = rng.randint(-4, 4)
-        a.append(_reduced(n, (p + 1) ** rng.randint(0, 3)))
-    b = tuple(rng.randint(-3, 3) for _ in range(p))
-    # canonical by construction: reduced pairs, canonical b, phi_H in [0, p)
-    return Element(group, (tuple(a), group._canon_b(b), phi_H(group, a)))
+        r = bits(4)  # randint(-4, 4) + 4
+        while r >= 9:
+            r = bits(4)
+        j = bits(3)  # randint(0, 3)
+        while j >= 4:
+            j = bits(3)
+        q, c = samples[r][j]
+        a.append(q)
+        phi += c
+    b = []
+    for _ in range(p):
+        r = bits(3)  # randint(-3, 3) + 3; the offset cancels below
+        while r >= 7:
+            r = bits(3)
+        b.append(r)
+    last = b[-1]
+    # canonical by construction: reduced pairs, canonical b, phi in [0, p)
+    return Element(group, (tuple(a), tuple([v - last for v in b]), phi % p))
 
 
 # -- claim verification -------------------------------------------------------
@@ -340,18 +389,25 @@ def verify_witness_claims(
                 else None
             )
 
+    # families (5) and (6) work on canonical values; membership of a value
+    # (a, b, i) in G is phi_H(a) == i, and Elements are built only for
+    # counterexamples
+    op, inv, ident_value = G._op_values, G._inv_value, ident.value
+
     def subgroup_closure():
         # closure of G under sampled products and inverses
         for _ in range(max(10, budget // 2)):
             g = random_subgroup_element(G, rng)
             h = random_subgroup_element(G, rng)
-            if not membership_G(g * h).in_subgroup:
+            gv = g.value
+            a, _, i = op(gv, h.value)
+            if phi_H(G, a) != i:
                 yield counterexample("product", (g, h))
                 continue
-            g_inv = ~g
-            if not membership_G(g_inv).in_subgroup:
+            g_inv = inv(gv)
+            if phi_H(G, g_inv[0]) != g_inv[2]:
                 yield counterexample("inverse", (g,))
-            elif (g * g_inv) != ident or (g_inv * g) != ident:
+            elif op(gv, g_inv) != ident_value or op(g_inv, gv) != ident_value:
                 yield counterexample("inverse-law", (g,))
             else:
                 yield None
@@ -360,12 +416,13 @@ def verify_witness_claims(
         # no sampled g != id in G has order <= p; identity samples not counted
         for _ in range(max(10, budget // 4)):
             g = random_subgroup_element(G, rng)
-            if g == ident:
+            gv = g.value
+            if gv == ident_value:
                 continue
-            power, order = g, None
+            power, order = gv, None
             for k in range(2, p + 1):
-                power = power * g
-                if power == ident:
+                power = op(power, gv)
+                if power == ident_value:
                     order = k
                     break
             yield None if order is None else {"element": g.encode(), "order": order}

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ordkit import lift as lift_module
 from ordkit.cli import main, resolve_group, resolve_ordering
 from ordkit.groups import CyclicGroup, GroupMismatchError, klein_four_group
 from ordkit.orders import OrderingTable, as_carrier, natural_circular_cyclic
@@ -336,11 +337,14 @@ class TestBadArguments:
              '{"group":"free-abelian:2","carrier":[[0,0]],"entries":[7]}'),
             ("promislow",
              '{"group":"promislow","carrier":[{"t":[0,0,0]}],"entries":[]}'),
+            ("cyclic:3", '{"carrier":[0,1,2],"entries":[]}'),
+            ("cyclic:3", '{"group":"cyclic:3","entries":[]}'),
+            ("cyclic:3", '{"group":"cyclic:3","carrier":[0,1,2]}'),
         ],
         ids=[
             "entries-5", "array", "carrier-5", "null", "float", "string",
             "group-not-a-string", "carrier-item-not-a-vector", "entry-not-a-list",
-            "carrier-item-missing-a-key",
+            "carrier-item-missing-a-key", "no-group", "no-carrier", "no-entries",
         ],
     )
     def test_malformed_ordering_table(self, capsys, tmp_path, group, document):
@@ -351,6 +355,20 @@ class TestBadArguments:
         out, err = capsys.readouterr()
         assert out == ""
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+    @pytest.mark.parametrize("key", ["group", "carrier", "entries"])
+    def test_table_missing_a_top_level_key_is_named(self, capsys, tmp_path, key):
+        document = {"group": "cyclic:3", "carrier": [0, 1, 2], "entries": []}
+        del document[key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        argv = ["validate", "--group", "cyclic:3", "--ordering", f"table:{path}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: cannot load ordering table {path}: "
+            f"the ordering table is missing the {key!r} key\n"
+        )
 
     def test_table_item_missing_a_key_is_named(self, capsys, tmp_path):
         # a decode that misses a key names the item and the group, not the key
@@ -418,6 +436,31 @@ class TestLiftCheckCommand:
         code, out = run(
             capsys, "lift-check", "--group", "cyclic:4", "--ordering",
             "natural:1", "--degree-bound", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["status"] == "pass"
+
+    def test_window_over_the_tuple_cap_exits_2_at_once(self, capsys, monkeypatch):
+        # (8001 * 12)^2 window pairs: refused before the window is built
+        def unreachable(*args):
+            raise AssertionError("the window was built")
+
+        monkeypatch.setattr(lift_module, "lift_window", unreachable)
+        argv = ["lift-check", "--group", "cyclic:12", "--ordering", "natural:1",
+                "--degree-bound", "4000"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: lift-check window of 96012 elements (degree bound 4000, 12 "
+            "base elements) has 9218304144 pairs, over the cap of 2000000\n"
+        )
+
+    def test_window_under_the_tuple_cap_runs(self, capsys):
+        # (81 * 12)^2 = 944,784 window pairs
+        code, out = run(
+            capsys, "lift-check", "--group", "cyclic:12", "--ordering",
+            "natural:1", "--degree-bound", "40",
         )
         assert code == 0
         assert json.loads(out)["report"]["status"] == "pass"

@@ -350,6 +350,14 @@ class TestOrderingTable:
         assert back.entries == table.entries
         assert back.group == group
 
+    def test_given_group_needs_no_group_key(self):
+        group = CyclicGroup(3)
+        obj = OrderingTable.from_arrangement(group, as_carrier(group)).to_json_dict()
+        del obj["group"]
+        assert OrderingTable.from_json_dict(obj, group).group == group
+        with pytest.raises(ValueError, match="missing the 'group' key"):
+            OrderingTable.from_json_dict(obj)
+
     def test_json_roundtrip_nested_product(self):
         inner = DirectProductGroup(CyclicGroup(2), CyclicGroup(3))
         group = DirectProductGroup(inner, CyclicGroup(1))

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordkit import witness as witness_module
-from ordkit.groups import get_group
+from ordkit.groups import Group, get_group
 from ordkit.witness import (
     WitnessAmbientGroup,
     membership_G,
@@ -230,6 +231,69 @@ class TestClaimVerification:
     def test_recorded_facts_present(self):
         report = verify_witness_claims(2, budget=20)
         assert any("recorded" in fact for fact in report["recorded_facts"])
+
+
+def _randint_sample(group, rng):
+    """The sampler as it drew with rng.randint, built through Fraction."""
+    p = group.p
+    a = []
+    for _ in range(p):
+        n = rng.randint(-4, 4)
+        a.append(Fraction(n, (p + 1) ** rng.randint(0, 3)))
+    b = [rng.randint(-3, 3) for _ in range(p)]
+    return group.from_parts(a, b, _ref_phi(group, a))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sampler_matches_randint_stream(p):
+    group = WitnessAmbientGroup(p)
+    for seed in range(200):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert random_subgroup_element(group, fast) == _randint_sample(
+                group, reference
+            )
+        # both generators consumed the same draws, so later draws stay aligned
+        assert fast.getrandbits(32) == reference.getrandbits(32)
+
+
+def test_closure_and_torsion_families_run_on_values(monkeypatch):
+    """Families (5) and (6) compute on canonical values: no Group.op,
+    Group.inv or membership_G call is made while either one runs."""
+    calls = Counter()
+    running = [None]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[running[0], name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Group, "op", counted("op", Group.op))
+    monkeypatch.setattr(Group, "inv", counted("inv", Group.inv))
+    monkeypatch.setattr(
+        witness_module, "membership_G", counted("membership_G", membership_G)
+    )
+    guarded = witness_module._guarded
+
+    def tagged(cases):
+        running[0] = cases.__name__
+        yield from guarded(cases)
+
+    monkeypatch.setattr(witness_module, "_guarded", tagged)
+    report = verify_witness_claims(3, budget=200)
+    assert report["status"] == "pass"
+    assert [c["cases"] for c in report["checks"][4:]] == [100, 50]
+    # the counters see the Element-level families
+    assert calls["gij_y_commutator", "op"] > 0
+    assert calls["gij_in_subgroup", "membership_G"] > 0
+    assert calls["xz_commutator", "inv"] > 0
+    on_values = {
+        key: n for key, n in calls.items()
+        if key[0] in ("subgroup_closure", "torsion_spot_check")
+    }
+    assert on_values == {}
 
 
 SABOTAGE_GOLDEN = json.loads(
