@@ -138,7 +138,9 @@ def brute_force_circular_orders(
     the a whose powers cover the group, at most n-1 instead of (n-1)!, in
     lexicographic order of their carrier indices.  Those whose left
     translations are all rotations are confirmed with the exhaustive axiom
-    validator.  Sorted canonically.
+    validator, which decides each candidate on N^3 slices: the cocycle
+    identity on the x0-slice and left-invariance on key classes.  Sorted
+    canonically.
     """
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
@@ -350,11 +352,11 @@ def monotonicity_check(
         else:
             kernel_part = [g for g in elems if hom.kernel_contains(g)]
             report = validate_left_ordering(kernel_evidence.order, kernel_part)
-            yield from itertools.repeat(None, report.checked_tuples)
+            yield report.checked_tuples
             if not report.passed:
                 return {"kind": "kernel-evidence", "evidence": report.counterexample}
         # the inclusion of obstructed sets is decided for all of 2..cap at once
-        yield from itertools.repeat(None, rep_source.cap - 1)
+        yield rep_source.cap - 1
         missing = sorted(rep_source.obstructed_set - rep_target.obstructed_set)
         if missing:
             return {

@@ -90,6 +90,20 @@ class TestValidate:
             "right-invariance"
         )
 
+    @pytest.mark.parametrize("bi, checked", [((), 37**3 + 2 * 37**4),
+                                             (("--bi",), 37**3 + 3 * 37**4)])
+    def test_cyclic_37_exhaustive_counts(self, capsys, bi, checked):
+        # 37^4 is under the 2M cap: the triples, every quadruple and every
+        # translate on each side are counted, though the slices decide them
+        code, out = run(
+            capsys, "validate", "--group", "cyclic:37", "--ordering", "natural:1", *bi
+        )
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert (report["status"], report["mode"]) == ("pass", "exhaustive")
+        assert report["checked_tuples"] == checked
+        assert checked in (3_798_975, 5_673_136)
+
     def test_klein4_table_always_fails(self, capsys, tmp_path):
         # no valid table exists for a non-cyclic group; submit an arbitrary
         # arrangement table and watch an axiom break
