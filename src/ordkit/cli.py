@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate",
                        help="brute-force circular orderings of a finite group")
     p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=int, default=8,
+    p.add_argument("--cap", type=at_least(1, "cap"), default=8,
                    help="largest group order to enumerate (default 8)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--output")

@@ -12,7 +12,6 @@ import operator
 import os
 import re
 from abc import ABC, abstractmethod
-from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -56,21 +55,34 @@ def max_ball_size() -> int:
 
 
 class Record:
-    """Base of the package's immutable records with custom fields or checks.
+    """Base of the package's immutable records.
 
-    It stands in for a frozen dataclass: importing `dataclasses` and
-    decorating classes would cost more than the rest of the package's
-    import, which every CLI call pays.  A subclass names its fields in
-    `__slots__`, sets them in `__init__` through this one, and sets `_key`
-    to an attrgetter of the fields that equality and hashing read.  Plain
-    records are `typing.NamedTuple`s.
+    It stands in for a frozen dataclass or a `typing.NamedTuple`: building
+    either class costs about ten times a plain subclass, and every CLI call
+    pays for the package's import.  A subclass names its fields in
+    `__slots__`, in constructor order, and may give defaults for the last
+    of them in `_defaults`.  Equality and hashing read `_key`, an
+    attrgetter of every field unless the subclass sets its own.  Fields
+    whose names start with "_" are left out of the repr.
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
     _key: Callable[[Any], tuple]
 
-    def __init__(self, *values: Any) -> None:
-        for name, value in zip(self.__slots__, values):
+    def __init_subclass__(cls) -> None:
+        if "_key" not in vars(cls):
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        slots, defaults = self.__slots__, self._defaults
+        fields = dict(zip(slots[len(slots) - len(defaults):], defaults))
+        fields.update(zip(slots, args), **kwargs)
+        extra = len(args) > len(slots) or not kwargs.keys() <= set(slots[len(args):])
+        if extra or len(fields) != len(slots):
+            names = ", ".join(slots)
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: Any = None) -> None:
@@ -90,12 +102,16 @@ class Record:
         shown = [f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_"]
         return f"{type(self).__name__}({', '.join(shown)})"
 
+    def _replace(self, **changes: Any) -> "Record":
+        """A copy with the named fields changed."""
+        values = [changes.pop(n, getattr(self, n)) for n in self.__slots__]
+        return type(self)(*values, **changes)
+
 
 class Element(Record):
     """A group element: group tag plus canonical form."""
 
     __slots__ = ("group", "value")
-    _key = attrgetter(*__slots__)
 
     def __init__(self, group: "Group", value: Any) -> None:
         # the slots' own setters, cheaper than object.__setattr__ on this
@@ -479,6 +495,8 @@ class PromislowGroup(Group):
         return {"diag": list(d), "t": [_half_str(x) for x in u]}
 
     def decode(self, obj: Any):
+        from fractions import Fraction  # here only: the CLI's start-up skips it
+
         d = tuple(int(x) for x in obj["diag"])
         doubled = tuple(2 * Fraction(s) for s in obj["t"])
         if any(x.denominator != 1 for x in doubled):
@@ -724,7 +742,6 @@ class Presentation(Record):
     """Finite presentation: generator count plus reduced relator words."""
 
     __slots__ = ("num_generators", "relators", "generator_names")
-    _key = attrgetter(*__slots__)
 
     def __init__(
         self, num_generators: int, relators: tuple[tuple[int, ...], ...],

@@ -15,7 +15,7 @@ import functools
 import itertools
 from math import gcd
 from operator import attrgetter
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
 from .groups import (
     Ball,
@@ -45,7 +45,6 @@ from .orders import (
     lex_circular,
     natural_circular_cyclic,
     sweep,
-    validate_circular,
     validate_left_ordering,
 )
 from .snf import abelianization
@@ -134,13 +133,13 @@ def brute_force_circular_orders(
 
     With the identity pinned first, translation by the element a in
     position 1 must rotate the arrangement by one place, which forces it to
-    be e, a, ..., a^(n-1).  So the candidates are these arrangements for
-    the a whose powers cover the group, at most n-1 instead of (n-1)!, in
-    lexicographic order of their carrier indices.  Those whose left
-    translations are all rotations are confirmed with the exhaustive axiom
-    validator, which decides each candidate on N^3 slices: the cocycle
-    identity on the x0-slice and left-invariance on key classes.  Sorted
-    canonically.
+    be e, a, ..., a^(n-1) with a a generator.  Conversely each such
+    arrangement is one: translation by a^m sends a^i to a^(m+i), a rotation
+    of the arrangement, and a rotation keeps the orientation of a cyclic
+    arrangement, which satisfies the axioms.  So there are phi(n) of them
+    for Z/n and none for a group that is not cyclic, at most n-1 candidates
+    instead of (n-1)!, returned in lexicographic order of their carrier
+    indices.
     """
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
@@ -150,25 +149,13 @@ def brute_force_circular_orders(
             f"brute force capped at order {cap}, group has order {n}"
         )
     elems = as_carrier(group)
-    others = [g for g in elems if not g.is_identity]
     index = {g.value: k for k, g in enumerate(elems)}
-
     powers = ([a**k for k in range(n)] for a in elems)  # a = e covers only Z/1
     candidates = sorted(
         (arrangement for arrangement in powers if len(set(arrangement)) == n),
         key=lambda arrangement: [index[g.value] for g in arrangement],
     )
-    tables: list[OrderingTable] = []
-    for arrangement in candidates:
-        position = {g.value: idx for idx, g in enumerate(arrangement)}
-        shifted = ([position[(h * g).value] for g in arrangement] for h in others)
-        if any(s[i] != (s[0] + i) % n for s in shifted for i in range(n)):
-            continue
-        table = OrderingTable.from_arrangement(group, arrangement)
-        report = validate_circular(table.ordering(), elems)
-        if report.passed:
-            tables.append(table)
-    return tables
+    return [OrderingTable.from_arrangement(group, a) for a in candidates]
 
 
 # -- spectrum reports ----------------------------------------------------------
@@ -180,7 +167,6 @@ class SpectrumReport(Record):
     __slots__ = (
         "group_label", "cap", "obstructed", "unobstructed", "undetermined", "notes"
     )
-    _key = attrgetter(*__slots__)
 
     def __init__(
         self, group_label: str, cap: int, obstructed: dict[int, dict],
@@ -371,13 +357,12 @@ def monotonicity_check(
 # -- certificates --------------------------------------------------------------
 
 
-class LeftOrderEvidence(NamedTuple):
-    """Left-orderability evidence: a named poly-Z chain or an explicit cone."""
+class LeftOrderEvidence(Record):
+    """Left-orderability evidence: a named poly-Z chain or an explicit cone;
+    `kind` is "poly-z-chain" or "cone-table"."""
 
-    kind: str  # "poly-z-chain" | "cone-table"
-    order: LeftOrdering
-    generators: tuple[Element, ...] = ()
-    description: str = ""
+    __slots__ = ("kind", "order", "generators", "description")
+    _defaults = ((), "")
 
     def to_dict(self) -> dict:
         return {
@@ -387,16 +372,15 @@ class LeftOrderEvidence(NamedTuple):
         }
 
 
-class UnobstructedCertificate(NamedTuple):
+class UnobstructedCertificate(Record):
     """Keeps one n out of a spectrum: a homomorphism into a cyclic group
     whose order-n subgroup pulls back to a left-orderable subgroup."""
 
-    n: int
-    hom: Homomorphism
-    subgroup_generator: Element
-    kernel_evidence: LeftOrderEvidence
-    hypotheses: tuple[str, ...] = RECORDED_HYPOTHESES
-    description: str = ""
+    __slots__ = (
+        "n", "hom", "subgroup_generator", "kernel_evidence", "hypotheses",
+        "description",
+    )
+    _defaults = (RECORDED_HYPOTHESES, "")
 
     def summary(self) -> dict:
         return {

@@ -15,7 +15,7 @@ import itertools
 import random
 from math import gcd
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .groups import (
     Ball,
@@ -101,14 +101,12 @@ class CircularOrdering(Record):
         return self._tabulate(values)
 
 
-class LeftOrdering(NamedTuple):
+class LeftOrdering(Record):
     """Positive-cone membership oracle with the derived comparison; `cone`
     reads canonical forms."""
 
-    group: Group
-    provenance: str
-    cone: Callable[[Any], bool]
-    description: str = ""
+    __slots__ = ("group", "provenance", "cone", "description")
+    _defaults = ("",)
 
     def positive(self, g: Element) -> bool:
         if g.group is not self.group:
@@ -220,14 +218,10 @@ def natural_units(n: int) -> list[int]:
     return [k for k in range(1, n) if gcd(k, n) == 1]
 
 
-class SESData(NamedTuple):
+class SESData(Record):
     """Short exact sequence data backing a lexicographic circular ordering."""
 
-    group: Group
-    quotient: Group
-    projection: Homomorphism
-    kernel_order: LeftOrdering
-    quotient_ordering: CircularOrdering
+    __slots__ = ("group", "quotient", "projection", "kernel_order", "quotient_ordering")
 
 
 def _lex_entry(x, y, z, image, quotient, lt, twin) -> int:
@@ -317,12 +311,11 @@ def product_circular(lo: LeftOrdering, n: int) -> CircularOrdering:
 # -- explicit tables ----------------------------------------------------------
 
 
-class OrderingTable(NamedTuple):
-    """Stored values of a circular ordering over a finite carrier."""
+class OrderingTable(Record):
+    """Stored values of a circular ordering over a finite carrier: `carrier`
+    is a tuple of elements, `entries` maps value triples to -1, 0 or +1."""
 
-    group: Group
-    carrier: tuple[Element, ...]
-    entries: Mapping[tuple[Any, Any, Any], int]
+    __slots__ = ("group", "carrier", "entries")
 
     def ordering(self) -> CircularOrdering:
         entries = self.entries
@@ -420,13 +413,9 @@ class OrderingTable(NamedTuple):
 # -- validation ----------------------------------------------------------------
 
 
-class ValidationReport(NamedTuple):
-    name: str
-    status: str
-    checked_tuples: int
-    counterexample: dict | None = None
-    mode: str = "exhaustive"
-    notes: tuple[str, ...] = ()
+class ValidationReport(Record):
+    __slots__ = ("name", "status", "checked_tuples", "counterexample", "mode", "notes")
+    _defaults = (None, "exhaustive", ())
 
     @property
     def passed(self) -> bool:

@@ -9,9 +9,9 @@ ball says nothing about the whole group, and the verdict names say so.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from typing import Iterable
 
-from .groups import Ball, Element, Group
+from .groups import Ball, Element, Group, Record
 from .lift import Cocycle
 from .orders import (
     CircularOrdering,
@@ -22,20 +22,18 @@ from .orders import (
 )
 
 
-class CoboundarySolution(NamedTuple):
-    """A full {0,1} assignment satisfying every carrier constraint."""
+class CoboundarySolution(Record):
+    """A full {0,1} assignment satisfying every carrier constraint: `d` maps
+    the canonical form of each element of `carrier` to 0 or 1."""
 
-    group: Group
-    carrier: tuple[Element, ...]
-    d: dict[Any, int]
+    __slots__ = ("group", "carrier", "d")
 
     def cone_elements(self) -> list[Element]:
         return [g for g in self.carrier if self.d[g.value] == 0 and not g.is_identity]
 
 
-class SecretWitness(NamedTuple):
-    solution: CoboundarySolution
-    checked_constraints: int
+class SecretWitness(Record):
+    __slots__ = ("solution", "checked_constraints")
 
     status = "secret-on-carrier"
 
@@ -48,9 +46,8 @@ class SecretWitness(NamedTuple):
         }
 
 
-class NotSecretOnCarrier(NamedTuple):
-    trace: tuple[dict, ...]
-    checked_constraints: int
+class NotSecretOnCarrier(Record):
+    __slots__ = ("trace", "checked_constraints")
 
     status = "not-secret-on-carrier"
 
@@ -63,9 +60,9 @@ class NotSecretOnCarrier(NamedTuple):
         }
 
 
-class Inconclusive(NamedTuple):
-    reason: str
-    components: tuple[tuple, ...] = ()
+class Inconclusive(Record):
+    __slots__ = ("reason", "components")
+    _defaults = ((),)
 
     status = "inconclusive"
 

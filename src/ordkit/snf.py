@@ -6,9 +6,9 @@ matrices are tracked so callers can verify U * M * V = D exactly.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .groups import Presentation
+from .groups import Presentation, Record
 
 Matrix = list[list[int]]
 
@@ -165,11 +165,11 @@ def smith_normal_form(
     return D, U, V
 
 
-class AbelianizationResult(NamedTuple):
-    """Invariant factors of G/G' (0 encodes a Z factor) plus the exponent."""
+class AbelianizationResult(Record):
+    """Invariant factors of G/G' (0 encodes a Z factor) plus the exponent,
+    None when G/G' is infinite."""
 
-    invariant_factors: tuple[int, ...]
-    exponent: int | None
+    __slots__ = ("invariant_factors", "exponent")
 
     @property
     def is_finite(self) -> bool:

@@ -17,12 +17,14 @@ arithmetic is exact; claims about the group are verified by recomputation.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Any, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from .groups import Element, Group
+from .groups import Element, Group, Record
 from .orders import CheckList, counterexample, sweep
+
+if TYPE_CHECKING:  # imported where used, off the start-up path of the CLI
+    from fractions import Fraction
 
 
 def _is_prime(n: int) -> bool:
@@ -80,6 +82,8 @@ class WitnessAmbientGroup(Group):
         Fraction, so a degenerate base raises the error Fraction raises."""
         pair = self._factors.get((bj, bprev))
         if pair is None:
+            from fractions import Fraction
+
             q = Fraction(self.up) ** bj * Fraction(self.down) ** (-bprev)
             pair = self._factors[bj, bprev] = q.as_integer_ratio()
         return pair
@@ -125,6 +129,8 @@ class WitnessAmbientGroup(Group):
             fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
             prev = bj
             if not fn:
+                from fractions import Fraction
+
                 Fraction(-n, d) / 0  # raises the ZeroDivisionError Fraction does
             unscaled.append(_reduced(-n * fd, d * fn))
         b_star = b[i:] + b[:i]  # negated below, with the canonical shift
@@ -161,6 +167,8 @@ class WitnessAmbientGroup(Group):
             raise ValueError(f"z-twist out of range: {i!r}")
 
     def sort_key(self, value):
+        from fractions import Fraction
+
         a, b, i = value
         return (tuple(Fraction(n, d) for n, d in a), b, i)
 
@@ -169,6 +177,8 @@ class WitnessAmbientGroup(Group):
         return {"x": [_fmt(q) for q in a], "y": list(b), "z": i}
 
     def decode(self, obj):
+        from fractions import Fraction
+
         x = tuple(Fraction(s).as_integer_ratio() for s in obj["x"])
         value = (x, tuple(int(v) for v in obj["y"]), int(obj["z"]))
         self.check_value(value)
@@ -184,6 +194,8 @@ class WitnessAmbientGroup(Group):
         self, a: Sequence[Fraction | int], b: Sequence[int], i: int
     ) -> Element:
         """The element with rational x-exponents a, y-part b and z-twist i."""
+        from fractions import Fraction
+
         x = tuple(Fraction(q).as_integer_ratio() for q in a)
         return self.element((x, self._canon_b([int(v) for v in b]), i % self.p))
 
@@ -239,10 +251,8 @@ def _phi_multiplier(p: int, d: int) -> int:
     return m % p
 
 
-class WitnessMembership(NamedTuple):
-    element: Element
-    phi_value: int
-    in_subgroup: bool
+class WitnessMembership(Record):
+    __slots__ = ("element", "phi_value", "in_subgroup")
 
     def to_dict(self) -> dict:
         return {
@@ -332,6 +342,8 @@ def verify_witness_claims(
     of G has order <= p.  Any arithmetic error inside a family is reported
     as that family's failure.
     """
+    from fractions import Fraction
+
     G = group or WitnessAmbientGroup(p)
     p = G.p
     rng = random.Random(seed)

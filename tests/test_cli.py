@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -424,6 +425,11 @@ class TestBadArguments:
             "--degree-bound", "-1",
         )
 
+    def test_negative_enumerate_cap(self, capsys):
+        assert main(["enumerate", "--group", "cyclic:9", "--cap", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --cap: cap must be >= 1, got -1" in err
+
 
 class TestPromislowCommand:
     def test_cap_12(self, capsys):
@@ -531,18 +537,37 @@ class TestOutputHandling:
 
 
 class TestColdStart:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
     def test_import_leaves_out_dataclasses(self):
-        # every CLI call pays this import, and `dataclasses` with its
-        # decorator once made up most of it
+        # every CLI call pays this import: `dataclasses` with its decorator
+        # once made up most of it, and `fractions` (with `decimal` and
+        # `numbers`) serves only the witness and Promislow decoders
         env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = str(self.SRC)
         code = (
-            "import sys; before = set(sys.modules); import ordkit.cli; "
-            "print(sorted(set(sys.modules) - before))"
+            "import json, sys; before = set(sys.modules); import ordkit.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert "ordkit.cli" in proc.stdout
-        assert "'dataclasses'" not in proc.stdout
+        loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"fractions", "decimal", "numbers", "dataclasses"}
+        # perfbench/trace_job.py finds every layer in sys.modules after
+        # this one import, so no layer may load lazily
+        layers = ("groups", "orders", "lift", "secret", "snf", "obstruction",
+                  "witness", "cli")
+        assert {f"ordkit.{name}" for name in layers} <= loaded
+
+    def test_records_are_not_named_tuples(self):
+        # building a typing.NamedTuple class costs about ten times a
+        # groups.Record subclass at import
+        for path in sorted((self.SRC / "ordkit").glob("*.py")):
+            names = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "name", None)
+                for node in ast.walk(ast.parse(path.read_text()))
+            }
+            assert "NamedTuple" not in names, path.name

@@ -16,6 +16,7 @@ from ordkit.groups import (
     PROMISLOW_PRESENTATION,
     Presentation,
     PromislowGroup,
+    Record,
     ResourceCapError,
     ball,
     ball_with_words,
@@ -27,7 +28,7 @@ from ordkit.groups import (
     parse_presentation,
 )
 from ordkit.lift import Cocycle, LiftGroup
-from ordkit.orders import natural_circular_cyclic, usual_integer_order
+from ordkit.orders import ValidationReport, natural_circular_cyclic, usual_integer_order
 
 
 class TestGroupLaw:
@@ -442,3 +443,54 @@ class TestCodec:
             sample = list(ball(gens, 2))
         for g in sample:
             assert group.decode(group.encode(g.value)) == g.value
+
+
+class TestRecord:
+    """The generic record behaviour every plain groups.Record subclass gets."""
+
+    def test_positional_keyword_and_default_construction_agree(self):
+        full = ValidationReport("axiom", "pass", 3, None, "exhaustive", ())
+        assert ValidationReport("axiom", "pass", 3) == full
+        assert ValidationReport(checked_tuples=3, status="pass", name="axiom") == full
+        assert hash(ValidationReport("axiom", "pass", 3)) == hash(full)
+        assert repr(full) == (
+            "ValidationReport(name='axiom', status='pass', checked_tuples=3, "
+            "counterexample=None, mode='exhaustive', notes=())"
+        )
+        assert ValidationReport("axiom", "pass", 3, mode="sampled").mode == "sampled"
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("axiom", "pass"), {}),
+            (("axiom", "pass", 3, None, "exhaustive", (), "extra"), {}),
+            (("axiom", "pass", 3), {"name": "again"}),
+            (("axiom", "pass", 3), {"bogus": 1}),
+        ],
+        ids=["missing", "too-many", "repeated", "unknown"],
+    )
+    def test_arity_checked(self, args, kwargs):
+        with pytest.raises(TypeError, match="ValidationReport takes the fields"):
+            ValidationReport(*args, **kwargs)
+
+    def test_replace(self):
+        report = ValidationReport("axiom", "pass", 3)
+        changed = report._replace(status="fail", notes=("why",))
+        assert changed == ValidationReport("axiom", "fail", 3, notes=("why",))
+        assert report.status == "pass"
+        with pytest.raises(TypeError):
+            report._replace(bogus=1)
+
+    def test_immutable_and_typed_equality(self):
+        report = ValidationReport("axiom", "pass", 3)
+        with pytest.raises(AttributeError):
+            report.status = "fail"
+        with pytest.raises(AttributeError):
+            del report.status
+
+        class Twin(Record):
+            __slots__ = ValidationReport.__slots__
+            _defaults = ValidationReport._defaults
+
+        assert Twin("axiom", "pass", 3) != report
+        assert report != ("axiom", "pass", 3, None, "exhaustive", ())

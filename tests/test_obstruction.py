@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -128,9 +129,19 @@ class TestBruteForce:
         assert sorted(slow) == sorted(fast)
 
     def test_orderings_are_valid(self):
-        for table in brute_force_circular_orders(CyclicGroup(6)):
-            report = validate_circular(table.ordering(), CyclicGroup(6))
-            assert report.passed
+        # brute_force_circular_orders validates nothing itself: the
+        # arrangement theorem in its docstring is checked here instead
+        groups = [CyclicGroup(n) for n in range(1, 13)]
+        groups += [klein_four_group(), DirectProductGroup(CyclicGroup(2), CyclicGroup(4))]
+        for group in groups:
+            tables = brute_force_circular_orders(group, cap=12)
+            cyclic = isinstance(group, CyclicGroup)
+            n = group.order
+            phi = sum(math.gcd(k, n) == 1 for k in range(n))
+            assert len(tables) == (phi if cyclic else 0), group.descriptor
+            for table in tables:
+                report = validate_circular(table.ordering(), group)
+                assert (report.status, report.mode) == ("pass", "exhaustive")
 
 
 class TestObstructionFinite:
