@@ -190,10 +190,13 @@ def render_table(obj: dict) -> str:
 
 def emit(obj: dict, fmt: str, output: str | None) -> None:
     text = render_json(obj) if fmt == "json" else render_table(obj)
-    if output:
-        Path(output).write_text(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(output).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write report to {output}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -455,12 +458,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload, passed = args.func(args)
+        emit(payload, args.format, args.output)
     except (
         UsageError, ResourceCapError, InvalidOrderingError, SolverInvariantError
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    emit(payload, args.format, args.output)
     return 0 if passed else 1
 
 

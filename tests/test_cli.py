@@ -1,4 +1,6 @@
 import ast
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -535,22 +537,42 @@ class TestOutputHandling:
     def test_usage_error_exit_code(self, capsys):
         assert main(["enumerate"]) == 2
 
+    @pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        # a missing directory (FileNotFoundError) or a directory as the
+        # target (IsADirectoryError) is a resource error, not a traceback
+        path = tmp_path / target
+        code = main(["validate", "--group", "cyclic:5", "--ordering", "natural:1",
+                     "--output", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write report to {path}: [Errno ")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return env
+
 
 class TestColdStart:
-    SRC = Path(__file__).resolve().parents[1] / "src"
+    SRC = ROOT / "src"
 
     def test_import_leaves_out_dataclasses(self):
         # every CLI call pays this import: `dataclasses` with its decorator
         # once made up most of it, and `fractions` (with `decimal` and
         # `numbers`) serves only the witness and Promislow decoders
-        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-        env["PYTHONPATH"] = str(self.SRC)
         code = (
             "import json, sys; before = set(sys.modules); import ordkit.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            [sys.executable, "-c", code], env=child_env(), capture_output=True,
+            text=True,
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
@@ -571,3 +593,35 @@ class TestColdStart:
                 for node in ast.walk(ast.parse(path.read_text()))
             }
             assert "NamedTuple" not in names, path.name
+
+
+class TestProcessEntry:
+    """`python -m ordkit` and the `ordkit` script share one entry, which
+    freezes the start-up heap so that exit-time collections skip it."""
+
+    def test_module_entry_freezes_before_main(self):
+        code = (
+            "import gc, runpy, ordkit.cli\n"
+            "ordkit.cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "runpy.run_module('ordkit', run_name='__main__', alter_sys=True)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
+
+    def test_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+        module, _, name = pyproject["project"]["scripts"]["ordkit"].partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        assert entry is importlib.import_module("ordkit.__main__").run
+
+    def test_main_has_no_process_wide_effect(self, capsys):
+        # pytest and perfbench/trace_job.py run main() in-process
+        frozen = gc.get_freeze_count()
+        assert main(["lift-check", "--group", "cyclic:4", "--ordering",
+                     "natural:1"]) == 0
+        assert gc.get_freeze_count() == frozen

@@ -3,9 +3,10 @@
     python3 tools/importtime.py [--runs 20] [--root DIR]
 
 Runs ``python -X importtime -c "import ordkit.cli"`` RUNS times with
-``PYTHONPATH=DIR/src`` (DIR defaults to this checkout) and prints, for each
-module that import loads, its minimum self and cumulative time over the
-runs in microseconds.  Rows keep the interpreter's order, children before
+perfbench's job environment (every ``PYTHON*`` and ``ORDKIT*`` variable
+dropped, ``PYTHONPATH=DIR/src``; DIR defaults to this checkout) and prints,
+for each module that import loads, its minimum self and cumulative time over
+the runs in microseconds.  Rows keep the interpreter's order, children before
 their parent, indented by depth; modules the interpreter loaded before the
 import (``site`` and what it pulls in) are left out.  The runs may write
 bytecode caches, so that from the second run on they time an installed
@@ -25,13 +26,21 @@ from pathlib import Path
 TARGET = "ordkit.cli"
 
 
+def child_env(src: Path) -> dict[str, str]:
+    """perfbench's job environment: no ``PYTHON*`` or ``ORDKIT*`` variable
+    (so no ``PYTHONDONTWRITEBYTECODE``: runs time cached bytecode, not
+    compiling), and ``PYTHONPATH`` set to SRC."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("PYTHON", "ORDKIT"))}
+    env["PYTHONPATH"] = str(src)
+    return env
+
+
 def one_run(src: Path) -> list[tuple[str, int, int]]:
     """(indented module name, self us, cumulative us) of the target's tree."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)  # time cached bytecode, not compiling
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", f"import {TARGET}"],
-        env=env, capture_output=True, text=True, check=True,
+        env=child_env(src), capture_output=True, text=True, check=True,
     )
     rows = []
     for line in proc.stderr.splitlines():
