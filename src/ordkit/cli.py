@@ -313,7 +313,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, bool]:
     if not group.is_finite:
         raise UsageError(f"enumerate needs a finite group, got {group.descriptor}")
     try:
-        tables = brute_force_circular_orders(group, cap=args.cap)
+        arrangements = brute_force_circular_orders(group, cap=args.cap)
     except ResourceCapError as exc:
         raise UsageError(str(exc)) from exc
     payload = {
@@ -321,10 +321,8 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, bool]:
         "command": "enumerate",
         "group": group.descriptor,
         "order": group.order,
-        "count": len(tables),
-        "orderings": [
-            [g.encode() for g in table.carrier] for table in tables
-        ],
+        "count": len(arrangements),
+        "orderings": [[g.encode() for g in a] for a in arrangements],
     }
     return payload, True
 
@@ -466,6 +464,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     return 0 if passed else 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import gcd
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Any, Iterable, Sequence
 
 from .groups import (
@@ -36,7 +36,6 @@ from .orders import (
     CheckList,
     CircularOrdering,
     LeftOrdering,
-    OrderingTable,
     OutsideCarrierError,
     SESData,
     ValidationReport,
@@ -128,8 +127,9 @@ def finite_co_decide(group: Group) -> bool:
 
 def brute_force_circular_orders(
     group: Group, cap: int = 8
-) -> list[OrderingTable]:
-    """All left-invariant circular orderings of a small finite group.
+) -> list[tuple[Element, ...]]:
+    """All left-invariant circular orderings of a small finite group, each as
+    the arrangement whose positions `arrangement_circular` reads c from.
 
     With the identity pinned first, translation by the element a in
     position 1 must rotate the arrangement by one place, which forces it to
@@ -138,8 +138,8 @@ def brute_force_circular_orders(
     of the arrangement, and a rotation keeps the orientation of a cyclic
     arrangement, which satisfies the axioms.  So there are phi(n) of them
     for Z/n and none for a group that is not cyclic, at most n-1 candidates
-    instead of (n-1)!, returned in lexicographic order of their carrier
-    indices.
+    instead of (n-1)!.  They come in lexicographic order of their carrier
+    indices, which is the carrier order of a.
     """
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
@@ -148,14 +148,12 @@ def brute_force_circular_orders(
         raise ResourceCapError(
             f"brute force capped at order {cap}, group has order {n}"
         )
-    elems = as_carrier(group)
-    index = {g.value: k for k, g in enumerate(elems)}
-    powers = ([a**k for k in range(n)] for a in elems)  # a = e covers only Z/1
-    candidates = sorted(
-        (arrangement for arrangement in powers if len(set(arrangement)) == n),
-        key=lambda arrangement: [index[g.value] for g in arrangement],
+    e = group.identity()  # the powers of e cover only Z/1
+    powers = (
+        tuple(itertools.accumulate([a] * (n - 1), mul, initial=e))
+        for a in as_carrier(group)
     )
-    return [OrderingTable.from_arrangement(group, a) for a in candidates]
+    return [arrangement for arrangement in powers if len(set(arrangement)) == n]
 
 
 # -- spectrum reports ----------------------------------------------------------

@@ -195,23 +195,41 @@ def _cyclic_entry(n: int, p1: int, p2: int, p3: int) -> int:
     return 1 if u < v else -1
 
 
+def arrangement_circular(
+    group: Group, arrangement: Sequence[Element],
+    provenance: str = "arrangement", description: str = "cyclic arrangement",
+) -> CircularOrdering:
+    """The ordering of a cyclic arrangement of distinct elements of group:
+    +1 on the distinct triples met in that order going round, -1 on the
+    other distinct triples.  It is defined on the arranged elements only."""
+    require_members(group, arrangement, "arrangement")
+    position = {g.value: p for p, g in enumerate(arrangement)}
+    n = len(arrangement)
+    if len(position) != n:
+        raise ValueError("arrangement has repeats")
+
+    def fn(x: Any, y: Any, z: Any) -> int:
+        return _cyclic_entry(n, position[x], position[y], position[z])
+
+    def tabulate(values: list) -> Callable:
+        pos = [position[v] for v in values]
+        return lambda x, y, z: _cyclic_entry(n, pos[x], pos[y], pos[z])
+
+    return CircularOrdering(group, provenance, fn, description, tabulate)
+
+
 def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
-    """Ordering of Z/n as rotations: residue r sits at angle k*r/n."""
+    """Ordering of Z/n as rotations: residue r sits at angle k*r/n, so the
+    arrangement's position p holds p * k^-1 mod n."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if gcd(k, n) != 1:
         raise ValueError(f"unit {k} is not coprime to {n}")
     group = CyclicGroup(n)
-    k = k % n
-
-    def fn(x: int, y: int, z: int) -> int:
-        return _cyclic_entry(n, k * x, k * y, k * z)
-
-    def tabulate(values: list) -> Callable:
-        pos = [k * r % n for r in values]
-        return lambda x, y, z: _cyclic_entry(n, pos[x], pos[y], pos[z])
-
-    return CircularOrdering(group, "natural-cyclic", fn, f"unit {k} mod {n}", tabulate)
+    k, inverse = k % n, pow(k, -1, n)
+    arrangement = [Element(group, p * inverse % n) for p in range(n)]
+    name = f"unit {k} mod {n}"
+    return arrangement_circular(group, arrangement, "natural-cyclic", name)
 
 
 def natural_units(n: int) -> list[int]:
@@ -385,20 +403,6 @@ class OrderingTable(Record):
                 raise ValueError(f"entry value {value!r} is not an integer")
             entries[tuple(decode(raw) for raw in raws)] = value
         return OrderingTable(group, carrier, entries)
-
-    @staticmethod
-    def from_arrangement(
-        group: Group, arrangement: Sequence[Element]
-    ) -> "OrderingTable":
-        """Table of the ordering induced by a cyclic arrangement."""
-        position = {g.value: i for i, g in enumerate(arrangement)}
-        if len(position) != len(arrangement):
-            raise ValueError("arrangement has repeats")
-        n = len(arrangement)
-        entries: dict[tuple[Any, Any, Any], int] = {}
-        for (a, i), (b, j), (c, k) in itertools.permutations(position.items(), 3):
-            entries[(a, b, c)] = _cyclic_entry(n, i, j, k)
-        return OrderingTable(group, tuple(arrangement), entries)
 
     @staticmethod
     def from_ordering(

@@ -12,7 +12,12 @@ import pytest
 from ordkit import lift as lift_module
 from ordkit.cli import main, resolve_group, resolve_ordering
 from ordkit.groups import CyclicGroup, GroupMismatchError, klein_four_group
-from ordkit.orders import OrderingTable, as_carrier, natural_circular_cyclic
+from ordkit.orders import (
+    OrderingTable,
+    arrangement_circular,
+    as_carrier,
+    natural_circular_cyclic,
+)
 
 
 def run(capsys, *argv):
@@ -111,7 +116,9 @@ class TestValidate:
         # no valid table exists for a non-cyclic group; submit an arbitrary
         # arrangement table and watch an axiom break
         group = klein_four_group()
-        table = OrderingTable.from_arrangement(group, as_carrier(group))
+        carrier = as_carrier(group)
+        c = arrangement_circular(group, carrier)
+        table = OrderingTable.from_ordering(c, carrier)
         path = tmp_path / "klein.json"
         path.write_text(json.dumps(table.to_json_dict()))
         code, out = run(

@@ -28,7 +28,12 @@ from ordkit.lift import (
     lift_check_report,
 )
 from ordkit.obstruction import brute_force_circular_orders
-from ordkit.orders import CircularOrdering, natural_circular_cyclic
+from ordkit.orders import (
+    CircularOrdering,
+    OrderingTable,
+    arrangement_circular,
+    natural_circular_cyclic,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("data") / "lift_reports.json"
 
@@ -50,7 +55,8 @@ def _run(check):
 def _table_cases():
     for n in range(3, 7):
         group = CyclicGroup(n)
-        for t, table in enumerate(brute_force_circular_orders(group)):
+        for t, a in enumerate(brute_force_circular_orders(group)):
+            table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
             keys = [k for k in sorted(table.entries) if k[0] < k[1] < k[2]]
             tables = [table, *(table.flipped(key) for key in keys)]
             yield f"cyclic:{n}/table{t}", [

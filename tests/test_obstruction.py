@@ -6,6 +6,7 @@ import pytest
 from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
+    Element,
     Homomorphism,
     IntegerGroup,
     PROMISLOW,
@@ -17,7 +18,7 @@ from ordkit.groups import (
     ball_with_words,
     klein_four_group,
 )
-from ordkit import groups, obstruction
+from ordkit import groups, obstruction, orders
 from ordkit.obstruction import (
     CertificateError,
     LeftOrderEvidence,
@@ -46,7 +47,7 @@ from ordkit.obstruction import (
 )
 from ordkit.orders import (
     LeftOrdering,
-    OrderingTable,
+    arrangement_circular,
     as_carrier,
     usual_integer_order,
     validate_circular,
@@ -119,12 +120,12 @@ class TestBruteForce:
         others = [g for g in elems if g != ident]
         slow = []
         for perm in itertools.permutations(others):
-            table = OrderingTable.from_arrangement(group, [ident, *perm])
-            if validate_circular(table.ordering(), elems).passed:
-                slow.append(tuple(g.value for g in table.carrier))
+            arrangement = (ident, *perm)
+            c = arrangement_circular(group, arrangement)
+            if validate_circular(c, elems).passed:
+                slow.append(tuple(g.value for g in arrangement))
         fast = [
-            tuple(g.value for g in t.carrier)
-            for t in brute_force_circular_orders(group)
+            tuple(g.value for g in a) for a in brute_force_circular_orders(group)
         ]
         assert sorted(slow) == sorted(fast)
 
@@ -134,14 +135,28 @@ class TestBruteForce:
         groups = [CyclicGroup(n) for n in range(1, 13)]
         groups += [klein_four_group(), DirectProductGroup(CyclicGroup(2), CyclicGroup(4))]
         for group in groups:
-            tables = brute_force_circular_orders(group, cap=12)
+            arrangements = brute_force_circular_orders(group, cap=12)
             cyclic = isinstance(group, CyclicGroup)
             n = group.order
             phi = sum(math.gcd(k, n) == 1 for k in range(n))
-            assert len(tables) == (phi if cyclic else 0), group.descriptor
-            for table in tables:
-                report = validate_circular(table.ordering(), group)
+            assert len(arrangements) == (phi if cyclic else 0), group.descriptor
+            for a in arrangements:
+                report = validate_circular(arrangement_circular(group, a), group)
                 assert (report.status, report.mode) == ("pass", "exhaustive")
+
+    def test_enumeration_evaluates_no_ordering(self, monkeypatch):
+        # the arrangements are the output: no entry of c is computed for them
+        calls, entry = [], orders._cyclic_entry
+        monkeypatch.setattr(
+            orders, "_cyclic_entry", lambda *a: calls.append(a) or entry(*a)
+        )
+        group = CyclicGroup(12)
+        arrangements = brute_force_circular_orders(group, cap=12)
+        assert calls == []
+        assert len(arrangements) == 4
+        for a in arrangements:
+            assert type(a) is tuple and len(a) == 12
+            assert all(type(g) is Element and g.group is group for g in a)
 
 
 class TestObstructionFinite:

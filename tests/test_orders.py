@@ -12,8 +12,10 @@ from ordkit.groups import (
     IntegerGroup,
     PromislowGroup,
     ball,
+    get_group,
 )
 from ordkit.obstruction import (
+    brute_force_circular_orders,
     promislow_circular,
     promislow_kernel_order,
     promislow_phi,
@@ -21,6 +23,8 @@ from ordkit.obstruction import (
 from ordkit.orders import (
     LeftOrdering,
     OrderingTable,
+    _cyclic_entry,
+    arrangement_circular,
     as_carrier,
     restricted_cone,
     sweep,
@@ -352,7 +356,9 @@ class TestOrderingTable:
 
     def test_given_group_needs_no_group_key(self):
         group = CyclicGroup(3)
-        obj = OrderingTable.from_arrangement(group, as_carrier(group)).to_json_dict()
+        carrier = as_carrier(group)
+        c = arrangement_circular(group, carrier)
+        obj = OrderingTable.from_ordering(c, carrier).to_json_dict()
         del obj["group"]
         assert OrderingTable.from_json_dict(obj, group).group == group
         with pytest.raises(ValueError, match="missing the 'group' key"):
@@ -362,7 +368,8 @@ class TestOrderingTable:
         inner = DirectProductGroup(CyclicGroup(2), CyclicGroup(3))
         group = DirectProductGroup(inner, CyclicGroup(1))
         carrier = as_carrier(group)
-        table = OrderingTable.from_arrangement(group, carrier)
+        c = arrangement_circular(group, carrier)
+        table = OrderingTable.from_ordering(c, carrier)
         obj = json.loads(json.dumps(table.to_json_dict()))
         assert obj["group"] == "product:product:cyclic:2,cyclic:3,cyclic:1"
         back = OrderingTable.from_json_dict(obj)
@@ -370,13 +377,49 @@ class TestOrderingTable:
         assert back.carrier == table.carrier
         assert back.entries == table.entries
 
-    def test_from_arrangement_matches_natural(self):
-        group = CyclicGroup(5)
-        arrangement = [group.element(k) for k in range(5)]
-        table = OrderingTable.from_arrangement(group, arrangement)
-        natural = natural_circular_cyclic(5, 1)
-        for t in itertools.permutations(group.elements(), 3):
-            assert table.ordering()(*t) == natural(*t)
+
+class TestArrangementCircular:
+    @pytest.mark.parametrize(
+        "descriptor",
+        [f"cyclic:{n}" for n in range(1, 13)] + ["product:cyclic:3,cyclic:2"],
+    )
+    def test_table_matches_fn_on_every_enumerated_arrangement(self, descriptor):
+        # Z/1 and Z/2 have no distinct triple: their tables are built and
+        # never read
+        group = get_group(descriptor)
+        points = as_carrier(group)
+        values = [g.value for g in points]
+        arrangements = brute_force_circular_orders(group, cap=12)
+        assert arrangements
+        for a in arrangements:
+            c = arrangement_circular(group, a)
+            table = c.table(points)
+            for i, j, k in itertools.permutations(range(len(points)), 3):
+                assert table(i, j, k) == c.fn(values[i], values[j], values[k])
+            # consecutive places go round the circle the positive way
+            for p in range(len(a) - 2):
+                assert c(*a[p : p + 3]) == 1
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_natural_is_its_arrangement(self, n):
+        # the reference is natural:k's former closed form: residue r at
+        # place k*r on a circle of n places
+        points = as_carrier(CyclicGroup(n))
+        for k in natural_units(n):
+            c = natural_circular_cyclic(n, k)
+            table = c.table(points)
+            for x, y, z in itertools.product(range(n), repeat=3):
+                expected = _cyclic_entry(n, k * x, k * y, k * z)
+                assert c.fn(x, y, z) == expected
+                if len({x, y, z}) == 3:
+                    assert table(x, y, z) == expected
+
+    def test_rejects_repeats_and_strangers(self):
+        group = CyclicGroup(4)
+        with pytest.raises(ValueError, match="repeats"):
+            arrangement_circular(group, [group.element(0), group.element(0)])
+        with pytest.raises(GroupMismatchError):
+            arrangement_circular(group, [CyclicGroup(5).element(1)])
 
 
 class TestSweepCounts:
@@ -423,8 +466,7 @@ class TestSweepCounts:
     def test_invariance_failure_count(self):
         group = CyclicGroup(5)
         arrangement = [group.element(v) for v in (0, 2, 1, 3, 4)]
-        table = OrderingTable.from_arrangement(group, arrangement)
-        report = validate_circular(table.ordering(), group)
+        report = validate_circular(arrangement_circular(group, arrangement), group)
         assert report.checked_tuples == 884
         assert report.counterexample == {
             "kind": "left-invariance",

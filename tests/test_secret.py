@@ -12,6 +12,7 @@ from ordkit.groups import (
 )
 from ordkit.lift import Cocycle
 from ordkit.orders import (
+    arrangement_circular,
     lex_free_abelian_order,
     natural_circular_cyclic,
     product_circular,
@@ -121,8 +122,8 @@ class TestFiniteGroupsNeverSecret:
         groups = [CyclicGroup(n) for n in (2, 3, 4, 5, 6)]
         groups.append(DirectProductGroup(CyclicGroup(2), CyclicGroup(3)))
         for group in groups:
-            for table in brute_force_circular_orders(group):
-                verdict = detect_secret(table.ordering(), group)
+            for a in brute_force_circular_orders(group):
+                verdict = detect_secret(arrangement_circular(group, a), group)
                 assert isinstance(verdict, NotSecretOnCarrier), group.descriptor
 
 

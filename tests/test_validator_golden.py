@@ -25,6 +25,7 @@ from ordkit.groups import (
 from ordkit.obstruction import brute_force_circular_orders, promislow_circular
 from ordkit.orders import (
     OrderingTable,
+    arrangement_circular,
     natural_circular_cyclic,
     secret_from_left,
     usual_integer_order,
@@ -55,7 +56,8 @@ def _families():
     a carrier."""
     for n in range(3, 8):
         group = CyclicGroup(n)
-        for t, table in enumerate(brute_force_circular_orders(group)):
+        for t, a in enumerate(brute_force_circular_orders(group)):
+            table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
             keys = [k for k in sorted(table.entries) if k[0] < k[1] < k[2]]
             flips = [table.flipped(key) for key in keys]
             yield f"cyclic:{n}/table{t}", group, [table, *flips]

@@ -23,6 +23,7 @@ from ordkit.groups import (
 from ordkit.obstruction import brute_force_circular_orders, promislow_circular
 from ordkit.orders import (
     OrderingTable,
+    arrangement_circular,
     as_carrier,
     counterexample,
     intern_carrier,
@@ -104,9 +105,10 @@ def with_flips(table, keys):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_cyclic_tables_and_every_single_flip(n):
     group = CyclicGroup(n)
-    tables = brute_force_circular_orders(group)
-    assert tables
-    for table in tables:
+    arrangements = brute_force_circular_orders(group)
+    assert arrangements
+    for a in arrangements:
+        table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
         for ordering in with_flips(table, sorted(table.entries)):
             assert_agree(ordering, group)
 
@@ -169,7 +171,10 @@ def test_every_arrangement_of_a_two_block_carrier(group, values, outcomes):
     first, *rest = [group.element(v) for v in values]
     seen = set()
     for tail in itertools.permutations(rest):
-        table = OrderingTable.from_arrangement(group, [first, *tail])
+        arrangement = [first, *tail]
+        table = OrderingTable.from_ordering(
+            arrangement_circular(group, arrangement), arrangement
+        )
         circular, _ = assert_agree(table, [first, *rest])
         seen.add(("replay-" if _left_keys_split(table) else "") + circular)
     assert seen == outcomes
