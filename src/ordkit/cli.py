@@ -464,3 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     return 0 if passed else 1
 
+
+if __name__ == "__main__":  # not an entry: a silent exit 0 would read as a pass
+    sys.stderr.write("error: run python -m ordkit, not python -m ordkit.cli\n")
+    raise SystemExit(2)

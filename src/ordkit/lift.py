@@ -19,7 +19,6 @@ from .orders import (
     CheckList,
     CircularOrdering,
     ValidationReport,
-    _secret_entry,
     as_carrier,
     counterexample,
     sweep,
@@ -30,21 +29,28 @@ class InvalidOrderingError(ValueError):
     """The ordering behind a cocycle violates the circular-ordering axioms."""
 
 
-def _ladder(a, b, ab, ident, orient: Callable, element: Callable) -> int:
-    """The cocycle's case ladder over handles of a, b, ab and the identity;
-    orient(x, y) is c(id, x, y) and element(x) is shown in the error."""
-    if a == ident or b == ident:
-        return 0
-    if ab == ident:
-        return 1
-    if orient(a, ab) == 1:
-        return 0
-    if orient(ab, a) == 1:
-        return 1
-    raise InvalidOrderingError(
-        f"no cocycle case fires at ({element(a)!r}, {element(b)!r}); "
-        "the underlying circular ordering is invalid"
-    )
+def _ladder(a, pairs, ident, ahead: Callable, behind: Callable, element) -> list:
+    """The cocycle's case ladder: f_c(a, b) for each (b, ab) of pairs of
+    handles, None where ab is None; ahead(a, b, ab) is c(id, a, ab) = +1,
+    behind(a, b, ab) is c(id, ab, a) = +1, element(x) is shown in errors."""
+    row: list = []
+    for b, ab in pairs:
+        if ab is None:
+            row.append(None)
+        elif a == ident or b == ident:
+            row.append(0)
+        elif ab == ident:
+            row.append(1)
+        elif ahead(a, b, ab):
+            row.append(0)
+        elif behind(a, b, ab):
+            row.append(1)
+        else:
+            raise InvalidOrderingError(
+                f"no cocycle case fires at ({element(a)!r}, {element(b)!r}); "
+                "the underlying circular ordering is invalid"
+            )
+    return row
 
 
 class Cocycle:
@@ -68,7 +74,8 @@ class Cocycle:
         self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
         self._ident = ident = group._identity_value()
         self._element = functools.partial(Element, group)
-        self._orient = functools.partial(ordering.fn, ident)
+        self._ahead = lambda a, b, ab: ordering.fn(ident, a, ab) == 1
+        self._behind = lambda a, b, ab: ordering.fn(ident, ab, a) == 1
 
     def __call__(self, a: Element, b: Element) -> int:
         if not (a.group is self.group and b.group is self.group):
@@ -81,54 +88,64 @@ class Cocycle:
         value = self._cache.get(key)
         if value is None:
             value = self._cache[key] = _ladder(
-                a, b, self.group._op_values(a, b), self._ident, self._orient,
-                self._element,
-            )
+                a, ((b, self.group._op_values(a, b)),), self._ident, self._ahead,
+                self._behind, self._element,
+            )[0]
         return value
 
-    def on_carrier(self, elems: Sequence[Element]) -> Callable[[int, int, int], int]:
-        """f_c(elems[i], elems[j]) as f(i, j, k), elems[k] being their product;
-        the distinct elems hold the identity.
-
-        The ladder's orientations c(e, a, ab) and c(e, ab, a) come from the
-        ordering's table, or for a secret ordering from two bits per carrier
-        value v, cone(v) and cone(v^-1), each read at most once: the secret
-        entry compares e, a and ab, whose quotients are a, ab and b up to
-        inversion, so it is read off its values on the eight triples of
-        bits.  Both bits are read, as a corrupted cone need not satisfy
-        trichotomy.
+    def on_carrier(self, points: Sequence[Element]) -> Callable[[int, list], list]:
+        """f_c by rows over the distinct points, which hold the identity:
+        row(i, ks) lists f_c(points[i], points[j]) over j, ks[j] being the
+        index of their product, or None where it leaves the points and f_c is
+        not evaluated.  Memoized pairs, such as overrides, keep their values.
+        The orientations come from the ordering's table or, for a secret
+        ordering, from bits cone(v^-1) and cone(v) of each point v, each read
+        once, on first use: f = 0 when cone(a^-1) + cone((ab)^-1) + cone(b^-1)
+        is even, else f = 1 when cone(a^-1) + cone((ab)^-1) + cone(b) is.
         """
-        values, ident = [g.value for g in elems], self.group._identity_value()
+        values, ident = [g.value for g in points], self.group._identity_value()
         if ident not in values:
             raise ValueError("carrier must contain the identity")
-        require_members(self.group, elems, "cocycle")
+        require_members(self.group, points, "cocycle")
         e, cache, cone = values.index(ident), self._cache, self.ordering._cone
-        step = [0, 0]  # the indices of b and ab while f evaluates a pair
         if cone is None:
-            orient = functools.partial(self.ordering.table(elems), e)
+            table = self.ordering.table(points)
+            ahead, behind = (lambda i, j, k: table(e, i, k) == 1,
+                             lambda i, j, k: table(e, k, i) == 1)
         else:
-            inv = self.group._inv_value
-            pos = functools.cache(lambda i: bool(cone(values[i])))
-            neg = functools.cache(lambda i: bool(cone(inv(values[i]))))
-            # _secret_entry(e, x, y, lt) reads lt(x, e), lt(y, e) and lt(y, x),
-            # lt(p, q) being cone(p^-1 q): its value on each triple of bits
-            entry = {}
-            for bits in itertools.product((False, True), repeat=3):
-                lts = dict(zip([(1, 0), (2, 0), (2, 1)], bits))
-                entry[bits] = _secret_entry(0, 1, 2, lambda p, q: lts[p, q])
+            # bits read so far; 4 marks an unread one, so sums above 3 hold one
+            inv, neg, pos = self.group._inv_value, [4] * len(points), [4] * len(points)
 
-            def orient(x: int, y: int) -> int:
-                # lt(y, x) is cone(b^-1) for (x, y) = (a, ab), else cone(b)
-                b, ab = step
-                return entry[neg(x), neg(y), neg(b) if y == ab else pos(b)]
+            def bit(bits: list, i: int) -> bool:
+                if bits[i] == 4:
+                    bits[i] = bool(cone(inv(values[i]) if bits is neg else values[i]))
+                return bits[i]
 
-        def f(i: int, j: int, k: int) -> int:
-            if cache and (value := cache.get((values[i], values[j]))) is not None:
-                return value
-            step[0], step[1] = j, k
-            return _ladder(i, j, k, e, orient, elems.__getitem__)
+            def ahead(i: int, j: int, k: int) -> bool:
+                s = neg[i] + neg[k] + neg[j]
+                if s > 3:
+                    s = bit(neg, i) + bit(neg, k) + bit(neg, j)
+                return not s & 1
 
-        return f
+            def behind(i: int, j: int, k: int) -> bool:
+                s = neg[k] + neg[i] + pos[j]
+                if s > 3:
+                    s = bit(neg, k) + bit(neg, i) + bit(pos, j)
+                return not s & 1
+
+        def row(i: int, ks: list) -> list:
+            a = values[i]
+            # memoized pairs, such as overrides, keep their values unevaluated
+            memo = {j: cache[a, b] for j, b in enumerate(values)
+                    if ks[j] is not None and (a, b) in cache} if cache else {}
+            if memo:
+                ks = [None if j in memo else k for j, k in enumerate(ks)]
+            fs = _ladder(i, enumerate(ks), e, ahead, behind, points.__getitem__)
+            for j in memo:
+                fs[j] = memo[j]
+            return fs
+
+        return row
 
 
 class LiftGroup(Group):

@@ -281,13 +281,11 @@ def lex_circular(ses: SESData) -> CircularOrdering:
     def tabulate(values: list) -> Callable:
         images = [image(x) for x in values]
         slot = {w: s for s, w in enumerate(dict.fromkeys(images))}
-        return functools.partial(
-            _lex_entry,
-            image=[slot[w] for w in images].__getitem__,
-            quotient=quotient.table([Element(ses.projection.target, w) for w in slot]),
-            lt=functools.cache(lambda x, y: lt(values[x], values[y])),
-            twin=functools.cache(lambda x, y: twin(values[x], values[y])),
-        )
+        at = [slot[w] for w in images].__getitem__
+        order = quotient.table([Element(ses.projection.target, w) for w in slot])
+        less = functools.cache(lambda x, y: lt(values[x], values[y]))
+        pair = functools.cache(lambda x, y: twin(values[x], values[y]))
+        return lambda x, y, z: _lex_entry(x, y, z, at, order, less, pair)
 
     fn = functools.partial(
         _lex_entry, image=image, quotient=quotient.fn, lt=lt, twin=twin

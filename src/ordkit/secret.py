@@ -91,12 +91,11 @@ def detect_secret(
     """Solve the coboundary equations for c over the carrier.
 
     Every pair with g, h and gh inside the carrier gives the constraint
-    d(g) + d(h) - d(gh) = f_c(g,h), with f_c from `Cocycle.on_carrier`; for
-    a secret ordering that reads two cone bits per carrier element.  Seeds
-    d(id) = 0 and propagates: each constraint keeps the number of its
-    unassigned terms and the sum of its assigned ones, so a visit to one
-    with two or more unknowns costs O(1), one with none compares its sum
-    with f, and only one with a single unknown reads its terms.  The
+    d(g) + d(h) - d(gh) = f_c(g,h), f_c read by rows of `Cocycle.on_carrier`.
+    Seeds d(id) = 0 and propagates: each constraint keeps the number of its
+    unassigned terms and f less the sum of its assigned ones, so a visit to
+    one with two or more unknowns costs O(1), one with none checks that
+    this rest is 0, and only one with a single unknown reads its terms.  The
     remaining free values are searched depth-first (smallest canonical form
     first, value 0 before 1) with chronological backtracking on one trail of
     assignments, along which the counts are restored.  Deterministic,
@@ -106,37 +105,43 @@ def detect_secret(
     elems, group = as_carrier(carrier), c.group
     # the variables are carrier indices; vals[i] is the canonical form of i
     points, vals, index, ids = intern_carrier(elems)
-    f = Cocycle(c).on_carrier(points)
+    row = Cocycle(c).on_carrier(points)
 
-    # constraint (g, h, gh, f) over indices; its terms are the indices of
-    # nonzero coefficient, each watching it, and unknown[ci] counts those
-    # still unassigned; g, h and gh are distinct unless g = h or one of
-    # them is the identity
+    # constraint (g, h, gh, f) over indices, with terms the indices of nonzero
+    # coefficient (g, h and gh differ unless g = h or one is the identity):
+    # watch[v] lists those v is a term of, coef[v] beside it v's coefficients
+    # there, and unknown[ci] counts the terms still unassigned
     constraints: list[tuple[int, int, int, int]] = []
     watch: list[list[int]] = [[] for _ in vals]
-    unknown: list[int] = []
-    op, find, row = group._op_values, index.get, [(hi, vals[hi]) for hi in ids]
-    watch_add = [w.append for w in watch]
+    coef: list[list[int]] = [[] for _ in vals]
+    unknown = [3] * len(ids) ** 2  # cut to the constraints' length below
+    op, find, ci = group._op_values, index.get, -1
     for gi in ids:
         g = vals[gi]
-        for hi, h in row:
-            ghi = find(op(g, h))
+        ks = [find(op(g, h)) for h in vals]
+        fs = row(gi, ks)
+        for hi in ids:
+            ghi = ks[hi]
             if ghi is None:
                 continue
-            ci, constraint = len(constraints), (gi, hi, ghi, f(gi, hi, ghi))
+            ci += 1
+            constraint = (gi, hi, ghi, fs[hi])
+            constraints.append(constraint)
             if gi != hi and gi != ghi and hi != ghi:
-                watch_add[gi](ci)
-                watch_add[hi](ci)
-                watch_add[ghi](ci)
-                unknown.append(3)
+                watch[gi].append(ci)
+                watch[hi].append(ci)
+                watch[ghi].append(ci)
+                coef[gi].append(1)
+                coef[hi].append(1)
+                coef[ghi].append(-1)
             else:
                 terms = [v for v in {gi, hi, ghi} if _coefficient(v, constraint)]
                 for v in terms:
-                    watch_add[v](ci)
-                unknown.append(len(terms))
-            constraints.append(constraint)
-    # known[ci] sums the assigned terms of constraint ci
-    known = [0] * len(constraints)
+                    watch[v].append(ci)
+                    coef[v].append(_coefficient(v, constraint))
+                unknown[ci] = len(terms)
+    del unknown[ci + 1:]
+    rest = [constraint[3] for constraint in constraints]  # f less assigned terms
 
     # trail entries (kind, var, value, constraint); origin[var] is the trail
     # position of var's entry while value[var] is not None
@@ -146,14 +151,14 @@ def detect_secret(
 
     def count(var: int, x: int, sign: int) -> None:
         """Count var = x into (sign 1) or out of (sign -1) the unknowns and
-        known sums of the constraints var watches."""
-        for ci in watch[var]:
-            unknown[ci] -= sign
+        rests of the constraints var watches."""
         if x:
-            # _coefficient, inlined: this loop runs once per watch entry
+            for ci, k in zip(watch[var], coef[var]):
+                unknown[ci] -= sign
+                rest[ci] -= sign * k
+        else:
             for ci in watch[var]:
-                g, h, gh, _ = constraints[ci]
-                known[ci] += sign * ((var == g) + (var == h) - (var == gh))
+                unknown[ci] -= sign
 
     def assign(kind: str, var: int, x: int, ci: int | None) -> None:
         value[var] = x
@@ -177,13 +182,13 @@ def detect_secret(
                 left = unknown[ci]
                 if left > 1:
                     continue
-                constraint = constraints[ci]
-                rhs = constraint[3]
-                num = rhs - known[ci]
+                num = rest[ci]
                 if not left:
                     if num:
-                        return ci, f"constraint evaluates to {known[ci]}, needs {rhs}"
+                        rhs = constraints[ci][3]
+                        return ci, f"constraint evaluates to {rhs - num}, needs {rhs}"
                     continue
+                constraint = constraints[ci]
                 v = next(
                     v for v in constraint[:3]
                     if value[v] is None and _coefficient(v, constraint)

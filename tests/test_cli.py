@@ -626,6 +626,16 @@ class TestProcessEntry:
         entry = getattr(importlib.import_module(module), name)
         assert entry is importlib.import_module("ordkit.__main__").run
 
+    def test_cli_module_is_not_an_entry(self):
+        # run as a module, cli.py must not exit 0 without running anything
+        argv = ["validate", "--group", "klein4", "--ordering", "natural:1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordkit.cli", *argv], env=child_env(),
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: run python -m ordkit, not python -m ordkit.cli\n"
+
     def test_main_has_no_process_wide_effect(self, capsys):
         # pytest and perfbench/trace_job.py run main() in-process
         frozen = gc.get_freeze_count()

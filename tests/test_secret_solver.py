@@ -20,12 +20,14 @@ from ordkit.groups import CyclicGroup, FreeAbelianGroup, IntegerGroup, ball
 from ordkit.lift import Cocycle, InvalidOrderingError
 from ordkit.orders import (
     LeftOrdering,
+    OutsideCarrierError,
     as_carrier,
     intern_carrier,
     lex_free_abelian_order,
     natural_circular_cyclic,
     natural_units,
     product_circular,
+    restricted_cone,
     secret_from_left,
     usual_integer_order,
 )
@@ -190,12 +192,13 @@ def rescan_detect_secret(c, carrier, max_trials=1 << 20):
 
 
 def assert_solvers_agree(c, carrier, max_trials=1 << 20):
-    """The same verdict JSON, or the same InvalidOrderingError, and the same
-    trial count: a cap one below it stops the counted solver short."""
+    """The same verdict JSON, or the same InvalidOrderingError or
+    OutsideCarrierError, and the same trial count: a cap one below it stops
+    the counted solver short."""
     try:
         want, trials = rescan_detect_secret(c, carrier, max_trials)
-    except InvalidOrderingError as exc:
-        with pytest.raises(InvalidOrderingError, match=f"^{re.escape(str(exc))}$"):
+    except (InvalidOrderingError, OutsideCarrierError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             detect_secret(c, carrier, max_trials=max_trials)
         return
     assert detect_secret(c, carrier, max_trials=max_trials).to_dict() == want.to_dict()
@@ -234,6 +237,21 @@ class TestCountedMatchesRescan:
         c = secret_from_left(LeftOrdering(Z, "corrupted", positives.__contains__))
         assert_solvers_agree(c, [Z.element(v) for v in {0, *points}], max_trials)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.lists(st.integers(-6, 6), max_size=8, unique=True),
+        caps,
+    )
+    def test_restricted_integer_cones(self, window, points, max_trials):
+        # the cone is known on [-window, window] only, so reading its bits
+        # out of the ladder's order would raise another OutsideCarrierError
+        # than the rescan's pair-by-pair cocycle
+        known = [Z.element(v) for v in range(-window, window + 1)]
+        lo = restricted_cone(Z, [g for g in known if g.value > 0], known)
+        carrier = [Z.element(v) for v in {0, *points}]
+        assert_solvers_agree(secret_from_left(lo), carrier, max_trials)
+
     @settings(max_examples=30, deadline=None)
     @given(st.data(), caps)
     def test_corrupted_free_abelian_cones(self, data, max_trials):
@@ -253,6 +271,19 @@ class TestCountedMatchesRescan:
         c = product_circular(usual_integer_order(Z), n)
         gens = [c.group.element((1, 0)), c.group.element((0, 1))]
         assert_solvers_agree(c, ball(gens, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 9), st.data(), caps)
+    def test_lex_restricted_kernel_cones(self, n, window, data, max_trials):
+        # the kernel's cone is known on [-window, window] only, so the lex
+        # entries may ask it about a stranger: both solvers must then raise
+        # the same OutsideCarrierError
+        known = [Z.element(v) for v in range(-window, window + 1)]
+        lo = restricted_cone(Z, [g for g in known if g.value > 0], known)
+        c = product_circular(lo, n)
+        pool = [c.group.element((a, b)) for a in range(-5, 6) for b in range(n)]
+        drawn = data.draw(st.lists(st.sampled_from(pool), max_size=10, unique=True))
+        assert_solvers_agree(c, [c.group.identity(), *drawn], max_trials)
 
     @pytest.mark.parametrize("max_trials", [0, 1, 2, 3])
     def test_caps_that_end_inconclusive(self, max_trials):

@@ -254,16 +254,19 @@ class TestCocycleOnCarrier:
         elems = as_carrier(carrier)
         index = {g.value: i for i, g in enumerate(elems)}
         f = Cocycle(c)
-        f_idx = Cocycle(c).on_carrier(elems)
-        for (i, g), (j, h) in itertools.product(enumerate(elems), repeat=2):
-            k = index.get((g * h).value)
-            if k is not None:
-                assert f_idx(i, j, k) == f(g, h)
+        row = Cocycle(c).on_carrier(elems)
+        for i, g in enumerate(elems):
+            ks = [index.get((g * h).value) for h in elems]
+            for h, k, value in zip(elems, ks, row(i, ks)):
+                assert value == (None if k is None else f(g, h))
 
-    def test_overrides_win(self):
+    @pytest.mark.parametrize("override", [0, 1])
+    def test_overrides_win(self, override):
+        # f(1, 1) is 0 on the natural ordering of Z/3; the override decides
+        # that entry alone
         group = CyclicGroup(3)
-        f = Cocycle(natural_circular_cyclic(3, 1), overrides={(1, 1): 0})
-        assert f.on_carrier(group.elements())(1, 1, 2) == 0
+        f = Cocycle(natural_circular_cyclic(3, 1), overrides={(1, 1): override})
+        assert f.on_carrier(group.elements())(1, [1, 2, 0]) == [0, override, 1]
 
     def test_identity_required(self):
         elems = [Z.element(1), Z.element(2)]
@@ -286,26 +289,42 @@ def test_detect_secret_cone_calls_bounded_by_pairs():
     assert 0 < len(calls) <= 2 * len(carrier)
 
 
+def test_detect_secret_evaluates_the_cocycle_by_rows(monkeypatch):
+    # one row call per carrier element, not one call per constraint
+    rows, cones = [], []
+    on_carrier = Cocycle.on_carrier
+
+    def counted(self, points):
+        row = on_carrier(self, points)
+        return lambda i, ks: rows.append(i) or row(i, ks)
+
+    monkeypatch.setattr(Cocycle, "on_carrier", counted)
+    usual = LeftOrdering(Z, "usual", lambda v: cones.append(v) or v > 0)
+    verdict = detect_secret(secret_from_left(usual), ball([Z.element(1)], 20))
+    assert isinstance(verdict, SecretWitness)
+    assert sorted(rows) == list(range(41))
+    assert len(cones) <= 82
+
+
 def without_cone(c):
     """c with its cone dropped, so that its cocycle reads c's table."""
     return CircularOrdering(c.group, c.provenance, c.fn, c.description)
 
 
 def cocycle_run(c, elems):
-    """f_c on every carrier pair whose product is in the carrier, in the
-    order `detect_secret` builds its constraints; an InvalidOrderingError
-    ends the run and is returned with the pair it was raised at."""
-    f = Cocycle(c).on_carrier(elems)
+    """f_c on every carrier pair whose product is in the carrier, by rows in
+    the order `detect_secret` builds its constraints; an InvalidOrderingError
+    ends the run and is returned with the row it was raised at (its text
+    names the pair)."""
+    row = Cocycle(c).on_carrier(elems)
     index = {g.value: i for i, g in enumerate(elems)}
     values = []
-    for (i, g), (j, h) in itertools.product(enumerate(elems), repeat=2):
-        k = index.get((g * h).value)
-        if k is None:
-            continue
+    for i, g in enumerate(elems):
+        ks = [index.get((g * h).value) for h in elems]
         try:
-            values.append(f(i, j, k))
+            values += [f for f in row(i, ks) if f is not None]
         except InvalidOrderingError as exc:
-            return values, (g.value, h.value, str(exc))
+            return values, (g.value, str(exc))
     return values, None
 
 
