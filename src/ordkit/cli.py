@@ -9,10 +9,12 @@ identical configurations produce byte-identical output either way.
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import json
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from .groups import (
@@ -190,68 +192,55 @@ def render_table(obj: dict) -> str:
 
 def emit(obj: dict, fmt: str, output: str | None) -> None:
     text = render_json(obj) if fmt == "json" else render_table(obj)
-    if not output:
-        sys.stdout.write(text)
-        return
     try:
-        Path(output).write_text(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write report to {output}: {exc}") from exc
+        if output:
+            Path(output).write_text(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # a missing directory, a closed pipe, a full disk
+        raise UsageError(f"cannot write report to {output or 'stdout'}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_validate(args: SimpleNamespace) -> tuple[dict, bool]:
     group = resolve_group(args.group)
     ordering = resolve_ordering(group, args.ordering)
     carrier = resolve_carrier(group, args.radius)
-    if args.bi:
-        report = validate_bi_invariance(ordering, carrier)
-    else:
-        report = validate_circular(ordering, carrier)
-    payload = {
-        "schema": SCHEMA,
-        "command": "validate",
+    validator = validate_bi_invariance if args.bi else validate_circular
+    report = validator(ordering, carrier)
+    return {
         "group": group.descriptor,
         "ordering": args.ordering,
         "bi_invariance": bool(args.bi),
         "carrier_size": len(list(carrier.elements)) if isinstance(carrier, Ball)
         else group.order,
         "report": report.to_dict(),
-    }
-    return payload, report.passed
+    }, report.passed
 
 
-def cmd_lift_check(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_lift_check(args: SimpleNamespace) -> tuple[dict, bool]:
     group = resolve_group(args.group)
     ordering = resolve_ordering(group, args.ordering)
     carrier = resolve_carrier(group, args.radius)
     report = lift_check_report(ordering, carrier, degree_bound=args.degree_bound)
-    payload = {
-        "schema": SCHEMA,
-        "command": "lift-check",
-        "group": group.descriptor,
-        "ordering": args.ordering,
-        "report": report,
-    }
-    return payload, report["status"] == "pass"
+    body = {"group": group.descriptor, "ordering": args.ordering, "report": report}
+    return body, report["status"] == "pass"
 
 
-def cmd_detect_secret(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_detect_secret(args: SimpleNamespace) -> tuple[dict, bool]:
     group = resolve_group(args.group)
     ordering = resolve_ordering(group, args.ordering)
     carrier = resolve_carrier(group, args.radius)
     verdict = detect_secret(ordering, carrier)
-    payload = {
-        "schema": SCHEMA,
-        "command": "detect-secret",
+    return {
         "group": group.descriptor,
         "ordering": args.ordering,
         "radius": args.radius if not group.is_finite else None,
         "verdict": verdict.to_dict(),
-    }
-    return payload, verdict.status == "secret-on-carrier"
+    }, verdict.status == "secret-on-carrier"
 
 
 def _witness_recorded_spectrum(p: int, cap: int) -> SpectrumReport:
@@ -273,7 +262,7 @@ def _witness_recorded_spectrum(p: int, cap: int) -> SpectrumReport:
     )
 
 
-def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_spectrum(args: SimpleNamespace) -> tuple[dict, bool]:
     desc: str = args.group
     if desc == "promislow":
         report = promislow_spectrum(args.cap, radius=args.radius)
@@ -300,15 +289,10 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[dict, bool]:
             lo = builtin_left_order(group)
             carrier = ball(builtin_generators(group), args.radius)
             report = left_orderable_spectrum(lo, args.cap, carrier)
-    payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
-        "report": report.to_dict(),
-    }
-    return payload, True
+    return {"report": report.to_dict()}, True
 
 
-def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_enumerate(args: SimpleNamespace) -> tuple[dict, bool]:
     group = resolve_group(args.group)
     if not group.is_finite:
         raise UsageError(f"enumerate needs a finite group, got {group.descriptor}")
@@ -316,153 +300,199 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict, bool]:
         arrangements = brute_force_circular_orders(group, cap=args.cap)
     except ResourceCapError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {
-        "schema": SCHEMA,
-        "command": "enumerate",
+    return {
         "group": group.descriptor,
         "order": group.order,
         "count": len(arrangements),
         "orderings": [[g.encode() for g in a] for a in arrangements],
-    }
-    return payload, True
+    }, True
 
 
-def cmd_promislow(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_promislow(args: SimpleNamespace) -> tuple[dict, bool]:
     worked = promislow_worked_example(radius=args.radius)
     spectrum = promislow_spectrum(args.cap, radius=min(args.radius, 3))
-    payload = {
-        "schema": SCHEMA,
-        "command": "promislow",
-        "worked_example": worked,
-        "spectrum": spectrum.to_dict(),
-    }
     ok = worked["status"] == "pass" and spectrum.fully_determined
-    return payload, ok
+    return {"worked_example": worked, "spectrum": spectrum.to_dict()}, ok
 
 
-def cmd_witness(args: argparse.Namespace) -> tuple[dict, bool]:
+def cmd_witness(args: SimpleNamespace) -> tuple[dict, bool]:
     try:
         report = verify_witness_claims(args.p, budget=args.budget, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {
-        "schema": SCHEMA,
-        "command": "witness",
-        "report": report,
-    }
-    return payload, report["status"] == "pass"
+    return {"report": report}, report["status"] == "pass"
 
 
-# -- entry point --------------------------------------------------------------------
+# -- command line -------------------------------------------------------------------
 
 
 def at_least(low: int, what: str) -> Callable[[str], int]:
-    """argparse type for an integer option that must be >= low."""
+    """Converter for an integer option that must be >= low."""
 
-    def integer(text: str) -> int:  # argparse: "invalid integer value: 'x'"
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+    def integer(text: str) -> int:  # its name reads "invalid integer value: 'x'"
+        if (value := int(text)) < low:
+            raise UsageError(f"{what} must be >= {low}, got {value}")
         return value
 
     return integer
 
 
-# a spectrum's range [2, cap] must not be empty
-spectrum_cap = at_least(2, "cap")
-radius_arg = at_least(0, "radius")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ordkit",
-        description="computing with left orderings and circular orderings",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser, ordering: bool = True) -> None:
-        p.add_argument("--group", required=True, help="group descriptor")
-        if ordering:
-            p.add_argument(
-                "--ordering", required=True, help="ordering descriptor"
-            )
-        p.add_argument("--radius", type=radius_arg, default=3,
-                       help="ball radius for infinite groups (default 3)")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--output", help="write the report to this path")
-
-    p = sub.add_parser("validate", help="run the circular-ordering validators")
-    common(p)
-    p.add_argument("--bi", action="store_true",
-                   help="also require right-invariance")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("lift-check",
-                       help="cocycle, group-law and cone checks for the lift")
-    common(p)
-    p.add_argument("--degree-bound", type=at_least(0, "degree bound"), default=3,
-                   help="window bound on the central coordinate (default 3)")
-    p.set_defaults(func=cmd_lift_check)
-
-    p = sub.add_parser("detect-secret",
-                       help="decide secretness of an ordering on a carrier")
-    common(p)
-    p.set_defaults(func=cmd_detect_secret)
-
-    p = sub.add_parser("spectrum", help="obstruction spectrum up to a cap")
-    p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=spectrum_cap, required=True)
-    p.add_argument("--radius", type=radius_arg, default=3)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("enumerate",
-                       help="brute-force circular orderings of a finite group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--cap", type=at_least(1, "cap"), default=8,
-                   help="largest group order to enumerate (default 8)")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("promislow",
-                       help="reproduce the Promislow computation")
-    p.add_argument("--cap", type=spectrum_cap, required=True)
+REQUIRED = object()
+GROUP = {"--group": (str, REQUIRED, "group descriptor")}
+RADIUS = {"--radius": (at_least(0, "radius"), 3, "ball radius for infinite groups")}
+CARRIER = {**GROUP, "--ordering": (str, REQUIRED, "ordering descriptor"), **RADIUS}
+REPORT = {"--format": (("json", "table"), "json", "report format"),
+          "--output": (str, None, "write the report to this path")}
+CAP = {"--cap": (at_least(2, "cap"), REQUIRED, "largest n")}  # [2, cap] is not empty
+# subcommand -> (help, function, options), and option -> (converter, default or
+# REQUIRED, help), where a converter is a function of the text, a tuple of the
+# choices or bool for a flag.  Error messages list options in this order.
+COMMANDS: dict[str, tuple[str, Callable[[Any], tuple[dict, bool]], dict]] = {
+    "validate": ("run the circular-ordering validators", cmd_validate, {
+        **CARRIER, **REPORT, "--bi": (bool, False, "also require right-invariance")}),
+    "lift-check": ("cocycle, group-law and cone checks for the lift", cmd_lift_check, {
+        **CARRIER, **REPORT, "--degree-bound": (
+            at_least(0, "degree bound"), 3, "window bound on the central coordinate")}),
+    "detect-secret": ("decide secretness of an ordering on a carrier",
+                      cmd_detect_secret, {**CARRIER, **REPORT}),
+    "spectrum": ("obstruction spectrum up to a cap", cmd_spectrum,
+                 {**GROUP, **CAP, **RADIUS, **REPORT}),
+    "enumerate": ("brute-force circular orderings of a finite group", cmd_enumerate, {
+        **GROUP, "--cap": (at_least(1, "cap"), 8, "largest group order"), **REPORT}),
     # radius 0 sees one coset of ker(phi), so the worked example cannot pass
-    p.add_argument("--radius", type=at_least(1, "radius"), default=4)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_promislow)
+    "promislow": ("reproduce the Promislow computation", cmd_promislow, {
+        **CAP, "--radius": (at_least(1, "radius"), 4, "ball radius"), **REPORT}),
+    "witness": ("verify the witness-group construction claims", cmd_witness, {
+        "--p": ((2, 3, 5), REQUIRED, "the prime parameter"),
+        "--budget": (at_least(1, "budget"), 500, "sampling budget"),
+        "--seed": (int, 0, "sampler seed"), **REPORT}),
+}
+HELP = ("-h", "--help")
 
-    p = sub.add_parser("witness",
-                       help="verify the witness-group construction claims")
-    p.add_argument("--p", type=int, required=True, choices=(2, 3, 5),
-                   help="the prime parameter")
-    p.add_argument("--budget", type=at_least(1, "budget"), default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_witness)
 
-    return parser
+class ArgvExit(Exception):
+    """A command line that runs nothing: the help of ordkit or of a subcommand
+    (code 0), or its usage line and an error (code 2)."""
+
+    def __init__(self, command: str | None, error: str | None = None) -> None:
+        if command is None:
+            out = [f"usage: ordkit [-h] {{{','.join(COMMANDS)}}} ..."] + [
+                f"  {name:<24}{text}" for name, (text, _, _) in COMMANDS.items()]
+        else:
+            title, _, options = COMMANDS[command]
+            usage, out = [f"usage: ordkit {command} [-h]"], [title]
+            for name, (convert, default, text) in options.items():
+                kind = name[2:].upper() if not isinstance(convert, tuple) else (
+                    "{" + ",".join(map(str, convert)) + "}")
+                form = name if convert is bool else f"{name} {kind}"
+                usage.append(form if default is REQUIRED else f"[{form}]")
+                out.append(f"  {form:<24}{text}")
+            out.insert(0, " ".join(usage))
+        if error is not None:
+            out = [out[0], f"ordkit{f' {command}' if command else ''}: error: {error}"]
+        super().__init__(0 if error is None else 2, "\n".join(out) + "\n")
+
+
+def _option(arg: str, names: Sequence[str]) -> tuple[str | None, str | None] | None:
+    """How argparse reads a string: None for a value, else (option, or None if
+    unknown; glued value or None).  An ambiguous prefix raises UsageError."""
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    head, eq, value = arg.partition("=")
+    glued = value if eq else None
+    if head in names:
+        return head, glued
+    if arg[1] == "-":  # a unique prefix of a long option
+        found = [(name, glued) for name in names if name.startswith(head)]
+    else:  # a short option with its value glued on
+        found = [(arg[:2], arg[2:])] if arg[:2] in names else []
+    if len(found) > 1:
+        matches = ", ".join(name for name, _ in found)
+        raise UsageError(f"ambiguous option: {arg} could match {matches}")
+    if found:
+        return found[0]
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _take(command: str | None, option: str, text: str | None, convert: Any) -> Any:
+    """An option's value from its text (None if none followed); help ends here."""
+    text = (text.lstrip("h") or None) if option == "-h" and text else text  # -hh: -h -h
+    kind = type(convert[0]) if isinstance(convert, tuple) else convert
+    try:
+        if (convert is bool) != (text is None):
+            raise UsageError("expected one argument" if text is None
+                             else f"ignored explicit argument {text!r}")
+        value = True if convert is bool else kind(text)
+        if isinstance(convert, tuple) and value not in convert:
+            choices = ", ".join(map(repr, convert))
+            raise UsageError(f"invalid choice: {value!r} (choose from {choices})")
+    except ValueError as exc:  # UsageError is a ValueError
+        name = "-h/--help" if option in HELP else option
+        raise UsageError(f"argument {name}: " + (str(exc) if isinstance(exc, UsageError)
+                         else f"invalid {kind.__name__} value: {text!r}")) from None
+    if option in HELP:
+        raise ArgvExit(command)
+    return value
+
+
+def parse_args(argv: Sequence[str]) -> tuple[str, SimpleNamespace]:
+    """The subcommand and option values of argv, read from COMMANDS by the rules
+    of the argparse parser this replaced, with its error lines.  Raises ArgvExit
+    for help or a usage error."""
+    rest, extras, command = list(argv), [], None
+    try:
+        while rest and rest[0] != "--" and (found := _option(rest[0], HELP)):
+            if found[0]:  # before the subcommand only -h/--help is known
+                _take(None, *found, bool)
+            extras.append(rest.pop(0))
+        if rest in ([], ["--"]):
+            raise UsageError("the following arguments are required: subcommand")
+        if rest[0] not in COMMANDS:
+            raise UsageError(f"argument subcommand: invalid choice: {rest[0]!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+        command, strings = rest[0], rest[1:]
+        options = COMMANDS[command][2]
+        values = {name: default for name, (_, default, _) in options.items()}
+        # all strings are read before any is taken, so an ambiguous prefix fails
+        # first; "--" is never a value, and every string after it is one
+        cut = (strings + ["--"]).index("--")
+        kinds = [_option(arg, (*HELP, *options)) for arg in strings[:cut]]
+        kinds += [(None, None)] + [None] * (len(strings) - cut - 1)
+        steps = iter(range(len(strings)))
+        for i in steps:
+            option, glued = kinds[i] or (None, None)
+            if option is None:  # a stray value, "--" or an unknown option
+                extras.append(strings[i])
+                continue
+            convert = options[option][0] if option in options else bool
+            if glued is None and convert is not bool and kinds[i + 1] is None:
+                glued = strings[next(steps)]
+            values[option] = _take(command, option, glued, convert)
+        if missing := [name for name, value in values.items() if value is REQUIRED]:
+            raise UsageError("the following arguments are required: "
+                             + ", ".join(missing))
+    except UsageError as exc:
+        raise ArgvExit(command, str(exc)) from None
+    if extras:
+        raise ArgvExit(None, f"unrecognized arguments: {' '.join(extras)}")
+    return command, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                       for name, value in values.items()})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        payload, passed = args.func(args)
-        emit(payload, args.format, args.output)
-    except (
-        UsageError, ResourceCapError, InvalidOrderingError, SolverInvariantError
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return 0 if passed else 1
+        command, args = parse_args(sys.argv[1:] if argv is None else argv)
+        body, passed = COMMANDS[command][1](args)
+        emit({"schema": SCHEMA, "command": command, **body}, args.format, args.output)
+        return 0 if passed else 1
+    except ArgvExit as exc:
+        code, text = exc.args
+    except (UsageError, ResourceCapError, InvalidOrderingError,
+            SolverInvariantError) as exc:
+        code, text = 2, f"error: {exc}\n"
+    with contextlib.suppress(OSError):  # like argparse: nothing on a closed stream
+        (sys.stderr if code else sys.stdout).write(text)
+    return code
 
 
 if __name__ == "__main__":  # not an entry: a silent exit 0 would read as a pass

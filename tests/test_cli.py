@@ -584,6 +584,9 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
         assert not loaded & {"fractions", "decimal", "numbers", "dataclasses"}
+        # the command line is read from the subcommand table: argparse, with
+        # the gettext and locale of its messages, is not loaded
+        assert not loaded & {"argparse", "gettext", "locale"}
         # perfbench/trace_job.py finds every layer in sys.modules after
         # this one import, so no layer may load lazily
         layers = ("groups", "orders", "lift", "secret", "snf", "obstruction",
@@ -604,7 +607,8 @@ class TestColdStart:
 
 class TestProcessEntry:
     """`python -m ordkit` and the `ordkit` script share one entry, which
-    freezes the start-up heap so that exit-time collections skip it."""
+    freezes the start-up heap, runs main, flushes the report and leaves by
+    os._exit; a report that cannot be written exits 2."""
 
     def test_module_entry_freezes_before_main(self):
         code = (
@@ -635,6 +639,57 @@ class TestProcessEntry:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: run python -m ordkit, not python -m ordkit.cli\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--group", "cyclic:3"],
+        ["spectrum", "--group", "cyclic:30", "--cap", "400"],
+    ], ids=["small", "large"])
+    def test_closed_pipe_exits_2(self, argv):
+        # a report written to a pipe whose reader is gone: one error line
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ordkit", *argv], env=child_env(),
+                stdout=write, stderr=subprocess.PIPE, text=True,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write report to stdout: [Errno 32] Broken pipe\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ordkit", "enumerate", "--group", "cyclic:3"],
+                env=child_env(), stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: cannot write report to stdout: [Errno 28] No space left on "
+            "device\n"
+        )
+
+    @pytest.mark.parametrize("argv, size", [
+        (["enumerate", "--group", "cyclic:3"], 100),
+        (["spectrum", "--group", "cyclic:30", "--cap", "400"], 70_000),
+    ], ids=["small", "large"])
+    def test_whole_report_survives_the_fast_exit(self, capsys, tmp_path, argv, size):
+        # the entry leaves through os._exit: a report must still arrive whole,
+        # through a pipe and through --output, whether it stays in the stdout
+        # buffer until the flush (small) or is written past it (about 78 KB)
+        assert main(argv) == 0
+        report = capsys.readouterr().out.encode()
+        assert len(report) > size
+        command = [sys.executable, "-m", "ordkit", *argv]
+        proc = subprocess.run(command, env=child_env(), capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, report, b"")
+        path = tmp_path / "report.json"
+        proc = subprocess.run([*command, "--output", str(path)], env=child_env(),
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert path.read_bytes() == report
 
     def test_main_has_no_process_wide_effect(self, capsys):
         # pytest and perfbench/trace_job.py run main() in-process

@@ -12,9 +12,11 @@ of each phase:
   timestamp (interpreter start, ``site``, and the driver importing ``os``,
   ``runpy`` and ``time``);
 - import: ``import ordkit.cli``;
-- run: the entry, from the package's ``__main__`` to its return;
-- exit: from the entry's return to the parent seeing the process exit
-  (interpreter shutdown, which an in-process tracer cannot see);
+- run: the entry, from the package's ``__main__`` to its return or to its
+  ``os._exit`` call, which the driver wraps to take its last timestamp first;
+- exit: from there to the parent seeing the process exit (interpreter
+  shutdown, or after ``os._exit`` only the kernel's process exit; an
+  in-process tracer sees neither);
 - total: from spawn to exit, minimised on its own.
 
 Phases are read from ``time.monotonic_ns``, one clock for the parent and
@@ -37,16 +39,23 @@ from importtime import child_env
 
 PHASES = ("spawn", "import", "run", "exit", "total")
 
-# the child reports its three timestamps on the pipe whose descriptor is {fd}
+# the child reports its three timestamps on the pipe whose descriptor is {fd},
+# once: when the entry returns or raises, or just before it calls os._exit
 DRIVER = """\
 import os, runpy, time
 t0 = time.monotonic_ns()
 import ordkit.cli
 t1 = time.monotonic_ns()
+def stamp():
+    os.write({fd}, b"%d %d %d" % (t0, t1, time.monotonic_ns()))
+def stamped_exit(code, exit_now=os._exit):
+    stamp()
+    exit_now(code)
+os._exit = stamped_exit
 try:
     runpy.run_module("ordkit", run_name="__main__", alter_sys=True)
 finally:
-    os.write({fd}, b"%d %d %d" % (t0, t1, time.monotonic_ns()))
+    stamp()
 """
 
 
