@@ -78,14 +78,18 @@ class WitnessAmbientGroup(Group):
 
     def _factor(self, bj: int, bprev: int) -> tuple[int, int]:
         """up^bj * down^-bprev as a reduced pair: y-exponents bj on y_j and
-        bprev on y_{j-1} scale x_j by it.  Memoised; a miss computes it with
-        Fraction, so a degenerate base raises the error Fraction raises."""
+        bprev on y_{j-1} scale x_j by it.  Memoised; a miss computes it from
+        int powers.  A zero base under a negative power raises the error
+        Fraction raises there, ZeroDivisionError("Fraction(1, 0)")."""
         pair = self._factors.get((bj, bprev))
         if pair is None:
-            from fractions import Fraction
+            n = self.up ** max(bj, 0) * self.down ** max(-bprev, 0)
+            d = self.up ** max(-bj, 0) * self.down ** max(bprev, 0)
+            if not d:
+                from fractions import Fraction
 
-            q = Fraction(self.up) ** bj * Fraction(self.down) ** (-bprev)
-            pair = self._factors[bj, bprev] = q.as_integer_ratio()
+                Fraction(1, 0)  # raises, as Fraction(0) ** -k does
+            pair = self._factors[bj, bprev] = _reduced(n, d)
         return pair
 
     def scale_vector(
@@ -119,6 +123,26 @@ class WitnessAmbientGroup(Group):
         last = b[-1] + b2[-1]
         new_b = tuple([u + v - last for u, v in zip(b, b2)])
         return (tuple(new_a), new_b, (i + i2) % self.p)
+
+    def _product_is_identity(self, x, y) -> bool:
+        """Whether _op_values(x, y) is the identity, without building it:
+        n1/d1 + n2*fn/(d2*fd) = 0 on every coordinate, cross-multiplied (all
+        denominators are positive), and the y- and z-parts cancel.  Every
+        factor is looked up in _op_values's order, so a degenerate base
+        raises the same error at the same coordinate."""
+        a, b, i = x
+        a2, b2, i2 = y
+        if i:
+            a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
+        factors = self._factors
+        prev = b[-1]
+        last = prev + b2[-1]
+        zero = (i + i2) % self.p == 0
+        for (n1, d1), (n2, d2), bj, bj2 in zip(a, a2, b, b2):
+            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+            prev = bj
+            zero = zero and bj + bj2 == last and n1 * d2 * fd + n2 * fn * d1 == 0
+        return zero
 
     def _inv_value(self, x):
         a, b, i = x
@@ -194,9 +218,7 @@ class WitnessAmbientGroup(Group):
         self, a: Sequence[Fraction | int], b: Sequence[int], i: int
     ) -> Element:
         """The element with rational x-exponents a, y-part b and z-twist i."""
-        from fractions import Fraction
-
-        x = tuple(Fraction(q).as_integer_ratio() for q in a)
+        x = tuple(q.as_integer_ratio() for q in a)
         return self.element((x, self._canon_b([int(v) for v in b]), i % self.p))
 
     def x_gen(self, index: int, exponent: Fraction | int = 1) -> Element:
@@ -342,17 +364,21 @@ def verify_witness_claims(
     of G has order <= p.  Any arithmetic error inside a family is reported
     as that family's failure.
     """
-    from fractions import Fraction
-
     G = group or WitnessAmbientGroup(p)
     p = G.p
     rng = random.Random(seed)
     ident = G.identity()
     gij_cases = [(i, j) for i in range(p) for j in range(-3, 4)]
 
-    def g_ij(i: int, j: int) -> tuple[Fraction, Element]:
-        t = Fraction(1, (p + 1) ** j) if j >= 0 else Fraction((p + 1) ** (-j))
-        return t, G.x_gen(i, t) * G.x_gen(i + 1, -t)
+    def x_pow(index: int, q: tuple[int, int]) -> Element:
+        """x_index^(n/d) for a reduced pair q = (n, d)."""
+        a = [(0, 1)] * p
+        a[index % p] = q
+        return G.element((tuple(a), (0,) * p, 0))
+
+    def g_ij(i: int, j: int) -> tuple[tuple[int, int], Element]:
+        t = (1, (p + 1) ** j) if j >= 0 else ((p + 1) ** -j, 1)
+        return t, x_pow(i, t) * x_pow(i + 1, (-t[0], t[1]))
 
     def y_centralizes():
         # the product y_1...y_p acts trivially on H (raw action, so the
@@ -373,12 +399,12 @@ def verify_witness_claims(
 
     def gij_y_commutator():
         for i, j in gij_cases:
-            t, g = g_ij(i, j)
+            (tn, td), g = g_ij(i, j)
             y = G.y_gen(i + 1)
             comm = g * y * ~g * ~y
-            expected = G.x_gen(i + 1, t * p)
+            expected = x_pow(i + 1, _reduced(tn * p, td))
             if p == 2:  # x_{i+2} = x_i adds the wrap-around term
-                expected = expected * G.x_gen(i, t * p / (p + 1))
+                expected = expected * x_pow(i, _reduced(tn * p, td * (p + 1)))
             if comm != expected:
                 yield {"i": i, "j": j, "got": comm.encode(), "expected": expected.encode()}
             elif not membership_G(comm).in_subgroup:
@@ -405,6 +431,7 @@ def verify_witness_claims(
     # (a, b, i) in G is phi_H(a) == i, and Elements are built only for
     # counterexamples
     op, inv, ident_value = G._op_values, G._inv_value, ident.value
+    is_identity = G._product_is_identity
 
     def subgroup_closure():
         # closure of G under sampled products and inverses
@@ -419,7 +446,7 @@ def verify_witness_claims(
             g_inv = inv(gv)
             if phi_H(G, g_inv[0]) != g_inv[2]:
                 yield counterexample("inverse", (g,))
-            elif op(gv, g_inv) != ident_value or op(g_inv, gv) != ident_value:
+            elif not (is_identity(gv, g_inv) and is_identity(g_inv, gv)):
                 yield counterexample("inverse-law", (g,))
             else:
                 yield None
@@ -432,11 +459,13 @@ def verify_witness_claims(
             if gv == ident_value:
                 continue
             power, order = gv, None
-            for k in range(2, p + 1):
+            for k in range(2, p):
                 power = op(power, gv)
                 if power == ident_value:
                     order = k
                     break
+            else:  # the last power only needs deciding
+                order = p if is_identity(power, gv) else None
             yield None if order is None else {"element": g.encode(), "order": order}
 
     checks = CheckList()

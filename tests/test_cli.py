@@ -593,6 +593,24 @@ class TestColdStart:
                   "witness", "cli")
         assert {f"ordkit.{name}" for name in layers} <= loaded
 
+    def test_witness_run_leaves_out_fractions(self):
+        # the standard witness group computes on int pairs, so a witness
+        # run loads `fractions` no more than the import does
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ordkit", "witness",
+             "--p", "3", "--budget", "20"],
+            env=child_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["report"]["status"] == "pass"
+        loaded = {
+            line.rpartition("|")[2].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "ordkit.witness" in loaded
+        assert not loaded & {"fractions", "decimal", "numbers"}
+
     def test_records_are_not_named_tuples(self):
         # building a typing.NamedTuple class costs about ten times a
         # groups.Record subclass at import

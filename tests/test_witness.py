@@ -454,3 +454,67 @@ class TestKernelMatchesFractionReference:
         wire = json.loads(json.dumps(x.encode()))
         assert group.decode(wire) == x.value
         assert resolved.decode(wire) == x.value
+
+
+# -- the identity-product kernel and the int y-factors ---------------------------
+
+IDENTITY_GROUPS = [WitnessAmbientGroup(p) for p in (2, 3, 5, 7)] + [
+    WitnessAmbientGroup(p, **{knob: base})
+    for p in (2, 3)
+    for knob in ("up_base", "down_base")
+    for base in (0, 1, -2)
+]
+
+
+def _identity_pairs(group, seed):
+    """Sampled pairs, (g, g^-1) and (g^-1, g) where g^-1 exists, and
+    (g^k, g) for the powers of g up to p, for samples g of G and z."""
+    rng = random.Random(seed)
+    samples = [random_subgroup_element(group, rng).value for _ in range(40)]
+    samples.append(group.z_gen().value)
+    pairs = list(zip(samples, samples[1:]))
+    for g in samples:
+        inverse = _outcome(lambda: group._inv_value(g))
+        if inverse[0] == "value":
+            pairs += [(g, inverse[1]), (inverse[1], g)]
+        power = g
+        for _ in range(group.p):
+            pairs.append((power, g))
+            step = _outcome(lambda: group._op_values(power, g))
+            if step[0] != "value":
+                break
+            power = step[1]
+    return pairs
+
+
+@pytest.mark.parametrize("group", IDENTITY_GROUPS, ids=lambda g: g.descriptor)
+def test_product_is_identity_matches_op(group):
+    identity = group.identity().value
+    outcomes = Counter()
+    for seed in range(3):
+        for x, y in _identity_pairs(group, seed):
+            want = _outcome(lambda: group._op_values(x, y) == identity)
+            assert _outcome(lambda: group._product_is_identity(x, y)) == want, (x, y)
+            outcomes[want[1] if want[0] == "value" else "raises"] += 1
+    # the pairs reach both verdicts, and a zero base raises
+    assert outcomes[False] > 0
+    assert outcomes[True] > 0 or not group.standard
+    assert outcomes["raises"] > 0 or (group.up and group.down)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_factor_matches_fraction_powers(p):
+    bases = (-2, 0, 1, 2, 4, p + 1)
+    for up in bases:
+        for down in bases:
+            group = WitnessAmbientGroup(p, up, down)
+            for bj in range(-6, 7):
+                for bprev in range(-6, 7):
+                    want = _outcome(
+                        lambda: (
+                            Fraction(up) ** bj * Fraction(down) ** -bprev
+                        ).as_integer_ratio()
+                    )
+                    # the first call computes the pair, the second reads the memo
+                    for _ in range(2):
+                        assert _outcome(lambda: group._factor(bj, bprev)) == want

@@ -4,15 +4,18 @@
 
 Each line of ARGV_FILE is one ordkit argv, split as a shell would; blank
 lines and lines starting with ``#`` are skipped.  For each argv the script
-runs ``python -m ordkit ARGV`` once against each tree, in the current
-directory, with perfbench's job environment (every ``PYTHON*`` and
-``ORDKIT*`` variable dropped, ``PYTHONPATH`` the tree's sources) plus
-``PYTHONHASHSEED=0``, and compares stdout, stderr and the exit code.  Both
-trees are checkout roots, run from their ``src``.  It prints one line per
-argv that differs, with the first differing line of each stream, then a
-summary, and exits 1 if any argv differs.  An argv that writes a file
-(``--output``) writes it twice, to the same path; only the streams are
-compared.  Standard library only.
+runs ``python -m ordkit ARGV`` once against each tree, each run in a fresh
+temporary work directory, with perfbench's job environment (every
+``PYTHON*`` and ``ORDKIT*`` variable dropped, ``PYTHONPATH`` the tree's
+sources) plus ``PYTHONHASHSEED=0``, and compares stdout, stderr and the
+exit code.  An argv that is a job of perfbench's workloads for seeds 0-11
+with input files (``perfbench/jobs.py``, ``Job.files``) is run once per
+distinct file set, each written into the work directory first.  Both trees
+are checkout roots, run from their ``src``.  It prints one line per run
+that differs, with the first differing line of each stream, then a
+summary, and exits 1 if any argv differs.  Files an argv writes
+(``--output``) land in the discarded work directory unless their path is
+absolute; only the streams are compared.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,16 +23,41 @@ from __future__ import annotations
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from importtime import child_env
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-def call(src: Path, argv: list[str]) -> tuple[bytes, bytes, int]:
+
+def job_files() -> dict[tuple[str, ...], list[dict[str, str]]]:
+    """The distinct input file sets of perfbench's jobs of seeds 0-11, by argv."""
+    sys.path.insert(0, str(PERFBENCH))
+    from jobs import WORKLOADS, make_jobs
+
+    sets: dict[tuple[str, ...], list[dict[str, str]]] = {}
+    for workload in WORKLOADS:
+        for seed in range(12):
+            for job in make_jobs(workload, seed):
+                if job.files:
+                    found = sets.setdefault(tuple(job.argv), [])
+                    if job.files not in found:
+                        found.append(job.files)
+    return sets
+
+
+def call(src: Path, argv: list[str], files: dict[str, str]) -> tuple[bytes, bytes, int]:
     env = {**child_env(src), "PYTHONHASHSEED": "0"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ordkit", *argv], env=env, capture_output=True
-    )
+    with tempfile.TemporaryDirectory() as work:
+        for name, text in files.items():
+            path = Path(work, name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordkit", *argv], env=env, capture_output=True,
+            cwd=work,
+        )
     return proc.stdout, proc.stderr, proc.returncode
 
 
@@ -48,20 +76,25 @@ def main(argv: list[str]) -> int:
     parent, change = (Path(tree).resolve() / "src" for tree in argv[:2])
     lines = Path(argv[2]).read_text().splitlines()
     runs = [shlex.split(line) for line in lines if line.strip()[:1] not in ("", "#")]
+    file_sets = job_files()
     differing = 0
     for job in runs:
-        old, new = call(parent, job), call(change, job)
-        if old == new:
-            continue
-        differing += 1
-        notes = [
-            f"{name} {first_difference(x, y)}"
-            for name, x, y in zip(("stdout", "stderr"), old, new)
-            if x != y
-        ]
-        if old[2] != new[2]:
-            notes.append(f"exit {old[2]} != {new[2]}")
-        print(f"DIFF {shlex.join(job)}: {'; '.join(notes)}")
+        differs = False
+        for number, files in enumerate(file_sets.get(tuple(job), [{}]), 1):
+            old, new = call(parent, job, files), call(change, job, files)
+            if old == new:
+                continue
+            differs = True
+            notes = [
+                f"{name} {first_difference(x, y)}"
+                for name, x, y in zip(("stdout", "stderr"), old, new)
+                if x != y
+            ]
+            if old[2] != new[2]:
+                notes.append(f"exit {old[2]} != {new[2]}")
+            where = f" (file set {number})" if files else ""
+            print(f"DIFF {shlex.join(job)}{where}: {'; '.join(notes)}")
+        differing += differs
     print(f"{differing} of {len(runs)} argv differ")
     return 1 if differing else 0
 
