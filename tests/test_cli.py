@@ -470,11 +470,11 @@ class TestLiftCheckCommand:
         assert json.loads(out)["report"]["status"] == "pass"
 
     def test_window_over_the_tuple_cap_exits_2_at_once(self, capsys, monkeypatch):
-        # (8001 * 12)^2 window pairs: refused before the window is built
+        # (8001 * 12)^2 window pairs: refused before the cocycle pass
         def unreachable(*args):
-            raise AssertionError("the window was built")
+            raise AssertionError("the cocycle pass ran")
 
-        monkeypatch.setattr(lift_module, "lift_window", unreachable)
+        monkeypatch.setattr(lift_module, "check_inhomogeneous_cocycle", unreachable)
         argv = ["lift-check", "--group", "cyclic:12", "--ordering", "natural:1",
                 "--degree-bound", "4000"]
         assert main(argv) == 2
@@ -483,6 +483,22 @@ class TestLiftCheckCommand:
         assert err == (
             "error: lift-check window of 96012 elements (degree bound 4000, 12 "
             "base elements) has 9218304144 pairs, over the cap of 2000000\n"
+        )
+
+    def test_window_pair_cap_boundary(self, capsys):
+        # (117 * 12)^2 = 1,971,216 window pairs run; (119 * 12)^2 = 2,039,184
+        # are refused
+        argv = ["lift-check", "--group", "cyclic:12", "--ordering", "natural:1",
+                "--degree-bound"]
+        code, out = run(capsys, *argv, "58")
+        assert code == 0
+        assert json.loads(out)["report"]["status"] == "pass"
+        assert main([*argv, "59"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: lift-check window of 1428 elements (degree bound 59, 12 "
+            "base elements) has 2039184 pairs, over the cap of 2000000\n"
         )
 
     def test_window_under_the_tuple_cap_runs(self, capsys):

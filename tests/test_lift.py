@@ -23,17 +23,124 @@ from ordkit.lift import (
     cyclic_enumeration,
     cyclic_lift_iso_check,
     lift_check_report,
-    lift_is_positive,
     lift_window,
     recover_c,
 )
+from ordkit.obstruction import brute_force_circular_orders
 from ordkit.orders import (
     CircularOrdering,
+    OrderingTable,
+    arrangement_circular,
+    as_carrier,
+    counterexample,
     natural_circular_cyclic,
     natural_units,
     secret_from_left,
+    sweep,
     usual_integer_order,
 )
+
+
+def _positive(x):
+    """Cone membership in the lift: n >= 0, excluding the identity (0, e)."""
+    n, a = x.value
+    return n > 0 or (n == 0 and a != x.group.base._identity_value())
+
+
+def _window_entries(c, carrier, d):
+    """The cone and central-generator entries of `lift_check_report` as the
+    window sweep decided them: after the cocycle pass over the same f, the
+    cone multiplies every pair of positives of {(n, a) : |n| <= d}."""
+    f = Cocycle(c)
+    check_inhomogeneous_cocycle(f, carrier)
+    lift = LiftGroup(f)
+    window = lift_window(lift, d, as_carrier(carrier))
+    ident, central = lift.identity(), lift.central_generator()
+
+    def cone_cases():
+        for x in window:
+            if x * ident != x or ident * x != x or x * ~x != ident or ~x * x != ident:
+                yield counterexample("identity-or-inverse", (x,))
+                continue
+            if x.value != ident.value:
+                pos, neg = _positive(x), _positive(~x)
+                if pos == neg:
+                    yield counterexample(
+                        "cone-trichotomy", (x,), positive=pos, inverse_positive=neg
+                    )
+                    continue
+            yield None
+        if _positive(ident):
+            return counterexample("identity-positive", (ident,))
+        positives = [x for x in window if _positive(x)]
+        for x, y in itertools.product(positives, repeat=2):
+            yield None if _positive(x * y) else counterexample("cone-not-closed", (x, y))
+
+    central_cases = (
+        None if central * x == x * central else counterexample("central-generator", (x,))
+        for x in window
+    )
+    return [
+        sweep("lift-cone-axioms", cone_cases()).to_dict(),
+        sweep("lift-central-generator", central_cases).to_dict(),
+    ]
+
+
+def _table_runs(n, d):
+    # every brute-forced table of Z/n and each of its single-entry flips
+    group = CyclicGroup(n)
+    for a in brute_force_circular_orders(group):
+        table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
+        for t in [table, *(table.flipped(key) for key in sorted(table.entries))]:
+            yield t.ordering(), group, d
+
+
+def _ball_runs(group_desc, ordering_desc, radius, d):
+    from ordkit.cli import resolve_carrier, resolve_ordering
+
+    group = get_group(group_desc)
+    yield resolve_ordering(group, ordering_desc), resolve_carrier(group, radius), d
+
+
+def _blind_z5_runs():
+    # c(0,2,1) flipped and c(x,1,3) = 0: the cocycle pass fails at (2,2,2)
+    # before it reads f(3,3), which the window sweep's products then raise on
+    group, natural = CyclicGroup(5), natural_circular_cyclic(5, 1)
+
+    def fn(x, y, z):
+        if (y, z) == (1, 3):
+            return 0
+        return -natural.fn(x, y, z) if (x, y, z) == (0, 2, 1) else natural.fn(x, y, z)
+
+    c = CircularOrdering(group, "explicit", fn)
+    yield c, [group.element(2), group.element(3)], 0
+
+
+_WINDOW_RUNS = {
+    **{
+        f"cyclic:{n}/d{d}": (_table_runs, n, d)
+        for n in range(3, 7)
+        for d in (0, 1, 3)
+    },
+    **{
+        f"{g}/{o}/r{r}/d{d}": (_ball_runs, g, o, r, d)
+        for g, o, r in [
+            ("integers", "secret", 20),
+            ("free-abelian:2", "secret", 3),
+            ("product:integers,cyclic:3", "lex", 2),
+            ("promislow", "lex", 2),
+        ]
+        for d in (0, 2)
+    },
+    "cyclic:5/blind": (_blind_z5_runs,),
+}
+
+
+def _outcome(run):
+    try:
+        return run()
+    except InvalidOrderingError as exc:
+        return f"InvalidOrderingError: {exc}"
 
 
 @pytest.fixture
@@ -127,19 +234,19 @@ class TestLiftGroupLaw:
 class TestCone:
     def test_examples(self, lift3):
         e = CyclicGroup(3).element
-        assert not lift_is_positive(lift3.identity())
-        assert lift_is_positive(lift3.element_from(0, e(1)))
-        assert not lift_is_positive(lift3.element_from(-1, e(1)))
+        assert not _positive(lift3.identity())
+        assert _positive(lift3.element_from(0, e(1)))
+        assert not _positive(lift3.element_from(-1, e(1)))
 
     def test_cone_axioms_on_window(self, lift3):
         window = lift_window(lift3, 5, CyclicGroup(3))
         ident = lift3.identity()
-        positives = [x for x in window if lift_is_positive(x)]
+        positives = [x for x in window if _positive(x)]
         for x in window:
             if x != ident:
-                assert lift_is_positive(x) != lift_is_positive(~x)
+                assert _positive(x) != _positive(~x)
         for x, y in itertools.product(positives, repeat=2):
-            assert lift_is_positive(x * y)
+            assert _positive(x * y)
 
 
 class TestCocycleIdentity:
@@ -286,8 +393,9 @@ class TestLiftCheckReport:
 
     def test_slice_decided_by_one_value_pass(self, monkeypatch):
         # both slice entries come from one pass over canonical values: no
-        # Element products, and at most four f lookups per triple besides
-        # the one each lift op of the window sweeps makes
+        # Element products, at most four f lookups per triple plus one per
+        # ordered pair of non-identity carrier values, no lift op, and the
+        # same counts whatever the degree bound
         calls = {"op": 0, "f": 0, "lift": 0}
 
         def counted(key, method):
@@ -302,32 +410,29 @@ class TestLiftCheckReport:
         for name in ("_op_values", "_inv_value"):
             method = getattr(LiftGroup, name)
             monkeypatch.setattr(LiftGroup, name, counted("lift", method))
-        report = lift_check_report(natural_circular_cyclic(12, 1), CyclicGroup(12), 0)
-        assert report["status"] == "pass"
-        assert calls["op"] < 12**3
-        assert calls["f"] <= 4 * 12**3 + calls["lift"]
+        counts = []
+        for d in (0, 40):
+            calls.update(op=0, f=0, lift=0)
+            report = lift_check_report(
+                natural_circular_cyclic(12, 1), CyclicGroup(12), d
+            )
+            assert report["status"] == "pass"
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["op"] < 12**3
+        assert counts[0]["f"] <= 4 * 12**3 + 11**2
+        assert counts[0]["lift"] == 0
 
     def test_negative_degree_bound_rejected(self, c3):
         with pytest.raises(ValueError):
             lift_check_report(c3, CyclicGroup(3), degree_bound=-1)
 
-    def test_cone_identity_positive_adds_no_count(self, monkeypatch):
-        monkeypatch.setattr(
-            lift_module,
-            "lift_is_positive",
-            lambda x: lift_is_positive(x) or x.value == (0, 0),
-        )
-        report = lift_check_report(
-            natural_circular_cyclic(4, 1), CyclicGroup(4), degree_bound=1
-        )
-        cone = report["checks"][2]
-        assert cone["name"] == "lift-cone-axioms"
-        # the 12 window elements pass identity, inverse and trichotomy; the
-        # positive identity then fails the cone without a further count
-        assert cone["checked_tuples"] == 12
-        assert cone["counterexample"] == {
-            "kind": "identity-positive", "tuple": [[0, 0]]
-        }
+    @pytest.mark.parametrize("case", sorted(_WINDOW_RUNS))
+    def test_cone_and_central_entries_match_the_window_sweep(self, case):
+        make, *args = _WINDOW_RUNS[case]
+        for c, carrier, d in make(*args):
+            report = _outcome(lambda: lift_check_report(c, carrier, d)["checks"][2:])
+            assert report == _outcome(lambda: _window_entries(c, carrier, d))
 
 
 class TestLiftAssociativity:
