@@ -116,7 +116,7 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
             raise UsageError("natural orderings live on cyclic groups")
         try:
             unit = int(descriptor.split(":", 1)[1]) if ":" in descriptor else 1
-            return natural_circular_cyclic(group.n, unit).on(group)
+            return natural_circular_cyclic(group.n, unit)
         except ValueError as exc:
             raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc
     if descriptor == "secret":
@@ -129,15 +129,9 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
         ):
             lo = builtin_left_order(group.left)
             try:
-                ordering = product_circular(lo, group.right.n)
+                return product_circular(lo, group.right.n)
             except ValueError as exc:
                 raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc
-            if ordering.group != group:
-                raise UsageError(
-                    f"lex ordering lives on {ordering.group.descriptor}, "
-                    f"not {group.descriptor}"
-                )
-            return ordering.on(group)
         raise UsageError(
             "lex orderings exist for promislow and product:<G>,cyclic:<n> groups"
         )

@@ -646,12 +646,6 @@ class Ball(Record):
     __slots__ = ("group", "gens", "radius", "elements", "_value_set")
     _key = attrgetter("group", "gens", "radius", "elements")
 
-    def __init__(
-        self, group: Group, gens: tuple[Element, ...], radius: int,
-        elements: tuple[Element, ...], value_set: frozenset,
-    ) -> None:
-        super().__init__(group, gens, radius, elements, value_set)
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -60,18 +60,14 @@ class Cocycle:
     then ab = id gives 1, then the orientation of (id, a, ab) decides.
     Exactly one case must fire, or c is not a valid circular ordering and
     `InvalidOrderingError` is raised.  Values are memoized per pair of
-    canonical forms (overrides seed the memo), so the cache is bounded by
-    the square of the set of elements the cocycle is evaluated on.
+    canonical forms, so the cache is bounded by the square of the set of
+    elements the cocycle is evaluated on.
     """
 
-    def __init__(
-        self,
-        ordering: CircularOrdering,
-        overrides: dict[tuple[Any, Any], int] | None = None,
-    ):
+    def __init__(self, ordering: CircularOrdering):
         self.ordering = ordering
         self.group = group = ordering.group
-        self._cache: dict[tuple[Any, Any], int] = dict(overrides or {})
+        self._cache: dict[tuple[Any, Any], int] = {}
         self._ident = ident = group._identity_value()
         self._element = functools.partial(Element, group)
         self._ahead = lambda a, b, ab: ordering.fn(ident, a, ab) == 1
@@ -97,17 +93,17 @@ class Cocycle:
         """f_c by rows over the distinct points, which hold the identity:
         row(i, ks) lists f_c(points[i], points[j]) over j, ks[j] being the
         index of their product, or None where it leaves the points and f_c is
-        not evaluated.  Memoized pairs, such as overrides, keep their values.
-        The orientations come from the ordering's table or, for a secret
-        ordering, from bits cone(v^-1) and cone(v) of each point v, each read
-        once, on first use: f = 0 when cone(a^-1) + cone((ab)^-1) + cone(b^-1)
-        is even, else f = 1 when cone(a^-1) + cone((ab)^-1) + cone(b) is.
+        not evaluated.  Rows neither read nor fill the pair memo.  The
+        orientations come from the ordering's table or, for a secret ordering,
+        from bits cone(v^-1) and cone(v) of each point v, each read once, on
+        first use: f = 0 when cone(a^-1) + cone((ab)^-1) + cone(b^-1) is even,
+        else f = 1 when cone(a^-1) + cone((ab)^-1) + cone(b) is.
         """
         values, ident = [g.value for g in points], self.group._identity_value()
         if ident not in values:
             raise ValueError("carrier must contain the identity")
         require_members(self.group, points, "cocycle")
-        e, cache, cone = values.index(ident), self._cache, self.ordering._cone
+        e, cone = values.index(ident), self.ordering._cone
         if cone is None:
             table = self.ordering.table(points)
             ahead, behind = (lambda i, j, k: table(e, i, k) == 1,
@@ -134,16 +130,7 @@ class Cocycle:
                 return not s & 1
 
         def row(i: int, ks: list) -> list:
-            a = values[i]
-            # memoized pairs, such as overrides, keep their values unevaluated
-            memo = {j: cache[a, b] for j, b in enumerate(values)
-                    if ks[j] is not None and (a, b) in cache} if cache else {}
-            if memo:
-                ks = [None if j in memo else k for j, k in enumerate(ks)]
-            fs = _ladder(i, enumerate(ks), e, ahead, behind, points.__getitem__)
-            for j in memo:
-                fs[j] = memo[j]
-            return fs
+            return _ladder(i, enumerate(ks), e, ahead, behind, points.__getitem__)
 
         return row
 

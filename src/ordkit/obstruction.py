@@ -65,12 +65,6 @@ class TorsionProfile(Record):
     __slots__ = ("group", "cap", "orders", "witnesses")
     _key = attrgetter("group", "cap", "orders")
 
-    def __init__(
-        self, group: Group, cap: int, orders: tuple[int, ...],
-        witnesses: dict[int, Element],
-    ) -> None:
-        super().__init__(group, cap, orders, witnesses)
-
     def to_dict(self) -> dict:
         return {
             "group": self.group.descriptor,

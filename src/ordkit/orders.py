@@ -1,6 +1,6 @@
 """Left orderings and circular orderings: builders and validators.
 
-An ordering is an oracle over canonical forms, so it lives on infinite
+An ordering is an oracle over canonical forms, so it is defined on infinite
 groups too; on a finite carrier it also gives its table, c on carrier
 index triples.  Validators read that table to check the circular-ordering
 axioms -- degeneracy, the 4-term cocycle identity, and left-invariance --
@@ -23,7 +23,6 @@ from .groups import (
     DirectProductGroup,
     Element,
     Group,
-    GroupMismatchError,
     Homomorphism,
     Record,
     ball,
@@ -62,25 +61,7 @@ class CircularOrdering(Record):
 
     __slots__ = ("group", "provenance", "fn", "description", "_tabulate", "_cone")
     _key = attrgetter("group", "provenance", "fn", "description")
-
-    def __init__(
-        self, group: Group, provenance: str, fn: Callable[[Any, Any, Any], int],
-        description: str = "", tabulate: Callable | None = None,
-        cone: Callable[[Any], bool] | None = None,
-    ) -> None:
-        super().__init__(group, provenance, fn, description, tabulate, cone)
-
-    def on(self, group: Group) -> "CircularOrdering":
-        """This ordering on an equal handle of its group, so that the elements
-        of that handle take the `is` fast paths of the membership checks."""
-        if group != self.group:
-            raise GroupMismatchError(
-                f"ordering on {self.group.descriptor} moved to {group.descriptor}"
-            )
-        return CircularOrdering(
-            group, self.provenance, self.fn, self.description, self._tabulate,
-            self._cone,
-        )
+    _defaults = ("", None, None)
 
     def __call__(self, g1: Element, g2: Element, g3: Element) -> int:
         group = self.group
@@ -184,7 +165,7 @@ def secret_from_left(lo: LeftOrdering) -> CircularOrdering:
     it keeps lo's cone, from which its cocycle reads per-element bits."""
     fn = functools.partial(_secret_entry, lt=_less_values(lo.group, lo.cone))
     name = f"secret of {lo.provenance}"
-    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, cone=lo.cone)
+    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, None, lo.cone)
 
 
 def _cyclic_entry(n: int, p1: int, p2: int, p3: int) -> int:
@@ -728,10 +709,7 @@ def validate_left_ordering(
     report = sweep("validate-left-ordering", cases())
     if skipped:
         note = f"skipped {skipped} probes outside the carrier"
-        report = ValidationReport(
-            report.name, report.status, report.checked_tuples,
-            report.counterexample, report.mode, (note,),
-        )
+        report = report._replace(notes=(note,))
     return report
 
 

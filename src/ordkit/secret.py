@@ -243,7 +243,7 @@ def detect_secret(
     if conflict is not None:
         return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
 
-    order = sorted(range(len(vals)), key=lambda i: group.sort_key(vals[i]))
+    order = range(len(vals))  # intern_carrier keeps as_carrier's canonical order
 
     def next_free() -> int | None:
         return next((i for i in order if value[i] is None), None)

@@ -11,7 +11,7 @@ import pytest
 
 from ordkit import lift as lift_module
 from ordkit.cli import main, resolve_group, resolve_ordering
-from ordkit.groups import CyclicGroup, GroupMismatchError, klein_four_group
+from ordkit.groups import CyclicGroup, klein_four_group
 from ordkit.orders import (
     OrderingTable,
     arrangement_circular,
@@ -512,20 +512,21 @@ class TestLiftCheckCommand:
 
 
 class TestSharedGroupHandle:
-    """Orderings resolved by the CLI live on its own group handle, so the
-    membership checks of the oracle and the cocycle take their `is` path."""
+    """Orderings resolved by the CLI live on a group equal to the CLI's, with
+    its descriptor; for lex on a product, the builder's product of the left
+    factor and cyclic:n is the CLI group itself."""
 
-    def test_natural(self):
-        group = resolve_group("cyclic:10")
-        assert resolve_ordering(group, "natural:3").group is group
-
-    def test_product_lex(self):
-        group = resolve_group("product:integers,cyclic:4")
-        assert resolve_ordering(group, "lex").group is group
-
-    def test_on_rejects_another_group(self):
-        with pytest.raises(GroupMismatchError):
-            natural_circular_cyclic(5).on(CyclicGroup(6))
+    @pytest.mark.parametrize("group_desc, ordering", [
+        ("cyclic:10", "natural:3"),
+        *((f"product:{left},cyclic:4", "lex") for left in (
+            "integers", "free-abelian:2", "free-abelian:0", "trivial", "cyclic:1",
+        )),
+    ])
+    def test_ordering_group_equals_cli_group(self, group_desc, ordering):
+        group = resolve_group(group_desc)
+        resolved = resolve_ordering(group, ordering).group
+        assert resolved == group
+        assert resolved.descriptor == group.descriptor
 
 
 class TestOutputHandling:
@@ -608,6 +609,21 @@ class TestColdStart:
         layers = ("groups", "orders", "lift", "secret", "snf", "obstruction",
                   "witness", "cli")
         assert {f"ordkit.{name}" for name in layers} <= loaded
+
+    def test_tracer_finds_every_boundary(self):
+        # perfbench/trace_job.py wraps each traced boundary by its name and
+        # lists the names it cannot find; install() patches ordkit for the
+        # whole process, so it runs in a child
+        code = (
+            "import json, trace_job; tracer = trace_job.Tracer('x'); "
+            "tracer.install(); print(json.dumps(tracer.missing))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True,
+            text=True, cwd=ROOT / "perfbench",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_witness_run_leaves_out_fractions(self):
         # the standard witness group computes on int pairs, so a witness

@@ -260,14 +260,6 @@ class TestCocycleOnCarrier:
             for h, k, value in zip(elems, ks, row(i, ks)):
                 assert value == (None if k is None else f(g, h))
 
-    @pytest.mark.parametrize("override", [0, 1])
-    def test_overrides_win(self, override):
-        # f(1, 1) is 0 on the natural ordering of Z/3; the override decides
-        # that entry alone
-        group = CyclicGroup(3)
-        f = Cocycle(natural_circular_cyclic(3, 1), overrides={(1, 1): override})
-        assert f.on_carrier(group.elements())(1, [1, 2, 0]) == [0, override, 1]
-
     def test_identity_required(self):
         elems = [Z.element(1), Z.element(2)]
         with pytest.raises(ValueError, match="identity"):
