@@ -12,6 +12,7 @@ import operator
 import os
 import re
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -670,9 +671,32 @@ def ball(gens: Sequence[Element], radius: int, max_size: int | None = None) -> B
     return b
 
 
+class BallWords(Mapping):
+    """Form -> shortest word of a ball, spelled on each read from the BFS
+    tree.  The tree keeps per form only its parent's form and last letter,
+    so a ball's memory is linear in its size, not in the sum of its words."""
+
+    def __init__(self, tree: dict[Any, tuple[Any, int]]):
+        self._tree = tree
+
+    def __getitem__(self, value: Any) -> tuple[int, ...]:
+        word: list[int] = []
+        parent, letter = self._tree[value]
+        while letter:
+            word.append(letter)
+            parent, letter = self._tree[parent]
+        return tuple(reversed(word))
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._tree)
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+
 def ball_with_words(
     gens: Sequence[Element], radius: int, max_size: int | None = None
-) -> tuple[Ball, dict[Any, tuple[int, ...]]]:
+) -> tuple[Ball, BallWords]:
     """Ball plus one shortest defining word per element.
 
     Words are tuples of signed generator indices (1-based; negative means
@@ -696,25 +720,24 @@ def ball_with_words(
 
     # the BFS runs on canonical forms; Elements are built for the result only
     frontier = [group._identity_value()]
-    words: dict[Any, tuple[int, ...]] = {frontier[0]: ()}
+    tree = {frontier[0]: (frontier[0], 0)}
     for _ in range(radius):
         frontier.sort(key=key)
         next_frontier: list[Any] = []
         for w in frontier:
-            word = words[w]
             for letter, s in steps:
                 v = op(w, s)
-                if v in words:
+                if v in tree:
                     continue
-                if len(words) >= cap:
+                if len(tree) >= cap:
                     raise ResourceCapError(
                         f"ball of radius {radius} exceeds cap {cap} elements"
                     )
-                words[v] = word + (letter,)
+                tree[v] = (w, letter)
                 next_frontier.append(v)
         frontier = next_frontier
-    ordered = tuple(Element(group, v) for v in sorted(words, key=key))
-    return Ball(group, tuple(gens), radius, ordered, frozenset(words)), words
+    ordered = tuple(Element(group, v) for v in sorted(tree, key=key))
+    return Ball(group, tuple(gens), radius, ordered, frozenset(tree)), BallWords(tree)
 
 
 # -- presentations -----------------------------------------------------------

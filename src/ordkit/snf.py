@@ -1,7 +1,8 @@
 """Exact integer Smith normal form and presentation abelianization.
 
 All arithmetic is on arbitrary-precision Python integers; the transform
-matrices are tracked so callers can verify U * M * V = D exactly.
+matrices are tracked so that U * M * V = D can be verified exactly, as the
+tests do with their own integer matrix product.
 """
 
 from __future__ import annotations
@@ -27,44 +28,6 @@ def _validate(matrix: Sequence[Sequence[int]]) -> Matrix:
             if not isinstance(x, int):
                 raise ValueError(f"non-integer entry {x!r}")
     return rows
-
-
-def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
-
-
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    a = _validate(matrix)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(
@@ -195,13 +158,3 @@ def abelianization(presentation: Presentation) -> AbelianizationResult:
         exponent = factors[-1] if factors else 1
         return AbelianizationResult(factors, exponent)
     return AbelianizationResult(factors, None)
-
-
-def divides_chain(diagonal: Sequence[int]) -> bool:
-    """True when each entry divides the next (0 divides only 0)."""
-    for a, b in zip(diagonal, diagonal[1:]):
-        if a == 0 and b != 0:
-            return False
-        if a != 0 and b % a != 0:
-            return False
-    return True

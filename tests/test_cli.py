@@ -747,3 +747,43 @@ class TestProcessEntry:
         assert main(["lift-check", "--group", "cyclic:4", "--ordering",
                      "natural:1"]) == 0
         assert gc.get_freeze_count() == frozen
+
+
+# runs argv under a 1 GB address-space limit and prints its exit code and the
+# peak RSS in KB of its process tree, from the RUSAGE_CHILDREN of a fresh parent
+_PEAK_RSS = """
+import resource, subprocess, sys
+limit = 1 << 30
+set_limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True, preexec_fn=set_limit)
+sys.stderr.write(proc.stderr)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KB")
+class TestBallMemory:
+    """A ball stores a parent and a letter per element, not a word, so its
+    memory is linear in its size on groups of linear growth too."""
+
+    @pytest.mark.parametrize("radius,code,peak_mb", [
+        (16000, 0, 100),
+        # 1,000,001 elements: one over the ball cap
+        (500000, 2, 200),
+    ])
+    def test_secret_integers_peak(self, radius, code, peak_mb):
+        argv = ["validate", "--group", "integers", "--ordering", "secret",
+                "--radius", str(radius)]
+        env = child_env()
+        env.pop("ORDKIT_MAX_BALL", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "ordkit", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        got_code, peak_kb = map(int, proc.stdout.split())
+        assert got_code == code, proc.stderr
+        if code == 2:
+            assert proc.stderr == (
+                f"error: ball of radius {radius} exceeds cap 1000000 elements\n"
+            )
+        assert peak_kb <= peak_mb * 1024

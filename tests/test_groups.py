@@ -271,6 +271,49 @@ class TestBall:
         assert [e.value for e in b1] == [e.value for e in b2]
 
 
+def _full_word_ball(gens, radius):
+    """Form -> first shortest word, by a BFS that stores every word whole."""
+    group = gens[0].group
+    steps = []
+    for i, g in enumerate(gens):
+        steps += [(i + 1, g.value), (-(i + 1), group._inv_value(g.value))]
+    frontier = [group._identity_value()]
+    words = {frontier[0]: ()}
+    for _ in range(radius):
+        frontier.sort(key=group.sort_key)
+        next_frontier = []
+        for w in frontier:
+            for letter, s in steps:
+                v = group._op_values(w, s)
+                if v not in words:
+                    words[v] = words[w] + (letter,)
+                    next_frontier.append(v)
+        frontier = next_frontier
+    return words
+
+
+_BUILTIN_GROUPS = [
+    "trivial", "cyclic:2", "cyclic:7", "klein4", "integers", "free-abelian:0",
+    "free-abelian:1", "free-abelian:2", "free-abelian:3", "promislow", "witness:3",
+    "product:integers,cyclic:3", "product:promislow,cyclic:2",
+    "product:free-abelian:2,integers",
+]
+
+
+class TestBallWords:
+    @pytest.mark.parametrize("desc", _BUILTIN_GROUPS)
+    def test_words_match_the_full_word_bfs(self, desc):
+        from ordkit.cli import builtin_generators
+
+        gens = builtin_generators(get_group(desc))
+        for radius in range(4):
+            b, words = ball_with_words(gens, radius)
+            assert list(words.items()) == list(_full_word_ball(gens, radius).items())
+            assert len(words) == len(b)
+            for g in b:
+                assert evaluate_word(gens, words[g.value]) == g
+
+
 class TestPresentation:
     def test_parse(self):
         text = "gens: a b\nrel: a b b A b b\nrel: b a a B a a\n"

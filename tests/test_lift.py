@@ -1,13 +1,21 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lift_reference import (
+    ForcedCocycle,
+    check_lift_associativity,
+    lift_window,
+    window_iso_check,
+)
 from ordkit import lift as lift_module
 from ordkit.groups import (
     CyclicGroup,
+    Element,
     Group,
     GroupMismatchError,
     IntegerGroup,
@@ -19,11 +27,9 @@ from ordkit.lift import (
     InvalidOrderingError,
     LiftGroup,
     check_inhomogeneous_cocycle,
-    check_lift_associativity,
     cyclic_enumeration,
     cyclic_lift_iso_check,
     lift_check_report,
-    lift_window,
     recover_c,
 )
 from ordkit.obstruction import brute_force_circular_orders
@@ -41,14 +47,6 @@ from ordkit.orders import (
 )
 
 
-class ForcedCocycle(Cocycle):
-    """f_c with the given pairs of canonical forms forced to the given values."""
-
-    def __init__(self, ordering, forced):
-        super().__init__(ordering)
-        self._cache.update(forced)
-
-
 def _positive(x):
     """Cone membership in the lift: n >= 0, excluding the identity (0, e)."""
     n, a = x.value
@@ -63,7 +61,7 @@ def _window_entries(c, carrier, d):
     check_inhomogeneous_cocycle(f, carrier)
     lift = LiftGroup(f)
     window = lift_window(lift, d, as_carrier(carrier))
-    ident, central = lift.identity(), lift.central_generator()
+    ident, central = lift.identity(), Element(lift, (1, lift.base._identity_value()))
 
     def cone_cases():
         for x in window:
@@ -144,6 +142,57 @@ _WINDOW_RUNS = {
 }
 
 
+def _natural_iso_runs(n):
+    for k in natural_units(n):
+        yield n, natural_circular_cyclic(n, k), None
+
+
+def _arrangement_iso_runs(n, seeds):
+    # arrangements of Z/n in random order: mostly not left-invariant
+    group = CyclicGroup(n)
+    for seed in range(seeds):
+        arrangement = group.elements()
+        random.Random(seed).shuffle(arrangement)
+        yield n, arrangement_circular(group, arrangement), None
+
+
+def _forced_iso_runs(n):
+    # natural:1 and natural:-1 with one cocycle value forced to -1, 0, 1 or 2
+    for k in {1, n - 1}:
+        c = natural_circular_cyclic(n, k)
+        for a, b in itertools.product(range(n), repeat=2):
+            for v in (-1, 0, 1, 2):
+                yield n, c, {(a, b): v}
+
+
+def _error_iso_runs():
+    # an ordering of another group, and one on which no cocycle case fires
+    yield 4, natural_circular_cyclic(3, 1), None
+    yield 3, CircularOrdering(CyclicGroup(3), "explicit", lambda *args: 0, "zero"), None
+
+
+_ISO_RUNS = {
+    **{f"cyclic:{n}/natural": (_natural_iso_runs, n) for n in range(2, 13)},
+    **{f"cyclic:{n}/arrangements": (_arrangement_iso_runs, n, 12) for n in range(1, 8)},
+    **{f"cyclic:{n}/forced": (_forced_iso_runs, n) for n in range(2, 6)},
+    "errors": (_error_iso_runs,),
+}
+
+
+def _iso_outcome(run):
+    """Status, failing base pair and lhs - rhs of an iso check, or the error;
+    a counterexample of any other shape is returned whole."""
+    try:
+        report = run()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    found = report.counterexample
+    if found is None or found["kind"] != "not-a-homomorphism":
+        return report.status, found
+    (_, a), (_, b) = found["tuple"]
+    return report.status, (a, b), found["lhs"] - found["rhs"]
+
+
 def _outcome(run):
     try:
         return run()
@@ -197,27 +246,21 @@ class TestCocycleValues:
 
 class TestLiftGroupLaw:
     def test_op_examples(self, lift3):
-        e = CyclicGroup(3).element
-        x = lift3.element_from(0, e(1))
+        x = Element(lift3, (0, 1))
         assert (x * x).value == (0, 2)
-        y = lift3.element_from(0, e(2))
+        y = Element(lift3, (0, 2))
         assert (y * x).value == (1, 0)
 
     def test_identity_degrees_add(self, lift3):
-        e = CyclicGroup(3).element
-        assert (
-            lift3.element_from(5, e(0)) * lift3.element_from(-3, e(0))
-        ).value == (2, 0)
+        assert (Element(lift3, (5, 0)) * Element(lift3, (-3, 0))).value == (2, 0)
 
     def test_inverse_example(self, lift3):
-        e = CyclicGroup(3).element
-        assert (~lift3.element_from(0, e(1))).value == (-1, 2)
-        assert (~lift3.element_from(5, e(0))).value == (-5, 0)
+        assert (~Element(lift3, (0, 1))).value == (-1, 2)
+        assert (~Element(lift3, (5, 0))).value == (-5, 0)
         assert ~lift3.identity() == lift3.identity()
 
     def test_cube_of_generator_hits_degree_one(self, lift3):
-        e = CyclicGroup(3).element
-        x = lift3.element_from(0, e(1))
+        x = Element(lift3, (0, 1))
         assert (x**3).value == (1, 0)
 
     def test_associativity_window(self, lift3):
@@ -228,17 +271,16 @@ class TestLiftGroupLaw:
             assert (x * y) * z == x * (y * z)
 
     def test_central_generator(self, lift3):
-        central = lift3.central_generator()
+        central = Element(lift3, (1, 0))
         for x in lift_window(lift3, 2, CyclicGroup(3)):
             assert central * x == x * central
 
 
 class TestCone:
     def test_examples(self, lift3):
-        e = CyclicGroup(3).element
         assert not _positive(lift3.identity())
-        assert _positive(lift3.element_from(0, e(1)))
-        assert not _positive(lift3.element_from(-1, e(1)))
+        assert _positive(Element(lift3, (0, 1)))
+        assert not _positive(Element(lift3, (-1, 1)))
 
     def test_cone_axioms_on_window(self, lift3):
         window = lift_window(lift3, 5, CyclicGroup(3))
@@ -319,9 +361,8 @@ class TestCyclicLiftIso:
     def test_n3_example(self, c3, lift3):
         enum = cyclic_enumeration(c3)
         index = {g.value: i for i, g in enumerate(enum)}
-        e = CyclicGroup(3).element
-        x = lift3.element_from(0, e(1))
-        assert index[e(1).value] == 1
+        x = Element(lift3, (0, 1))
+        assert index[1] == 1
         assert (x**3).value == (1, 0)
         report = cyclic_lift_iso_check(3, c3)
         assert report.passed
@@ -329,13 +370,12 @@ class TestCyclicLiftIso:
     def test_n2_unique_ordering(self):
         c2 = natural_circular_cyclic(2, 1)
         lift2 = LiftGroup(Cocycle(c2))
-        e = CyclicGroup(2).element
-        assert (lift2.element_from(0, e(1)) ** 2).value == (1, 0)
+        assert (Element(lift2, (0, 1)) ** 2).value == (1, 0)
         assert cyclic_lift_iso_check(2, c2).passed
 
     def test_all_units_of_12(self):
         for k in natural_units(12):
-            report = cyclic_lift_iso_check(12, natural_circular_cyclic(12, k), window=2)
+            report = cyclic_lift_iso_check(12, natural_circular_cyclic(12, k))
             assert report.passed
 
     def test_group_mismatch_rejected(self, c3):
@@ -343,29 +383,37 @@ class TestCyclicLiftIso:
             cyclic_lift_iso_check(4, c3)
 
     def test_counts_and_note_on_pass(self):
-        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1), window=2)
-        # 20 window elements: 20^2 homomorphism pairs, then 20 powers
-        assert report.checked_tuples == 20**2 + 20
+        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1))
+        # one carry identity per base pair
+        assert report.checked_tuples == 4**2
         assert report.notes == (
-            "window |m| <= 2; image is the contiguous range [-8, 11]; "
-            "torsion-free on window",
+            "exhaustive over the base pairs; the carry identity f(a,b)*n + idx(ab) = "
+            "idx(a) + idx(b) makes (m, a) -> m*n + idx(a) an isomorphism onto Z",
         )
 
-    def test_not_bijective_adds_no_count_and_no_note(self, monkeypatch):
-        # a window listing (0, 0) twice: every pair still obeys the
-        # homomorphism law, but the image repeats 0
-        def doubled(lift, degree_bound, carrier):
-            identity = lift_window(lift, 0, carrier)[:1]
-            return lift_window(lift, degree_bound, carrier) + identity
-
-        monkeypatch.setattr(lift_module, "lift_window", doubled)
-        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1), window=1)
-        assert report.checked_tuples == 13**2
+    def test_failure_names_the_first_base_pair(self, monkeypatch):
+        # natural:1 has idx(a) = a; f(1,2) forced to 1 lifts (0,1)(0,2) to
+        # (1,3), so phi gives 1*4 + 3 = 7 against 1 + 2 = 3
+        forced = {(1, 2): 1}
+        monkeypatch.setattr(lift_module, "Cocycle", lambda c: ForcedCocycle(c, forced))
+        report = cyclic_lift_iso_check(4, natural_circular_cyclic(4, 1))
         assert report.counterexample == {
-            "kind": "not-bijective-on-window",
-            "images": [-4, -3, -2, -1, 0, 0, 1, 2, 3, 4],
+            "kind": "not-a-homomorphism", "tuple": [[0, 1], [0, 2]], "lhs": 7, "rhs": 3,
         }
+        assert report.checked_tuples == 4 + 3
         assert report.notes == ()
+
+    @pytest.mark.parametrize("case", sorted(_ISO_RUNS))
+    def test_matches_the_window_walk(self, case, monkeypatch):
+        make, *args = _ISO_RUNS[case]
+        for n, c, forced in make(*args):
+            if forced is not None:
+                monkeypatch.setattr(
+                    lift_module, "Cocycle", lambda c, f=forced: ForcedCocycle(c, f)
+                )
+            closed = _iso_outcome(lambda: cyclic_lift_iso_check(n, c))
+            for window in range(3):
+                assert closed == _iso_outcome(lambda: window_iso_check(n, c, window))
 
 
 class TestLiftCheckReport:
@@ -462,8 +510,8 @@ class TestLiftAssociativity:
         forced = {(a % n, b % n): v for (a, b), v in forced.items()}
         lift = LiftGroup(ForcedCocycle(natural_circular_cyclic(n, 1), forced))
         base = [CyclicGroup(n).element(v % n) for v in triple]
-        x, y, z = (lift.element_from(d, a) for d, a in zip(degrees, base))
-        x0, y0, z0 = (lift.element_from(0, a) for a in base)
+        x, y, z = (Element(lift, (d, a.value)) for d, a in zip(degrees, base))
+        x0, y0, z0 = (Element(lift, (0, a.value)) for a in base)
         shift = sum(degrees)
         pairs = (((x * y) * z, (x0 * y0) * z0), (x * (y * z), x0 * (y0 * z0)))
         for window, slice0 in pairs:
@@ -496,7 +544,7 @@ class TestLiftCodec:
         carrier = (
             base.elements() if base.is_finite else ball(builtin_generators(base), 2)
         )
-        sample = [lift.element_from(n, a) for n in (-2, 0, 3) for a in carrier]
+        sample = [Element(lift, (n, a.value)) for n in (-2, 0, 3) for a in carrier]
         sample += [g * h for g, h in zip(sample, reversed(sample))]
         for g in sample:
             wire = json.loads(json.dumps(g.encode()))

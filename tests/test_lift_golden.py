@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import pytest
+from lift_reference import ForcedCocycle, check_lift_associativity
 
 from ordkit.groups import CyclicGroup
 from ordkit.lift import (
@@ -24,7 +25,6 @@ from ordkit.lift import (
     InvalidOrderingError,
     LiftGroup,
     check_inhomogeneous_cocycle,
-    check_lift_associativity,
     lift_check_report,
 )
 from ordkit.obstruction import brute_force_circular_orders
@@ -73,14 +73,6 @@ def _standalone(f, group):
             check_lift_associativity(LiftGroup(f), group),
         )
     ]
-
-
-class ForcedCocycle(Cocycle):
-    """f_c with the given pairs of canonical forms forced to the given values."""
-
-    def __init__(self, ordering, forced):
-        super().__init__(ordering)
-        self._cache.update(forced)
 
 
 def _override_cases():

@@ -1,15 +1,59 @@
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordkit.groups import PROMISLOW_PRESENTATION, Presentation
-from ordkit.snf import (
-    abelianization,
-    divides_chain,
-    int_det,
-    matmul,
-    smith_normal_form,
-)
+from ordkit.snf import Matrix, _validate, abelianization, smith_normal_form
+
+
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def int_det(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    a = _validate(matrix)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def divides_chain(diagonal: Sequence[int]) -> bool:
+    """True when each entry divides the next (0 divides only 0)."""
+    for a, b in zip(diagonal, diagonal[1:]):
+        if a == 0 and b != 0:
+            return False
+        if a != 0 and b % a != 0:
+            return False
+    return True
 
 
 def diagonal(D):
@@ -83,6 +127,26 @@ class TestDeterminant:
 
     def test_singular(self):
         assert int_det([[1, 2], [2, 4]]) == 0
+
+
+class TestOracleShapes:
+    """The oracles reject the shapes a wrong U or V would have."""
+
+    def test_nonconforming_product_raises(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matmul([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]])
+
+    def test_non_square_determinant_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            int_det([[1, 0, 0], [0, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [([[1, 0], [0]], "ragged"), ([[1, 0.5], [0, 1]], "non-integer")],
+    )
+    def test_determinant_validates_entries(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            int_det(matrix)
 
 
 class TestAbelianization:
