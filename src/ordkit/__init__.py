@@ -1,112 +1,3 @@
 """ordkit: computing with left orderings and circular orderings on groups."""
 
-from .groups import (
-    Ball,
-    CyclicGroup,
-    DirectProductGroup,
-    Element,
-    FreeAbelianGroup,
-    Group,
-    GroupMismatchError,
-    Homomorphism,
-    IntegerGroup,
-    InvalidHomomorphismError,
-    PROMISLOW_PRESENTATION,
-    Presentation,
-    PromislowGroup,
-    ResourceCapError,
-    ball,
-    ball_with_words,
-    element_order,
-    evaluate_word,
-    free_reduce,
-    get_group,
-    klein_four_group,
-    parse_presentation,
-)
-from .lift import (
-    Cocycle,
-    InvalidOrderingError,
-    LiftGroup,
-    check_inhomogeneous_cocycle,
-    cyclic_enumeration,
-    cyclic_lift_iso_check,
-    lift_check_report,
-    recover_c,
-)
-from .obstruction import (
-    LeftOrderEvidence,
-    SpectrumReport,
-    TorsionProfile,
-    UnobstructedCertificate,
-    brute_force_circular_orders,
-    exponent_obstruction,
-    finite_co_decide,
-    free_product_union,
-    left_orderable_spectrum,
-    monotonicity_check,
-    obstruction_finite,
-    presentation_spectrum,
-    promislow_alpha_check,
-    promislow_beta,
-    promislow_circular,
-    promislow_kernel_evidence,
-    promislow_kernel_order,
-    promislow_phi,
-    promislow_psi,
-    promislow_ses,
-    promislow_spectrum,
-    promislow_unobstructed_certificate,
-    promislow_worked_example,
-    torsion_part,
-    torsion_profile,
-    verify_unobstructed,
-)
-from .orders import (
-    CircularOrdering,
-    LeftOrdering,
-    OrderingTable,
-    OutsideCarrierError,
-    SESData,
-    ValidationReport,
-    arrangement_circular,
-    as_carrier,
-    convexity_check,
-    lex_circular,
-    lex_free_abelian_order,
-    natural_circular_cyclic,
-    natural_units,
-    product_circular,
-    product_ses,
-    restricted_cone,
-    secret_from_left,
-    trivial_order,
-    usual_integer_order,
-    validate_bi_invariance,
-    validate_circular,
-    validate_left_ordering,
-)
-from .secret import (
-    CoboundarySolution,
-    DetectionVerdict,
-    Inconclusive,
-    NotSecretOnCarrier,
-    SecretWitness,
-    SolverInvariantError,
-    cone_from_solution,
-    detect_secret,
-)
-from .snf import (
-    AbelianizationResult,
-    abelianization,
-    smith_normal_form,
-)
-from .witness import (
-    WitnessAmbientGroup,
-    WitnessMembership,
-    membership_G,
-    phi_H,
-    verify_witness_claims,
-)
-
 __version__ = "0.1.0"

@@ -660,14 +660,13 @@ class Ball(Record):
         return value in self._value_set
 
 
-def ball(gens: Sequence[Element], radius: int, max_size: int | None = None) -> Ball:
+def ball(gens: Sequence[Element], radius: int) -> Ball:
     """Breadth-first ball of the given radius around the identity.
 
     Deterministic: the element list is sorted by canonical form.  Raises
-    ResourceCapError when the ball would exceed max_size (default from
-    ORDKIT_MAX_BALL, falling back to 10^6).
+    ResourceCapError when the ball would exceed max_ball_size().
     """
-    b, _ = ball_with_words(gens, radius, max_size)
+    b, _ = ball_with_words(gens, radius)
     return b
 
 
@@ -694,9 +693,7 @@ class BallWords(Mapping):
         return len(self._tree)
 
 
-def ball_with_words(
-    gens: Sequence[Element], radius: int, max_size: int | None = None
-) -> tuple[Ball, BallWords]:
+def ball_with_words(gens: Sequence[Element], radius: int) -> tuple[Ball, BallWords]:
     """Ball plus one shortest defining word per element.
 
     Words are tuples of signed generator indices (1-based; negative means
@@ -710,7 +707,7 @@ def ball_with_words(
     for g in gens:
         if g.group != group:
             raise GroupMismatchError("ball generators must share one group")
-    cap = max_ball_size() if max_size is None else max_size
+    cap = max_ball_size()
 
     op, key = group._op_values, group.sort_key
     steps: list[tuple[int, Any]] = []

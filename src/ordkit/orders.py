@@ -467,15 +467,12 @@ def counterexample(kind: str, elems: Iterable[Element], **detail: Any) -> dict:
 
 
 _DEFAULT_TUPLE_CAP = 2_000_000
+_SAMPLE_SIZE = 50_000
+_SAMPLE_SEED = 0
 
 
 def validate_circular(
-    c: CircularOrdering,
-    carrier: Ball | Group | Iterable[Element],
-    *,
-    tuple_cap: int = _DEFAULT_TUPLE_CAP,
-    sample_size: int = 50_000,
-    seed: int = 0,
+    c: CircularOrdering, carrier: Ball | Group | Iterable[Element]
 ) -> ValidationReport:
     """Check the circular-ordering axioms of c over a finite carrier.
 
@@ -483,8 +480,9 @@ def validate_circular(
     4-term cocycle identity on quadruples, and left-invariance on tuples
     whose translates stay inside the carrier.  c is read from its table on
     the carrier's distinct elements; repeated carrier elements count once
-    per position.  Falls back to deterministic sampling when the tuple
-    space exceeds tuple_cap; the report says so.
+    per position.  Falls back to _SAMPLE_SIZE deterministic samples per
+    axiom (seed _SAMPLE_SEED) when the N^4 tuple space exceeds
+    _DEFAULT_TUPLE_CAP; the report says so.
 
     The report is that of a sweep over every triple and quadruple in
     canonical order, but an exhaustive run decides the quadruples on N^3
@@ -493,34 +491,20 @@ def validate_circular(
     key, replaying a side's sweep only when c splits one of its classes.
     Counts and first counterexamples are the sweep's.
     """
-    return _validate_ordering(
-        c, carrier, ("left",), tuple_cap, sample_size, seed, "validate-circular"
-    )
+    return _validate_ordering(c, carrier, ("left",), "validate-circular")
 
 
 def validate_bi_invariance(
-    c: CircularOrdering,
-    carrier: Ball | Group | Iterable[Element],
-    *,
-    tuple_cap: int = _DEFAULT_TUPLE_CAP,
-    sample_size: int = 50_000,
-    seed: int = 0,
+    c: CircularOrdering, carrier: Ball | Group | Iterable[Element]
 ) -> ValidationReport:
     """validate_circular plus right-invariance on applicable tuples."""
     return _validate_ordering(
-        c, carrier, ("left", "right"), tuple_cap, sample_size, seed,
-        "validate-bi-invariance",
+        c, carrier, ("left", "right"), "validate-bi-invariance"
     )
 
 
 def _validate_ordering(
-    c: CircularOrdering,
-    carrier,
-    sides: tuple[str, ...],
-    tuple_cap: int,
-    sample_size: int,
-    seed: int,
-    name: str,
+    c: CircularOrdering, carrier, sides: tuple[str, ...], name: str
 ) -> ValidationReport:
     """The axioms of validate_circular, invariance on each of `sides`.
 
@@ -532,21 +516,22 @@ def _validate_ordering(
     op = c.group._op_values
     size = len(ids)
 
-    exhaustive = size**4 <= tuple_cap
+    exhaustive = size**4 <= _DEFAULT_TUPLE_CAP
     notes = ()
     if not exhaustive:
         notes = (
             f"carrier of {size} elements exceeds the exhaustive cap; "
-            f"checked {sample_size} deterministic samples per axiom (seed {seed})",
+            f"checked {_SAMPLE_SIZE} deterministic samples per axiom "
+            f"(seed {_SAMPLE_SEED})",
         )
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
 
     def tuples(arity: int) -> Iterable[tuple[int, ...]]:
         if exhaustive:
             return itertools.product(ids, repeat=arity)
         return (
             tuple(rng.choice(ids) for _ in range(arity))
-            for _ in range(sample_size)
+            for _ in range(_SAMPLE_SIZE)
         )
 
     def record(kind: str, t: tuple[int, ...], **detail: Any) -> dict:

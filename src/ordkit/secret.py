@@ -82,11 +82,11 @@ class SolverInvariantError(RuntimeError):
     not a verdict about the ordering."""
 
 
+_MAX_TRIALS = 1 << 20
+
+
 def detect_secret(
-    c: CircularOrdering,
-    carrier: Ball | Group | Iterable[Element],
-    *,
-    max_trials: int = 1 << 20,
+    c: CircularOrdering, carrier: Ball | Group | Iterable[Element]
 ) -> DetectionVerdict:
     """Solve the coboundary equations for c over the carrier.
 
@@ -273,8 +273,8 @@ def detect_secret(
     frames: list[tuple[int, int, int]] = []
     var, x = next_free(), 0
     while var is not None:
-        if trials >= max_trials:
-            reason = f"branching exceeded the cap of {max_trials} trials"
+        if trials >= _MAX_TRIALS:
+            reason = f"branching exceeded the cap of {_MAX_TRIALS} trials"
             return Inconclusive(reason, free_components())
         trials += 1
         frames.append((var, x, len(trail)))

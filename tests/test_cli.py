@@ -610,6 +610,21 @@ class TestColdStart:
                   "witness", "cli")
         assert {f"ordkit.{name}" for name in layers} <= loaded
 
+    def test_bare_package_loads_no_layer(self):
+        # each name has one import path, its module: the package itself
+        # re-exports nothing, so importing it loads no layer
+        code = (
+            "import json, sys, ordkit; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.startswith('ordkit.')), "
+            "sorted(n for n in vars(ordkit) if not n.startswith('__'))]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], []]
+
     def test_tracer_finds_every_boundary(self):
         # perfbench/trace_job.py wraps each traced boundary by its name and
         # lists the names it cannot find; install() patches ordkit for the

@@ -253,10 +253,11 @@ class TestBall:
         for g in b:
             assert ~g in b
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setenv("ORDKIT_MAX_BALL", "5")
         z = IntegerGroup()
         with pytest.raises(ResourceCapError):
-            ball([z.element(1)], 10, max_size=5)
+            ball([z.element(1)], 10)
 
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv("ORDKIT_MAX_BALL", "3")

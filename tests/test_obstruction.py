@@ -356,12 +356,11 @@ class TestPromislowCertificates:
         carrier = [g for g in ball(group.generators(), 3) if phi.kernel_contains(g)]
         assert validate_left_ordering(promislow_kernel_order(), carrier).passed
 
-    def test_circular_ordering_validates(self):
+    def test_circular_ordering_validates(self, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 100_000)
         group = PromislowGroup()
         carrier = ball(group.generators(), 2)
-        assert validate_circular(
-            promislow_circular(), carrier, tuple_cap=100_000
-        ).passed
+        assert validate_circular(promislow_circular(), carrier).passed
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 7, 9, 10])
     def test_certificates_verify(self, n):
@@ -408,7 +407,7 @@ class TestPromislowCertificates:
         assert report["status"] == "pass"
         assert report["kernel_sizes"]["beta"] > 0
 
-    def test_product_c2_ordering_validates(self):
+    def test_product_c2_ordering_validates(self, monkeypatch):
         # the circular ordering on G x Z/2 that the n = 2 certificate
         # promises; sampled validation on a small product ball
         from ordkit.groups import CyclicGroup as C
@@ -426,7 +425,8 @@ class TestPromislowCertificates:
             ],
             2,
         )
-        report = validate_circular(ordering, carrier, tuple_cap=200_000)
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 200_000)
+        report = validate_circular(ordering, carrier)
         assert report.passed
 
 
@@ -482,9 +482,9 @@ class TestPromislowSpectrum:
         # and the G x Z/2 ball are each built once
         built = []
 
-        def counted(gens, radius, max_size=None):
+        def counted(gens, radius):
             built.append(len(gens))
-            return ball_with_words(gens, radius, max_size)
+            return ball_with_words(gens, radius)
 
         monkeypatch.setattr(groups, "ball_with_words", counted)
         assert promislow_worked_example(radius=4)["status"] == "pass"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordkit import orders
 from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
@@ -174,12 +175,12 @@ class TestValidators:
         with pytest.raises(GroupMismatchError, match="element of cyclic:7"):
             validate_circular(bad.ordering(), carrier)
 
-    def test_sampled_mode_on_large_carrier(self):
+    def test_sampled_mode_on_large_carrier(self, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 10_000)
+        monkeypatch.setattr(orders, "_SAMPLE_SIZE", 500)
         z = IntegerGroup()
         c = secret_from_left(usual_integer_order(z))
-        report = validate_circular(
-            c, ball([z.element(1)], 30), tuple_cap=10_000, sample_size=500
-        )
+        report = validate_circular(c, ball([z.element(1)], 30))
         assert report.passed
         assert report.mode == "sampled"
         assert report.notes
@@ -214,10 +215,11 @@ class TestLexCircular:
         assert c(g1, g2, g3) == c(g3, g1, g2) == c(g2, g3, g1)
         assert c(g1, g3, g2) == -c(g1, g2, g3)
 
-    def test_validates_on_carrier(self, ses):
+    def test_validates_on_carrier(self, ses, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 60_000)
         c = lex_circular(ses)
         carrier = [ses.group.element((i, j)) for i in range(-2, 3) for j in range(3)]
-        report = validate_circular(c, carrier, tuple_cap=60_000)
+        report = validate_circular(c, carrier)
         assert report.passed
 
 
@@ -241,11 +243,12 @@ class TestProductCircular:
             want = natural(*(cyclic.element(x) for x in t))
             assert got == want
 
-    def test_validates_on_ball(self):
+    def test_validates_on_ball(self, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 300_000)
         c = product_circular(usual_integer_order(IntegerGroup()), 2)
         group = c.group
         carrier = ball([group.element((1, 0)), group.element((0, 1))], 3)
-        assert validate_circular(c, carrier, tuple_cap=300_000).passed
+        assert validate_circular(c, carrier).passed
 
 
 class TestBiInvariance:
@@ -253,21 +256,21 @@ class TestBiInvariance:
         report = validate_bi_invariance(natural_circular_cyclic(6, 1), CyclicGroup(6))
         assert report.passed
 
-    def test_free_abelian_secret_passes(self):
+    def test_free_abelian_secret_passes(self, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 100_000)
         z2 = FreeAbelianGroup(2)
         c = secret_from_left(lex_free_abelian_order(z2))
-        report = validate_bi_invariance(
-            c, ball(z2.basis(), 2), tuple_cap=100_000
-        )
+        report = validate_bi_invariance(c, ball(z2.basis(), 2))
         assert report.passed
 
-    def test_promislow_lex_fails_with_witness(self):
+    def test_promislow_lex_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(orders, "_DEFAULT_TUPLE_CAP", 100_000)
         c = promislow_circular()
         group = PromislowGroup()
         carrier = ball(group.generators(), 2)
-        plain = validate_circular(c, carrier, tuple_cap=100_000)
+        plain = validate_circular(c, carrier)
         assert plain.passed
-        report = validate_bi_invariance(c, carrier, tuple_cap=100_000)
+        report = validate_bi_invariance(c, carrier)
         assert not report.passed
         assert report.counterexample["kind"] == "right-invariance"
         assert len(report.counterexample["tuple"]) == 4

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ordkit import secret
 from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
@@ -156,10 +157,11 @@ class TestSolverMechanics:
         assert isinstance(verdict, SecretWitness)
         assert sorted(g.value for g in verdict.solution.cone_elements()) == [5, 10]
 
-    def test_trials_cap_gives_inconclusive(self):
+    def test_trials_cap_gives_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(secret, "_MAX_TRIALS", 1)
         z = IntegerGroup()
         c = secret_from_left(usual_integer_order(z))
-        verdict = detect_secret(c, ball([z.element(1)], 10), max_trials=1)
+        verdict = detect_secret(c, ball([z.element(1)], 10))
         assert isinstance(verdict, Inconclusive)
         assert verdict.components
 
@@ -280,10 +282,11 @@ class TestPinnedSearch:
             (3, [-9, -8, -7, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 7, 8, 9]),
         ],
     )
-    def test_inconclusive_integers_radius_10(self, max_trials, free):
+    def test_inconclusive_integers_radius_10(self, max_trials, free, monkeypatch):
+        monkeypatch.setattr(secret, "_MAX_TRIALS", max_trials)
         z = IntegerGroup()
         c = secret_from_left(usual_integer_order(z))
-        verdict = detect_secret(c, ball([z.element(1)], 10), max_trials=max_trials)
+        verdict = detect_secret(c, ball([z.element(1)], 10))
         assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
         expected = _linked_components(free, range(-10, 11), lambda g, h: g + h)
         assert len(expected) == 1
@@ -305,11 +308,12 @@ class TestPinnedSearch:
             ),
         ],
     )
-    def test_inconclusive_free_abelian_radius_3(self, max_trials, free):
+    def test_inconclusive_free_abelian_radius_3(self, max_trials, free, monkeypatch):
+        monkeypatch.setattr(secret, "_MAX_TRIALS", max_trials)
         z2 = FreeAbelianGroup(2)
         c = secret_from_left(lex_free_abelian_order(z2))
         carrier = ball(z2.basis(), 3)
-        verdict = detect_secret(c, carrier, max_trials=max_trials)
+        verdict = detect_secret(c, carrier)
         assert verdict.reason == f"branching exceeded the cap of {max_trials} trials"
         expected = _linked_components(
             [tuple(g) for g in free],
@@ -329,10 +333,11 @@ class TestPinnedSearch:
             ([-4, 0, 1, 4, 8], [[-4, 4, 8], [1]]),
         ],
     )
-    def test_inconclusive_sparse_components(self, points, components):
+    def test_inconclusive_sparse_components(self, points, components, monkeypatch):
+        monkeypatch.setattr(secret, "_MAX_TRIALS", 0)
         z = IntegerGroup()
         c = secret_from_left(usual_integer_order(z))
-        verdict = detect_secret(c, [z.element(v) for v in points], max_trials=0)
+        verdict = detect_secret(c, [z.element(v) for v in points])
         free = [v for v in points if v]
         assert _linked_components(free, points, lambda g, h: g + h) == tuple(
             map(tuple, components)

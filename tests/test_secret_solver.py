@@ -191,6 +191,13 @@ def rescan_detect_secret(c, carrier, max_trials=1 << 20):
     return SecretWitness(solution, len(constraints)), trials
 
 
+def capped_detect_secret(c, carrier, max_trials):
+    """detect_secret with its branch-trial cap set to max_trials."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(secret, "_MAX_TRIALS", max_trials)
+        return detect_secret(c, carrier)
+
+
 def assert_solvers_agree(c, carrier, max_trials=1 << 20):
     """The same verdict JSON, or the same InvalidOrderingError or
     OutsideCarrierError, and the same trial count: a cap one below it stops
@@ -199,14 +206,14 @@ def assert_solvers_agree(c, carrier, max_trials=1 << 20):
         want, trials = rescan_detect_secret(c, carrier, max_trials)
     except (InvalidOrderingError, OutsideCarrierError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            detect_secret(c, carrier, max_trials=max_trials)
+            capped_detect_secret(c, carrier, max_trials)
         return
-    assert detect_secret(c, carrier, max_trials=max_trials).to_dict() == want.to_dict()
+    assert capped_detect_secret(c, carrier, max_trials).to_dict() == want.to_dict()
     if trials:
-        short = detect_secret(c, carrier, max_trials=trials - 1)
+        short = capped_detect_secret(c, carrier, trials - 1)
         assert isinstance(short, Inconclusive)
     if not isinstance(want, Inconclusive):
-        assert detect_secret(c, carrier, max_trials=trials).to_dict() == want.to_dict()
+        assert capped_detect_secret(c, carrier, trials).to_dict() == want.to_dict()
 
 
 caps = st.sampled_from([0, 1, 2, 3, 1 << 20])

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ordkit import orders
 from ordkit.groups import (
     CyclicGroup,
     GroupMismatchError,
@@ -36,14 +37,23 @@ from ordkit.orders import (
 GOLDEN_PATH = Path(__file__).with_name("data") / "validator_reports.json"
 
 
-def _sampled(c, carrier):
-    return validate_circular(c, carrier, tuple_cap=50, sample_size=300, seed=7)
+def _sampled(tuple_cap, sample_size, seed):
+    """validate_circular run with the sampling constants of `orders` set."""
+
+    def run(c, carrier):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orders, "_DEFAULT_TUPLE_CAP", tuple_cap)
+            mp.setattr(orders, "_SAMPLE_SIZE", sample_size)
+            mp.setattr(orders, "_SAMPLE_SEED", seed)
+            return validate_circular(c, carrier)
+
+    return run
 
 
 VALIDATORS = {
     "circular": validate_circular,
     "bi": validate_bi_invariance,
-    "sampled": _sampled,
+    "sampled": _sampled(50, 300, 7),
 }
 
 
@@ -79,8 +89,8 @@ def _promislow_cases():
     group = PromislowGroup()
     c = promislow_circular()
     yield "promislow-r2/bi", validate_bi_invariance, c, ball(group.generators(), 2)
-    yield "promislow-r3/sampled", lambda o, carrier: validate_circular(
-        o, carrier, sample_size=2000, seed=3
+    yield "promislow-r3/sampled", _sampled(
+        orders._DEFAULT_TUPLE_CAP, 2000, 3
     ), c, ball(group.generators(), 3)
 
 
