@@ -10,9 +10,9 @@ identical configurations produce byte-identical output either way.
 from __future__ import annotations
 
 import contextlib
-import json
 import re
 import sys
+from _json import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Sequence
@@ -136,6 +136,8 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
             "lex orderings exist for promislow and product:<G>,cyclic:<n> groups"
         )
     if descriptor.startswith("table:"):
+        import json  # only table files are read as JSON; reports render without it
+
         path = Path(descriptor[len("table:"):])
         try:
             obj = json.loads(path.read_text())
@@ -159,8 +161,35 @@ def resolve_carrier(group: Group, radius: int) -> Ball | Group:
 # -- output -----------------------------------------------------------------------
 
 
+def _json_text(obj: Any, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it at indent pad:
+    str-keyed dicts, lists, tuples, str, int, bool and None.  Anything else,
+    a float or a non-str key included, raises TypeError."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_quote(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [_json_text(x, inner) for x in obj]
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def render_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte, without
+    the json package: its import and its pure-Python indent encoder."""
+    return _json_text(obj, "") + "\n"
 
 
 def _flatten(obj: Any, prefix: str, lines: list[str]) -> None:

@@ -307,20 +307,20 @@ def lift_check_report(
     in row order: an invalid ordering that a failing cocycle pass left
     unread raises InvalidOrderingError at its first such pair.
 
-    A window whose square exceeds the validator's tuple cap raises
-    ResourceCapError before any pass; it is the one bound on the N^3 pass.
+    N^3 triples over the validator's tuple cap raise ResourceCapError before
+    any pass: the cocycle pass is the report's only work, whatever the
+    degree bound.
     """
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, got {degree_bound}")
     f = Cocycle(c)
     carrier = as_carrier(base_carrier)
-    size = (2 * degree_bound + 1) * len(carrier)
-    if size * size > _DEFAULT_TUPLE_CAP:
+    if (triples := len(carrier) ** 3) > _DEFAULT_TUPLE_CAP:
         raise ResourceCapError(
-            f"lift-check window of {size} elements (degree bound {degree_bound}, "
-            f"{len(carrier)} base elements) has {size * size} pairs, over the "
-            f"cap of {_DEFAULT_TUPLE_CAP}"
+            f"lift-check cocycle pass over {len(carrier)} base elements has "
+            f"{triples} triples, over the cap of {_DEFAULT_TUPLE_CAP}"
         )
+    size = (2 * degree_bound + 1) * len(carrier)
     cocycle = check_inhomogeneous_cocycle(f, carrier)
     ident = c.group._identity_value()
     rest = [g.value for g in carrier if g.value != ident]

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordkit import lift as lift_module
-from ordkit.cli import main, resolve_group, resolve_ordering
+from ordkit.cli import main, render_json, resolve_group, resolve_ordering
 from ordkit.groups import CyclicGroup, klein_four_group
 from ordkit.orders import (
     OrderingTable,
@@ -470,42 +472,51 @@ class TestLiftCheckCommand:
         assert json.loads(out)["report"]["status"] == "pass"
 
     def test_window_over_the_tuple_cap_exits_2_at_once(self, capsys, monkeypatch):
-        # (8001 * 12)^2 window pairs: refused before the cocycle pass
+        # 1000^3 cocycle triples: refused before the pass, whatever the
+        # degree bound
         def unreachable(*args):
             raise AssertionError("the cocycle pass ran")
 
         monkeypatch.setattr(lift_module, "check_inhomogeneous_cocycle", unreachable)
-        argv = ["lift-check", "--group", "cyclic:12", "--ordering", "natural:1",
-                "--degree-bound", "4000"]
+        argv = ["lift-check", "--group", "cyclic:1000", "--ordering", "natural:1",
+                "--degree-bound", "0"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: lift-check window of 96012 elements (degree bound 4000, 12 "
-            "base elements) has 9218304144 pairs, over the cap of 2000000\n"
+            "error: lift-check cocycle pass over 1000 base elements has "
+            "1000000000 triples, over the cap of 2000000\n"
         )
 
-    def test_window_pair_cap_boundary(self, capsys):
-        # (117 * 12)^2 = 1,971,216 window pairs run; (119 * 12)^2 = 2,039,184
-        # are refused
-        argv = ["lift-check", "--group", "cyclic:12", "--ordering", "natural:1",
-                "--degree-bound"]
-        code, out = run(capsys, *argv, "58")
+    def test_window_pair_cap_boundary(self, capsys, monkeypatch):
+        # the cap bounds the N^3 cocycle triples: 126^3 = 2,000,376 are
+        # refused at the real cap, and at a cap of 12^3 = 1,728 cyclic:12
+        # runs and cyclic:13 (2,197) is refused
+        def argv(n):
+            return ["lift-check", "--group", f"cyclic:{n}", "--ordering",
+                    "natural:1", "--degree-bound", "0"]
+
+        assert main(argv(126)) == 2
+        assert capsys.readouterr() == ("", (
+            "error: lift-check cocycle pass over 126 base elements has 2000376 "
+            "triples, over the cap of 2000000\n"
+        ))
+        monkeypatch.setattr(lift_module, "_DEFAULT_TUPLE_CAP", 1728)
+        code, out = run(capsys, *argv(12))
         assert code == 0
         assert json.loads(out)["report"]["status"] == "pass"
-        assert main([*argv, "59"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            "error: lift-check window of 1428 elements (degree bound 59, 12 "
-            "base elements) has 2039184 pairs, over the cap of 2000000\n"
-        )
+        assert main(argv(13)) == 2
+        assert capsys.readouterr() == ("", (
+            "error: lift-check cocycle pass over 13 base elements has 2197 "
+            "triples, over the cap of 1728\n"
+        ))
 
     def test_window_under_the_tuple_cap_runs(self, capsys):
-        # (81 * 12)^2 = 944,784 window pairs
+        # 12^3 = 1,728 triples, whatever the degree bound: the window only
+        # scales the counts the report states
         code, out = run(
             capsys, "lift-check", "--group", "cyclic:12", "--ordering",
-            "natural:1", "--degree-bound", "40",
+            "natural:1", "--degree-bound", "4000",
         )
         assert code == 0
         assert json.loads(out)["report"]["status"] == "pass"
@@ -573,6 +584,50 @@ class TestOutputHandling:
         assert err.startswith(f"error: cannot write report to {path}: [Errno ")
 
 
+# quotes, backslashes, control characters, non-ASCII, astral and lone
+# surrogates, among any other code point
+json_text = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+    st.characters(exclude_categories=()),
+))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200)
+    | st.integers(-(2**200), -(2**64)) | json_text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(json_text, inner),
+    max_leaves=40,
+)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(indent=2, sort_keys=True)
+    without the json package."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert render_json(value) == dumps(value)
+
+    def test_golden_records(self):
+        records = 0
+        for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+            for record in json.loads(path.read_text()).values():
+                assert render_json(record) == dumps(record), path.name
+                records += 1
+        assert records > 100
+
+    @pytest.mark.parametrize("value", [
+        1.5, {1, 2}, CyclicGroup(3).element(1), {1: "a"}, {"a": [0.0]},
+    ])
+    def test_non_json_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            render_json(value)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -609,6 +664,20 @@ class TestColdStart:
         layers = ("groups", "orders", "lift", "secret", "snf", "obstruction",
                   "witness", "cli")
         assert {f"ordkit.{name}" for name in layers} <= loaded
+
+    def test_import_leaves_out_json(self):
+        # reports render through cli.render_json; the json package loads
+        # only to read a table: ordering file
+        code = (
+            "import sys, ordkit.cli; "
+            "print(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'json')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout) == []
 
     def test_bare_package_loads_no_layer(self):
         # each name has one import path, its module: the package itself
