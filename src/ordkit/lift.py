@@ -19,6 +19,7 @@ from .orders import (
     CheckList,
     CircularOrdering,
     ValidationReport,
+    _ladder,
     as_carrier,
     counterexample,
     sweep,
@@ -29,28 +30,23 @@ class InvalidOrderingError(ValueError):
     """The ordering behind a cocycle violates the circular-ordering axioms."""
 
 
-def _ladder(a, pairs, ident, ahead: Callable, behind: Callable, element) -> list:
-    """The cocycle's case ladder: f_c(a, b) for each (b, ab) of pairs of
-    handles, None where ab is None; ahead(a, b, ab) is c(id, a, ab) = +1,
-    behind(a, b, ab) is c(id, ab, a) = +1, element(x) is shown in errors."""
-    row: list = []
-    for b, ab in pairs:
-        if ab is None:
-            row.append(None)
-        elif a == ident or b == ident:
-            row.append(0)
-        elif ab == ident:
-            row.append(1)
-        elif ahead(a, b, ab):
-            row.append(0)
-        elif behind(a, b, ab):
-            row.append(1)
-        else:
-            raise InvalidOrderingError(
-                f"no cocycle case fires at ({element(a)!r}, {element(b)!r}); "
-                "the underlying circular ordering is invalid"
-            )
-    return row
+def _invalid(a: Element, b: Element) -> InvalidOrderingError:
+    return InvalidOrderingError(
+        f"no cocycle case fires at ({a!r}, {b!r}); "
+        "the underlying circular ordering is invalid"
+    )
+
+
+def _orientations(c: Callable, e) -> Callable:
+    """The ladder's entry from c on handles: f(a, b) = 0 where c(e, a, ab) =
+    +1, else 1 where c(e, ab, a) = +1, else None."""
+
+    def entry(a, b, ab) -> int | None:
+        if c(e, a, ab) == 1:
+            return 0
+        return 1 if c(e, ab, a) == 1 else None
+
+    return entry
 
 
 class Cocycle:
@@ -69,9 +65,7 @@ class Cocycle:
         self.group = group = ordering.group
         self._cache: dict[tuple[Any, Any], int] = {}
         self._ident = ident = group._identity_value()
-        self._element = functools.partial(Element, group)
-        self._ahead = lambda a, b, ab: ordering.fn(ident, a, ab) == 1
-        self._behind = lambda a, b, ab: ordering.fn(ident, ab, a) == 1
+        self._entry = _orientations(ordering.fn, ident)
 
     def __call__(self, a: Element, b: Element) -> int:
         if not (a.group is self.group and b.group is self.group):
@@ -83,54 +77,42 @@ class Cocycle:
         key = (a, b)
         value = self._cache.get(key)
         if value is None:
-            value = self._cache[key] = _ladder(
-                a, ((b, self.group._op_values(a, b)),), self._ident, self._ahead,
-                self._behind, self._element,
-            )[0]
+            pair = ((b, self.group._op_values(a, b)),)
+            row = _ladder(a, pair, self._ident, self._entry)
+            if not row:
+                raise _invalid(Element(self.group, a), Element(self.group, b))
+            value = self._cache[key] = row[0]
         return value
 
     def on_carrier(self, points: Sequence[Element]) -> Callable[[int, list], list]:
         """f_c by rows over the distinct points, which hold the identity:
         row(i, ks) lists f_c(points[i], points[j]) over j, ks[j] being the
         index of their product, or None where it leaves the points and f_c is
-        not evaluated.  Rows neither read nor fill the pair memo.  The
-        orientations come from the ordering's table or, for a secret ordering,
-        from bits cone(v^-1) and cone(v) of each point v, each read once, on
-        first use: f = 0 when cone(a^-1) + cone((ab)^-1) + cone(b^-1) is even,
-        else f = 1 when cone(a^-1) + cone((ab)^-1) + cone(b) is.
+        not evaluated.  Rows neither read nor fill the pair memo.  They come
+        from the ordering builder's own row formula where it has one
+        (arrangement, secret and lexicographic orderings, see their
+        builders), else from the case ladder on the ordering's table, which
+        reads c(e, a, ab) and then c(e, ab, a).  Either raises
+        InvalidOrderingError at the first pair where no case fires.
         """
         values, ident = [g.value for g in points], self.group._identity_value()
         if ident not in values:
             raise ValueError("carrier must contain the identity")
         require_members(self.group, points, "cocycle")
-        e, cone = values.index(ident), self.ordering._cone
-        if cone is None:
-            table = self.ordering.table(points)
-            ahead, behind = (lambda i, j, k: table(e, i, k) == 1,
-                             lambda i, j, k: table(e, k, i) == 1)
+        if len(set(values)) != len(values):
+            raise ValueError("carrier elements must be distinct")
+        e, build = values.index(ident), self.ordering._rows
+        if build is not None:
+            rows = build(values, e)
         else:
-            # bits read so far; 4 marks an unread one, so sums above 3 hold one
-            inv, neg, pos = self.group._inv_value, [4] * len(points), [4] * len(points)
-
-            def bit(bits: list, i: int) -> bool:
-                if bits[i] == 4:
-                    bits[i] = bool(cone(inv(values[i]) if bits is neg else values[i]))
-                return bits[i]
-
-            def ahead(i: int, j: int, k: int) -> bool:
-                s = neg[i] + neg[k] + neg[j]
-                if s > 3:
-                    s = bit(neg, i) + bit(neg, k) + bit(neg, j)
-                return not s & 1
-
-            def behind(i: int, j: int, k: int) -> bool:
-                s = neg[k] + neg[i] + pos[j]
-                if s > 3:
-                    s = bit(neg, k) + bit(neg, i) + bit(pos, j)
-                return not s & 1
+            entry = _orientations(self.ordering.table(points), e)
+            rows = lambda i, ks: _ladder(i, enumerate(ks), e, entry)
 
         def row(i: int, ks: list) -> list:
-            return _ladder(i, enumerate(ks), e, ahead, behind, points.__getitem__)
+            fs = rows(i, ks)
+            if len(fs) < len(ks):
+                raise _invalid(points[i], points[len(fs)])
+            return fs
 
         return row
 

@@ -55,11 +55,17 @@ def intern_carrier(elems: Sequence[Element]) -> tuple[list, list, dict, list[int
 class CircularOrdering(Record):
     """Ternary ordering oracle c: G^3 -> {-1, 0, +1} with provenance; `fn`
     is c on canonical forms, the builder's `tabulate`, when given, maps
-    distinct carrier values to c on index triples, and `cone`, given only
-    for the secret ordering of a left order, is that order's cone on
-    canonical forms."""
+    distinct carrier values to c on index triples, and its `rows`, when
+    given, maps distinct carrier values and the identity's index e to the
+    rows of c's cocycle f_c that `Cocycle.on_carrier` serves.  row(i, ks)
+    lists f_c(values[i], values[j]) over j, where ks[j] is the index of
+    their product, or None where it leaves the values and the entry is None;
+    the list stops short at the first pair where no case of the cocycle's
+    ladder fires.  Arrangement, secret and lexicographic orderings give rows
+    from per-element ingredients; other orderings leave the rows to the
+    ladder on their table."""
 
-    __slots__ = ("group", "provenance", "fn", "description", "_tabulate", "_cone")
+    __slots__ = ("group", "provenance", "fn", "description", "_tabulate", "_rows")
     _key = attrgetter("group", "provenance", "fn", "description")
     _defaults = ("", None, None)
 
@@ -147,6 +153,29 @@ def restricted_cone(
 # -- builders ----------------------------------------------------------------
 
 
+def _ladder(a, pairs, ident, entry: Callable) -> list:
+    """The cocycle's case ladder: f_c(a, b) for each (b, ab) of pairs of
+    handles, None where ab is None.  Identity arguments give 0, then ab =
+    ident gives 1, then entry(a, b, ab) decides: 0 where c(id, a, ab) = +1,
+    1 where c(id, ab, a) = +1, None where neither holds.  The list stops
+    short at the first pair that entry leaves undecided."""
+    row: list = []
+    append = row.append
+    for b, ab in pairs:
+        if ab is None:
+            append(None)
+        elif a == ident or b == ident:
+            append(0)
+        elif ab == ident:
+            append(1)
+        else:
+            f = entry(a, b, ab)
+            if f is None:
+                break
+            append(f)
+    return row
+
+
 def _less_values(group: Group, cone: Callable[[Any], bool]):
     """x < y on canonical forms: the cone holds x^-1 y."""
     op, inv = group._op_values, group._inv_value
@@ -161,11 +190,56 @@ def _secret_entry(x, y, z, lt: Callable[[Any, Any], bool]) -> int:
 
 
 def secret_from_left(lo: LeftOrdering) -> CircularOrdering:
-    """Circular ordering that is +1 on increasing triples up to cyclic shift;
-    it keeps lo's cone, from which its cocycle reads per-element bits."""
-    fn = functools.partial(_secret_entry, lt=_less_values(lo.group, lo.cone))
+    """Circular ordering that is +1 on increasing triples up to cyclic shift.
+
+    Its cocycle rows read two bits of lo's cone per carrier point v, n(v) =
+    cone(v^-1) and p(v) = cone(v), each on first use in the ladder's order:
+    f(a, b) = 0 when n(a) + n(ab) + n(b) is even, else 1 when n(a) + n(ab) +
+    p(b) is.  Once every n bit is read, p(b) is known as n(b^-1), the same
+    cone argument.  If then each point's inverse is a point with the other n
+    bit, the cone is valid on the carrier and f(a, b) = n(a) + n(ab) + n(b)
+    mod 2 on every pair, with n(e) = 0: each later row is one comprehension
+    that reads no cone.  Otherwise the ladder keeps reading bits.
+    """
+    group, cone = lo.group, lo.cone
+    inv = group._inv_value
+    fn = functools.partial(_secret_entry, lt=_less_values(group, cone))
+
+    def rows(values: list, e: int) -> Callable:
+        neg = functools.cache(lambda i: bool(cone(inv(values[i]))))
+        pos = functools.cache(lambda i: bool(cone(values[i])))
+        bits: list | bool | None = None  # n with n(e) = 0 once valid, False if not
+
+        def entry(i: int, j: int, k: int) -> int | None:
+            if not (neg(i) + neg(k) + neg(j)) & 1:
+                return 0
+            if not (neg(k) + neg(i) + pos(j)) & 1:
+                return 1
+            return None
+
+        def decide() -> list | bool:
+            index = {v: i for i, v in enumerate(values)}
+            for j, v in enumerate(values):
+                m = index.get(inv(v))
+                if j != e and (m is None or neg(m) == neg(j)):
+                    return False
+            return [j != e and neg(j) for j in range(len(values))]
+
+        def row(i: int, ks: list) -> list:
+            nonlocal bits
+            # the ladder never reads n(e)
+            if bits is None and neg.cache_info().currsize == len(values) - 1:
+                bits = decide()
+            if not bits:
+                return _ladder(i, enumerate(ks), e, entry)
+            ni = bits[i]
+            return [None if k is None else (ni + bits[k] + nj) & 1
+                    for nj, k in zip(bits, ks)]
+
+        return row
+
     name = f"secret of {lo.provenance}"
-    return CircularOrdering(lo.group, "secret-of-left-order", fn, name, None, lo.cone)
+    return CircularOrdering(group, "secret-of-left-order", fn, name, None, rows)
 
 
 def _cyclic_entry(n: int, p1: int, p2: int, p3: int) -> int:
@@ -182,7 +256,11 @@ def arrangement_circular(
 ) -> CircularOrdering:
     """The ordering of a cyclic arrangement of distinct elements of group:
     +1 on the distinct triples met in that order going round, -1 on the
-    other distinct triples.  It is defined on the arranged elements only."""
+    other distinct triples.  It is defined on the arranged elements only.
+
+    Its cocycle rows read one position per carrier point, rel(v), counted
+    going round from the identity's: f(a, b) = 1 exactly when rel(a) >
+    rel(ab), which no ordering of this kind leaves undecided."""
     require_members(group, arrangement, "arrangement")
     position = {g.value: p for p, g in enumerate(arrangement)}
     n = len(arrangement)
@@ -196,7 +274,17 @@ def arrangement_circular(
         pos = [position[v] for v in values]
         return lambda x, y, z: _cyclic_entry(n, pos[x], pos[y], pos[z])
 
-    return CircularOrdering(group, provenance, fn, description, tabulate)
+    def rows(values: list, e: int) -> Callable:
+        pos = [position[v] for v in values]
+        rel = [(p - pos[e]) % n for p in pos]
+
+        def row(i: int, ks: list) -> list:
+            ri = rel[i]
+            return [None if k is None else 1 if rel[k] < ri else 0 for k in ks]
+
+        return row
+
+    return CircularOrdering(group, provenance, fn, description, tabulate, rows)
 
 
 def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
@@ -245,34 +333,86 @@ def lex_circular(ses: SESData) -> CircularOrdering:
     Triples whose images are all distinct defer to the quotient ordering;
     triples with a repeated image are cyclically rotated until the matching
     pair leads, then decided by the kernel's secret ordering.
+
+    Its cocycle rows read one of three ingredients per pair (a, b), each on
+    first use in the ladder's order: where the images of e, a and ab are
+    distinct, the quotient's orientations from the identity's slot, per
+    pair of slots; where a, b and ab lie in the kernel, the parities of the
+    cone bits cone(ab) + cone(b) + cone(a^-1), then cone(a) + cone(b^-1) +
+    cone((ab)^-1); where one image repeats, the twin sign T(v) of the one
+    kernel element v among a, b and ab: -1 where v^2 is in the cone, 0
+    where v^2 = e, else +1.  f = 0 where T(v^-1) = +1, else f = 1 where
+    T(v) = +1, with the roles of v and v^-1 swapped for v = ab.
     """
     group, cone, quotient = ses.group, ses.kernel_order.cone, ses.quotient_ordering
     op, inv, ident = group._op_values, group._inv_value, group._identity_value()
     image, lt = ses.projection.rule, _less_values(group, cone)
 
-    def twin(x, y):
-        # the kernel's secret ordering at (a, e, a^-1), a = y^-1 x, counts
-        # the inversions e < a, a^-1 < a, a^-1 < e: only a^2 > e decides
-        a = op(inv(y), x)
+    def twin_sign(a):
+        # the kernel's secret ordering at (a, e, a^-1) counts the inversions
+        # e < a, a^-1 < a, a^-1 < e: only a^2 > e decides
         square = op(a, a)
         if square == ident:
             return 0
         return -1 if cone(square) else 1
 
-    def tabulate(values: list) -> Callable:
+    def twin(x, y):
+        return twin_sign(op(inv(y), x))
+
+    def slots(values: list) -> tuple[list, Callable]:
+        """Each value's quotient slot, and the quotient's table on the slots."""
         images = [image(x) for x in values]
         slot = {w: s for s, w in enumerate(dict.fromkeys(images))}
-        at = [slot[w] for w in images].__getitem__
         order = quotient.table([Element(ses.projection.target, w) for w in slot])
+        return [slot[w] for w in images], order
+
+    def tabulate(values: list) -> Callable:
+        at, order = slots(values)
         less = functools.cache(lambda x, y: lt(values[x], values[y]))
         pair = functools.cache(lambda x, y: twin(values[x], values[y]))
-        return lambda x, y, z: _lex_entry(x, y, z, at, order, less, pair)
+        return lambda x, y, z: _lex_entry(x, y, z, at.__getitem__, order, less, pair)
+
+    def rows(values: list, e: int) -> Callable:
+        at, order = slots(values)
+        home = at[e]
+        pos = functools.cache(lambda i: bool(cone(values[i])))
+        neg = functools.cache(lambda i: bool(cone(inv(values[i]))))
+        sign = functools.cache(lambda i: twin_sign(values[i]))
+        inverse_sign = functools.cache(lambda i: twin_sign(inv(values[i])))
+
+        @functools.cache
+        def turn(s: int, t: int) -> int | None:
+            if order(home, s, t) == 1:
+                return 0
+            return 1 if order(home, t, s) == 1 else None
+
+        def entry(i: int, j: int, k: int) -> int | None:
+            s, t = at[i], at[k]
+            if s != t and s != home and t != home:
+                return turn(s, t)
+            if s == t == home:
+                if not (pos(k) + pos(j) + neg(i)) & 1:
+                    return 0
+                if not (pos(i) + neg(j) + neg(k)) & 1:
+                    return 1
+                return None
+            if s == home:
+                first, then, v = inverse_sign, sign, i
+            elif t == home:
+                first, then, v = sign, inverse_sign, k
+            else:
+                first, then, v = inverse_sign, sign, j
+            if first(v) == 1:
+                return 0
+            return 1 if then(v) == 1 else None
+
+        return lambda i, ks: _ladder(i, enumerate(ks), e, entry)
 
     fn = functools.partial(
         _lex_entry, image=image, quotient=quotient.fn, lt=lt, twin=twin
     )
     name = f"lexicographic via {ses.projection.name}"
-    return CircularOrdering(group, "lexicographic", fn, name, tabulate)
+    return CircularOrdering(group, "lexicographic", fn, name, tabulate, rows)
 
 
 def product_ses(lo: LeftOrdering, n: int, unit: int = 1) -> SESData:

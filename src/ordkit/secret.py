@@ -29,7 +29,12 @@ class CoboundarySolution(Record):
     __slots__ = ("group", "carrier", "d")
 
     def cone_elements(self) -> list[Element]:
-        return [g for g in self.carrier if self.d[g.value] == 0 and not g.is_identity]
+        """The elements with d = 0 other than the identity, each once, in
+        carrier order."""
+        return [
+            g for g in dict.fromkeys(self.carrier)
+            if self.d[g.value] == 0 and not g.is_identity
+        ]
 
 
 class SecretWitness(Record):

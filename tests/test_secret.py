@@ -61,6 +61,12 @@ class TestWitnessRecovery:
         assert isinstance(verdict, SecretWitness)
         cone = sorted(g.value for g in verdict.solution.cone_elements())
         assert cone == list(range(1, 21))
+        # a repeated carrier element is one variable, listed once in the
+        # cone; the constraints are still counted per carrier position
+        repeated = [z.element(v) for v in (0, 1, 1)]
+        verdict = detect_secret(secret_from_left(lo), repeated)
+        assert verdict.solution.cone_elements() == [z.element(1)]
+        assert verdict.checked_constraints == 5
 
     def test_recovered_cone_validates(self):
         z = IntegerGroup()

@@ -21,8 +21,10 @@ from ordkit.groups import (
     PROMISLOW,
     ball,
 )
+from ordkit.cli import resolve_carrier
 from ordkit.lift import Cocycle, InvalidOrderingError
 from ordkit.obstruction import (
+    brute_force_circular_orders,
     promislow_circular,
     promislow_product_c2_circular,
     promislow_ses,
@@ -31,12 +33,16 @@ from ordkit.orders import (
     CircularOrdering,
     LeftOrdering,
     OrderingTable,
+    OutsideCarrierError,
+    arrangement_circular,
     as_carrier,
     lex_circular,
     lex_free_abelian_order,
     natural_circular_cyclic,
     natural_units,
+    product_circular,
     product_ses,
+    restricted_cone,
     secret_from_left,
     usual_integer_order,
 )
@@ -107,6 +113,37 @@ def subsets(elems, max_size=9):
 
 Z = IntegerGroup()
 Z2 = FreeAbelianGroup(2)
+
+
+def arrangement_cases():
+    """natural:k on Z/n for n <= 12, every unit k, and each arrangement that
+    `enumerate` finds on Z/n for n <= 8, each on its whole group."""
+    cases = [
+        (natural_circular_cyclic(n, k), CyclicGroup(n).elements())
+        for n in range(2, 13)
+        for k in natural_units(n)
+    ]
+    for n in range(2, 9):
+        group = CyclicGroup(n)
+        cases += [
+            (arrangement_circular(group, arrangement), group.elements())
+            for arrangement in brute_force_circular_orders(group)
+        ]
+    return cases
+
+
+def lex_cases():
+    """Lexicographic orderings on the CLI's balls: Z x Z/n for n <= 6,
+    Z^2 x Z/3 and the Promislow group."""
+    cases = [
+        (c, resolve_carrier(c.group, 3))
+        for c in [product_circular(usual_integer_order(Z), n) for n in range(2, 7)]
+    ]
+    c = product_circular(lex_free_abelian_order(Z2), 3)
+    return cases + [
+        (c, resolve_carrier(c.group, 2)),
+        (promislow_circular(), resolve_carrier(PROMISLOW, 2)),
+    ]
 
 
 class TestTableMatchesOracle:
@@ -248,6 +285,8 @@ class TestCocycleOnCarrier:
             (natural_circular_cyclic(7, 3), CyclicGroup(7).elements()),
             (secret_from_left(usual_integer_order(Z)), ball([Z.element(1)], 5)),
             (promislow_circular(), ball([PROMISLOW.gen_a(), PROMISLOW.gen_b()], 2)),
+            *arrangement_cases(),
+            *lex_cases(),
         ],
     )
     def test_matches_pair_cocycle(self, c, carrier):
@@ -280,6 +319,15 @@ def test_detect_secret_cone_calls_bounded_by_pairs():
     assert isinstance(verdict, SecretWitness)
     assert 0 < len(calls) <= 2 * len(carrier)
 
+    # a lexicographic ordering of Z x Z/5 reads its kernel cone at most four
+    # times per element: at v, v^-1 and the squares of both
+    c = product_circular(LeftOrdering(Z, "usual", cone), 5)
+    for radius in (5, 10, 20):
+        calls.clear()
+        carrier = resolve_carrier(c.group, radius)
+        detect_secret(c, carrier)
+        assert 0 < len(calls) <= 4 * len(carrier)
+
 
 def test_detect_secret_evaluates_the_cocycle_by_rows(monkeypatch):
     # one row call per carrier element, not one call per constraint
@@ -298,16 +346,17 @@ def test_detect_secret_evaluates_the_cocycle_by_rows(monkeypatch):
     assert len(cones) <= 82
 
 
-def without_cone(c):
-    """c with its cone dropped, so that its cocycle reads c's table."""
+def without_rows(c):
+    """c without its builder's rows, so that its cocycle reads c's table."""
     return CircularOrdering(c.group, c.provenance, c.fn, c.description)
 
 
 def cocycle_run(c, elems):
     """f_c on every carrier pair whose product is in the carrier, by rows in
-    the order `detect_secret` builds its constraints; an InvalidOrderingError
-    ends the run and is returned with the row it was raised at (its text
-    names the pair)."""
+    the order `detect_secret` builds its constraints; an InvalidOrderingError,
+    or an OutsideCarrierError of a cone restricted to a carrier, ends the
+    run and is returned with the row it was raised at (its text names the
+    pair, or the cone's argument)."""
     row = Cocycle(c).on_carrier(elems)
     index = {g.value: i for i, g in enumerate(elems)}
     values = []
@@ -315,14 +364,16 @@ def cocycle_run(c, elems):
         ks = [index.get((g * h).value) for h in elems]
         try:
             values += [f for f in row(i, ks) if f is not None]
-        except InvalidOrderingError as exc:
-            return values, (g.value, str(exc))
+        except (InvalidOrderingError, OutsideCarrierError) as exc:
+            return values, (g.value, type(exc).__name__, str(exc))
     return values, None
 
 
 class TestConeBits:
-    """A secret ordering's cocycle reads two cone bits per carrier element;
-    it must agree with the cocycle read from the ordering's table."""
+    """Arrangement, secret and lexicographic orderings give their cocycle's
+    rows from per-element ingredients, a secret ordering two cone bits per
+    carrier element; each must agree with the cocycle read from the
+    ordering's table, first error included."""
 
     @pytest.mark.parametrize(
         "lo,carrier",
@@ -338,7 +389,7 @@ class TestConeBits:
         run = cocycle_run(c, elems)
         assert run[1] is None
         assert len(calls) <= 2 * len(elems)
-        assert run == cocycle_run(without_cone(c), elems)
+        assert run == cocycle_run(without_rows(c), elems)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -350,7 +401,7 @@ class TestConeBits:
         # both cocycles must fail at the same first pair
         c = secret_from_left(LeftOrdering(Z, "corrupted", positives.__contains__))
         elems = as_carrier([Z.element(v) for v in {0, *points}])
-        assert cocycle_run(c, elems) == cocycle_run(without_cone(c), elems)
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -362,7 +413,18 @@ class TestConeBits:
         )
         elems = list(dict.fromkeys(elems))
         c = secret_from_left(LeftOrdering(Z2, "corrupted", positives.__contains__))
-        assert cocycle_run(c, elems) == cocycle_run(without_cone(c), elems)
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.sets(st.integers(-6, 6), max_size=3))
+    def test_nearly_usual_cones_on_balls(self, radius, flipped):
+        # the usual cone with a few members flipped, on a whole ball: every
+        # bit cone(v^-1) is read early, and the rows must still find that
+        # trichotomy fails before they stop reading the cone
+        positives = {v for v in range(-6, 7) if v > 0} ^ flipped
+        c = secret_from_left(LeftOrdering(Z, "nearly", positives.__contains__))
+        elems = as_carrier(ball([Z.element(1)], radius))
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
 
     def test_corrupted_cone_fails_at_the_first_pair(self):
         # both 1 and -1 positive: f(1, 1) cannot decide, as c(e, 1, 2) and
@@ -371,4 +433,96 @@ class TestConeBits:
         elems = as_carrier(ball([Z.element(1)], 2))
         values, failure = cocycle_run(c, elems)
         assert failure is not None
-        assert (values, failure) == cocycle_run(without_cone(c), elems)
+        assert (values, failure) == cocycle_run(without_rows(c), elems)
+
+    def test_restricted_integer_cone(self):
+        # the cone answers only on [-2, 2]: both cocycles stop at the same
+        # cone argument
+        inner = as_carrier(ball([Z.element(1)], 2))
+        lo = restricted_cone(Z, [g for g in inner if g.value > 0], inner)
+        elems = as_carrier(ball([Z.element(1)], 4))
+        run = cocycle_run(secret_from_left(lo), elems)
+        assert run[1][1] == "OutsideCarrierError"
+        assert run == cocycle_run(without_rows(secret_from_left(lo)), elems)
+
+    @pytest.mark.parametrize("c,carrier", arrangement_cases())
+    def test_arrangements_agree(self, c, carrier):
+        elems = as_carrier(carrier)
+        run = cocycle_run(c, elems)
+        assert run[1] is None
+        assert run == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_arrangements_on_subsets(self, n, data):
+        group = CyclicGroup(n)
+        c = natural_circular_cyclic(n, data.draw(st.sampled_from(natural_units(n))))
+        elems = as_carrier({group.identity(), *data.draw(subsets(group.elements(), n))})
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @pytest.mark.parametrize("c,carrier", lex_cases())
+    def test_lex_agree(self, c, carrier):
+        elems = as_carrier(carrier)
+        run = cocycle_run(c, elems)
+        assert run[1] is None
+        assert run == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([IntegerGroup(), CyclicGroup(2), CyclicGroup(4)]),
+        st.integers(2, 6),
+        st.data(),
+    )
+    def test_corrupted_lex_kernel_cones(self, base, n, data):
+        # an arbitrary positive set, as in the table tests above
+        span = range(-3, 4) if base == Z else range(base.order)
+        positive = data.draw(st.sets(st.sampled_from(list(span))))
+        c = product_circular(LeftOrdering(base, "corrupt", positive.__contains__), n)
+        pool = [c.group.element((a, b)) for a in span for b in range(n)]
+        elems = as_carrier({c.group.identity(), *data.draw(subsets(pool, 12))})
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_corrupted_lex_free_abelian(self, data):
+        values = [g.value for g in ball(Z2.basis(), 2)]
+        positive = data.draw(st.sets(st.sampled_from(values)))
+        c = product_circular(LeftOrdering(Z2, "corrupt", positive.__contains__), 3)
+        pool = as_carrier(resolve_carrier(c.group, 2))
+        elems = as_carrier({c.group.identity(), *data.draw(subsets(pool, 14))})
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_corrupted_promislow_kernel_cones(self, data):
+        pool = as_carrier(resolve_carrier(PROMISLOW, 2))
+        positive = data.draw(st.sets(st.sampled_from([g.value for g in pool])))
+        kernel_order = LeftOrdering(PROMISLOW, "corrupt", positive.__contains__)
+        c = lex_circular(promislow_ses()._replace(kernel_order=kernel_order))
+        elems = as_carrier({PROMISLOW.identity(), *data.draw(subsets(pool, 14))})
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 5), st.data())
+    def test_corrupted_lex_quotient(self, n, data):
+        # a quotient ordering with one entry flipped need not decide the
+        # pairs whose images are distinct
+        table = OrderingTable.from_ordering(
+            natural_circular_cyclic(n, 1), CyclicGroup(n).elements()
+        )
+        flipped = table.flipped(data.draw(st.sampled_from(sorted(table.entries))))
+        ses = product_ses(usual_integer_order(Z), n)
+        c = lex_circular(ses._replace(quotient_ordering=flipped.ordering()))
+        elems = as_carrier(resolve_carrier(c.group, 2))
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(st.integers(-4, 4)), st.integers(2, 5), st.data())
+    def test_restricted_lex_kernel_cones(self, inner, n, data):
+        # the kernel cone answers only on the inner set and raises
+        # OutsideCarrierError beyond; its positive set may be corrupted
+        inner = [Z.element(v) for v in inner]
+        positives = data.draw(st.sets(st.sampled_from(inner))) if inner else ()
+        c = product_circular(restricted_cone(Z, positives, inner), n)
+        elems = as_carrier(resolve_carrier(c.group, data.draw(st.integers(1, 4))))
+        assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
