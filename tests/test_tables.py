@@ -445,8 +445,8 @@ class TestConeBits:
         assert run[1][1] == "OutsideCarrierError"
         assert run == cocycle_run(without_rows(secret_from_left(lo)), elems)
 
-    @pytest.mark.parametrize("c,carrier", arrangement_cases())
-    def test_arrangements_agree(self, c, carrier):
+    @pytest.mark.parametrize("c,carrier", arrangement_cases() + lex_cases())
+    def test_builder_rows_agree(self, c, carrier):
         elems = as_carrier(carrier)
         run = cocycle_run(c, elems)
         assert run[1] is None
@@ -459,13 +459,6 @@ class TestConeBits:
         c = natural_circular_cyclic(n, data.draw(st.sampled_from(natural_units(n))))
         elems = as_carrier({group.identity(), *data.draw(subsets(group.elements(), n))})
         assert cocycle_run(c, elems) == cocycle_run(without_rows(c), elems)
-
-    @pytest.mark.parametrize("c,carrier", lex_cases())
-    def test_lex_agree(self, c, carrier):
-        elems = as_carrier(carrier)
-        run = cocycle_run(c, elems)
-        assert run[1] is None
-        assert run == cocycle_run(without_rows(c), elems)
 
     @settings(max_examples=80, deadline=None)
     @given(
