@@ -936,10 +936,12 @@ class Homomorphism:
         """f(ws) = f(w)f(s) on every edge of B(carrier.gens, 2 carrier.radius)."""
         source, rule, times = self.source, self.rule, self.target._op_values
         op = source._op_values
+        # an involution is its own inverse: walk each letter once
         letters = [
             (s, rule(s))
-            for g in carrier.gens
-            for s in (g.value, source._inv_value(g.value))
+            for s in dict.fromkeys(
+                s for g in carrier.gens for s in (g.value, source._inv_value(g.value))
+            )
         ]
         frontier = [source._identity_value()]
         img = {frontier[0]: rule(frontier[0])}

@@ -21,7 +21,7 @@ from ordkit.groups import (
     IntegerGroup,
     ball,
 )
-from ordkit.obstruction import _product_c2_ball, promislow_phi
+from ordkit.obstruction import _product_c2_ball, promislow_beta, promislow_phi
 
 Z, Z2 = IntegerGroup(), FreeAbelianGroup(2)
 Z_C5 = DirectProductGroup(Z, CyclicGroup(5))
@@ -140,3 +140,25 @@ def test_phi_rule_calls_bounded_by_doubled_ball():
     assert len(ball(gens, 8)) + 4 == 529
     assert counted.validate_on_carrier(ball(gens, 4))
     assert len(calls) <= 529
+
+
+def test_involution_letter_walked_once(monkeypatch):
+    # (id, 1) is its own inverse, so S u S^-1 has 5 letters on the G x Z/2
+    # ball, and the beta walk makes one product op per letter and element
+    # of B(S, 2r - 1)
+    calls = []
+    op = DirectProductGroup._op_values
+
+    def counting(self, a, b):
+        calls.append(1)
+        return op(self, a, b)
+
+    beta = promislow_beta()
+    for radius, expected in [(1, 30), (2, 290), (3, 1150), (4, 3010)]:
+        carrier = _product_c2_ball(radius)
+        assert 5 * len(ball(carrier.gens, 2 * radius - 1)) == expected
+        calls.clear()
+        monkeypatch.setattr(DirectProductGroup, "_op_values", counting)
+        assert beta.validate_on_carrier(carrier)
+        monkeypatch.setattr(DirectProductGroup, "_op_values", op)
+        assert len(calls) == expected
