@@ -340,7 +340,9 @@ def cmd_promislow(args: SimpleNamespace) -> tuple[dict, bool]:
 
 def cmd_witness(args: SimpleNamespace) -> tuple[dict, bool]:
     try:
-        report = verify_witness_claims(args.p, budget=args.budget, seed=args.seed)
+        report = verify_witness_claims(
+            WitnessAmbientGroup(args.p), budget=args.budget, seed=args.seed
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return {"report": report}, report["status"] == "pass"

@@ -566,10 +566,6 @@ class PromislowGroup(Group):
 # -- registry --------------------------------------------------------------
 
 
-def klein_four_group() -> DirectProductGroup:
-    return DirectProductGroup(CyclicGroup(2), CyclicGroup(2), name="klein4")
-
-
 def get_group(descriptor: str) -> Group:
     """Resolve a builtin group descriptor such as ``cyclic:6`` or ``promislow``.
 
@@ -603,7 +599,7 @@ def _leaf_group(descriptor: str) -> Group:
     if descriptor == "promislow":
         return PROMISLOW
     if descriptor == "klein4":
-        return klein_four_group()
+        return DirectProductGroup(CyclicGroup(2), CyclicGroup(2), name="klein4")
     if descriptor == "trivial":
         return CyclicGroup(1)
     if descriptor.startswith("cyclic:"):
@@ -655,9 +651,6 @@ class Ball(Record):
 
     def __contains__(self, g: Element) -> bool:
         return g.group == self.group and g.value in self._value_set
-
-    def contains_value(self, value: Any) -> bool:
-        return value in self._value_set
 
 
 def ball(gens: Sequence[Element], radius: int) -> Ball:

@@ -205,13 +205,6 @@ def _associativity(cocycle: ValidationReport) -> ValidationReport:
     )
 
 
-def recover_c(f: Cocycle, g1: Element, g2: Element, g3: Element) -> int:
-    """Reconstruct the circular ordering from its cocycle."""
-    if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
-        return 0
-    return 1 - 2 * f(~g1 * g2, ~g2 * g3)
-
-
 def cyclic_enumeration(c: CircularOrdering) -> list[Element]:
     """Elements of a finite group in the cyclic order of c, identity first."""
     group = c.group

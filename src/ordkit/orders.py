@@ -25,7 +25,6 @@ from .groups import (
     Group,
     Homomorphism,
     Record,
-    ball,
     require_members,
 )
 
@@ -89,8 +88,8 @@ class CircularOrdering(Record):
 
 
 class LeftOrdering(Record):
-    """Positive-cone membership oracle with the derived comparison; `cone`
-    reads canonical forms."""
+    """Positive-cone membership oracle: g < h exactly when g^-1 h is
+    positive; `cone` reads canonical forms."""
 
     __slots__ = ("group", "provenance", "cone", "description")
     _defaults = ("",)
@@ -99,9 +98,6 @@ class LeftOrdering(Record):
         if g.group is not self.group:
             require_members(self.group, (g,), "ordering")
         return self.cone(g.value)
-
-    def less(self, g: Element, h: Element) -> bool:
-        return self.positive(~g * h)
 
 
 # -- stock left orderings ----------------------------------------------------
@@ -301,10 +297,6 @@ def natural_circular_cyclic(n: int, k: int = 1) -> CircularOrdering:
     return arrangement_circular(group, arrangement, "natural-cyclic", name)
 
 
-def natural_units(n: int) -> list[int]:
-    return [k for k in range(1, n) if gcd(k, n) == 1]
-
-
 class SESData(Record):
     """Short exact sequence data backing a lexicographic circular ordering."""
 
@@ -415,7 +407,7 @@ def lex_circular(ses: SESData) -> CircularOrdering:
     return CircularOrdering(group, "lexicographic", fn, name, tabulate, rows)
 
 
-def product_ses(lo: LeftOrdering, n: int, unit: int = 1) -> SESData:
+def product_ses(lo: LeftOrdering, n: int) -> SESData:
     """The sequence 1 -> G -> G x Z/n -> Z/n -> 1 with kernel ordered by lo."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -436,7 +428,7 @@ def product_ses(lo: LeftOrdering, n: int, unit: int = 1) -> SESData:
         quotient=cyclic,
         projection=projection,
         kernel_order=kernel_order,
-        quotient_ordering=natural_circular_cyclic(n, unit),
+        quotient_ordering=natural_circular_cyclic(n),
     )
 
 
@@ -462,14 +454,6 @@ class OrderingTable(Record):
 
         return CircularOrdering(self.group, "explicit-table", fn, "table")
 
-    def flipped(self, key: tuple[Any, Any, Any]) -> "OrderingTable":
-        """Copy with one entry's sign flipped (mutation testing)."""
-        if key not in self.entries:
-            raise KeyError(key)
-        new_entries = dict(self.entries)
-        new_entries[key] = -new_entries[key]
-        return OrderingTable(self.group, self.carrier, new_entries)
-
     def to_json_dict(self) -> dict:
         items = sorted(
             self.entries.items(),
@@ -491,18 +475,17 @@ class OrderingTable(Record):
         }
 
     @staticmethod
-    def from_json_dict(obj: dict, group: Group | None = None) -> "OrderingTable":
+    def from_json_dict(obj: dict) -> "OrderingTable":
         from .groups import get_group
 
         if not isinstance(obj, dict):
             raise ValueError("an ordering table is a JSON object")
         for key in ("group", "carrier", "entries"):
-            if key not in obj and (key != "group" or group is None):
+            if key not in obj:
                 raise ValueError(f"the ordering table is missing the {key!r} key")
-        if group is None:
-            if not isinstance(obj["group"], str):
-                raise ValueError(f"group {obj['group']!r} is not a descriptor")
-            group = get_group(obj["group"])
+        if not isinstance(obj["group"], str):
+            raise ValueError(f"group {obj['group']!r} is not a descriptor")
+        group = get_group(obj["group"])
         if not (isinstance(obj["carrier"], list) and isinstance(obj["entries"], list)):
             raise ValueError("carrier and entries must be lists")
 
@@ -522,15 +505,6 @@ class OrderingTable(Record):
                 raise ValueError(f"entry value {value!r} is not an integer")
             entries[tuple(decode(raw) for raw in raws)] = value
         return OrderingTable(group, carrier, entries)
-
-    @staticmethod
-    def from_ordering(
-        c: CircularOrdering, carrier: Sequence[Element]
-    ) -> "OrderingTable":
-        entries = {}
-        for t1, t2, t3 in itertools.permutations(carrier, 3):
-            entries[(t1.value, t2.value, t3.value)] = c(t1, t2, t3)
-        return OrderingTable(c.group, tuple(carrier), entries)
 
 
 # -- validation ----------------------------------------------------------------
@@ -837,68 +811,3 @@ def validate_left_ordering(
         report = report._replace(notes=(note,))
     return report
 
-
-def convexity_check(
-    lo: LeftOrdering,
-    subgroup_gens: Sequence[Element],
-    carrier: Ball,
-) -> ValidationReport:
-    """Check that the induced order on cosets of <subgroup_gens> is well defined.
-
-    Membership in the subgroup is decided inside a secondary ball of radius
-    2 * carrier radius; differences falling outside it are left unresolved
-    and only counted, so a pass is relative to the resolved part.
-    """
-    radius = 2 * carrier.radius
-    c_ball = ball(subgroup_gens, radius)
-    elems = list(carrier.elements)
-
-    # cosets = components of certified same-coset pairs (g^-1 h inside the
-    # secondary ball); non-membership beyond that ball stays unresolved
-    parent = list(range(len(elems)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, g in enumerate(elems):
-        for j in range(i + 1, len(elems)):
-            if c_ball.contains_value((~g * elems[j]).value):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    grouped: dict[int, list[Element]] = {}
-    for i, g in enumerate(elems):
-        grouped.setdefault(find(i), []).append(g)
-    cosets = [grouped[root] for root in sorted(grouped)]
-
-    def cases():
-        # a coset pair is decided row by row: each row g x Y is compared
-        # in full and counted at once
-        for xi, X in enumerate(cosets):
-            for Y in cosets[xi + 1 :]:
-                lt_pair = gt_pair = None
-                for g in X:
-                    for h in Y:
-                        if lo.less(g, h):
-                            lt_pair = lt_pair or (g, h)
-                        else:
-                            gt_pair = gt_pair or (g, h)
-                    yield len(Y) - 1
-                    yield (
-                        counterexample(
-                            "coset-order-ill-defined",
-                            (lt_pair[0], gt_pair[0], lt_pair[1], gt_pair[1]),
-                            explanation="g < h but g' > h' with gC = g'C, hC = h'C",
-                        )
-                        if lt_pair and gt_pair
-                        else None
-                    )
-
-    notes = (
-        f"membership ball radius {radius} with {len(c_ball)} elements",
-        "distinct-coset claims are resolved only up to that radius",
-    )
-    return sweep("convexity-check", cases(), notes=notes)

@@ -276,13 +276,6 @@ def _phi_multiplier(p: int, d: int) -> int:
 class WitnessMembership(Record):
     __slots__ = ("element", "phi_value", "in_subgroup")
 
-    def to_dict(self) -> dict:
-        return {
-            "element": self.element.encode(),
-            "phi": self.phi_value,
-            "in_subgroup": self.in_subgroup,
-        }
-
 
 def membership_G(x: Element) -> WitnessMembership:
     """Membership test for G = {h k z^i : phi(h) = i} inside the ambient group."""
@@ -348,10 +341,7 @@ def _guarded(cases: Iterable[dict | None]) -> Iterator[dict | None]:
 
 
 def verify_witness_claims(
-    p: int,
-    budget: int = 500,
-    seed: int = 0,
-    group: WitnessAmbientGroup | None = None,
+    group: WitnessAmbientGroup, budget: int = 500, seed: int = 0
 ) -> dict:
     """Recompute the defining claims of the witness construction exactly.
 
@@ -364,8 +354,7 @@ def verify_witness_claims(
     of G has order <= p.  Any arithmetic error inside a family is reported
     as that family's failure.
     """
-    G = group or WitnessAmbientGroup(p)
-    p = G.p
+    G, p = group, group.p
     rng = random.Random(seed)
     ident = G.identity()
     gij_cases = [(i, j) for i in range(p) for j in range(-3, 4)]

@@ -6,7 +6,7 @@ carry identity on the base pairs.  `lift_window` and `window_iso_check`
 apply the lift group law itself on windows {(m, a) : |m| <= d}, so the tests
 can check the closed forms against the law they summarise;
 `check_lift_associativity` is the associativity entry of `lift_check_report`
-on its own.
+on its own, and `recover_c` reads the ordering back from its cocycle.
 """
 
 import itertools
@@ -29,6 +29,13 @@ class ForcedCocycle(Cocycle):
     def __init__(self, ordering, forced):
         super().__init__(ordering)
         self._cache.update(forced)
+
+
+def recover_c(f, g1, g2, g3):
+    """Reconstruct the circular ordering from its cocycle."""
+    if g1.value == g2.value or g2.value == g3.value or g1.value == g3.value:
+        return 0
+    return 1 - 2 * f(~g1 * g2, ~g2 * g3)
 
 
 def lift_window(lift, degree_bound, base_carrier):

@@ -36,7 +36,6 @@ from ordkit.obstruction import (
     left_orderable_spectrum,
     monotonicity_check,
     obstruction_finite,
-    promislow_alpha_check,
     promislow_kernel_order,
     promislow_product_c2_circular,
     promislow_spectrum,
@@ -128,7 +127,7 @@ def _lex_cases():
 def _cases():
     yield "worked-example-r3", lambda: promislow_worked_example(3)
     yield "worked-example-r4", lambda: promislow_worked_example(4)
-    yield "alpha-check-r3", lambda: promislow_alpha_check(3)
+    yield "alpha-check-r3", lambda: promislow_worked_example(3)["alpha"]
     yield "spectrum-12", lambda: promislow_spectrum(12).to_dict()
     yield "spectrum-20", lambda: promislow_spectrum(20).to_dict()
     carrier = ball(PROMISLOW.generators(), 2)

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orders_reference import flip_entry, ordering_table
+
 from ordkit import lift as lift_module
 from ordkit.cli import main, render_json, resolve_group, resolve_ordering
-from ordkit.groups import CyclicGroup, klein_four_group
+from ordkit.groups import CyclicGroup, get_group
 from ordkit.orders import (
     OrderingTable,
     arrangement_circular,
@@ -117,10 +119,10 @@ class TestValidate:
     def test_klein4_table_always_fails(self, capsys, tmp_path):
         # no valid table exists for a non-cyclic group; submit an arbitrary
         # arrangement table and watch an axiom break
-        group = klein_four_group()
+        group = get_group("klein4")
         carrier = as_carrier(group)
         c = arrangement_circular(group, carrier)
-        table = OrderingTable.from_ordering(c, carrier)
+        table = ordering_table(c, carrier)
         path = tmp_path / "klein.json"
         path.write_text(json.dumps(table.to_json_dict()))
         code, out = run(
@@ -131,10 +133,8 @@ class TestValidate:
 
     def test_flipped_table_fails(self, capsys, tmp_path):
         group = CyclicGroup(5)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(5, 1), as_carrier(group)
-        )
-        flipped = table.flipped(sorted(table.entries)[0])
+        table = ordering_table(natural_circular_cyclic(5, 1), as_carrier(group))
+        flipped = flip_entry(table, sorted(table.entries)[0])
         path = tmp_path / "flipped.json"
         path.write_text(json.dumps(flipped.to_json_dict()))
         code, _ = run(
@@ -279,9 +279,7 @@ class TestCorruptedTables:
     @pytest.mark.parametrize("entry", ["flip", 0, 5])
     def test_detect_secret_error(self, capsys, tmp_path, entry):
         group = CyclicGroup(5)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(5, 1), group.elements()
-        )
+        table = ordering_table(natural_circular_cyclic(5, 1), group.elements())
         entries = dict(table.entries)
         entries[(0, 1, 2)] = -entries[(0, 1, 2)] if entry == "flip" else entry
         path = tmp_path / "table.json"

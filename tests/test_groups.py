@@ -24,7 +24,6 @@ from ordkit.groups import (
     evaluate_word,
     free_reduce,
     get_group,
-    klein_four_group,
     parse_presentation,
 )
 from ordkit.lift import Cocycle, LiftGroup
@@ -419,7 +418,7 @@ class TestRegistry:
         assert promislow_kernel_order().group is PROMISLOW
 
     def test_klein_four_is_not_cyclic_product(self):
-        k4 = klein_four_group()
+        k4 = get_group("klein4")
         assert k4.descriptor == "klein4"
         assert all(element_order(g, 4) in (1, 2) for g in k4.elements())
 
@@ -429,7 +428,7 @@ def group_trees():
         st.integers(1, 12).map(CyclicGroup),
         st.just(IntegerGroup()),
         st.integers(0, 3).map(FreeAbelianGroup),
-        st.just(klein_four_group()),
+        st.just(get_group("klein4")),
     )
     return st.recursive(
         leaves,

@@ -10,8 +10,10 @@ from lift_reference import (
     ForcedCocycle,
     check_lift_associativity,
     lift_window,
+    recover_c,
     window_iso_check,
 )
+from orders_reference import flip_entry, natural_units, ordering_table
 from ordkit import lift as lift_module
 from ordkit.groups import (
     CyclicGroup,
@@ -30,17 +32,14 @@ from ordkit.lift import (
     cyclic_enumeration,
     cyclic_lift_iso_check,
     lift_check_report,
-    recover_c,
 )
 from ordkit.obstruction import brute_force_circular_orders
 from ordkit.orders import (
     CircularOrdering,
-    OrderingTable,
     arrangement_circular,
     as_carrier,
     counterexample,
     natural_circular_cyclic,
-    natural_units,
     secret_from_left,
     sweep,
     usual_integer_order,
@@ -96,8 +95,8 @@ def _table_runs(n, d):
     # every brute-forced table of Z/n and each of its single-entry flips
     group = CyclicGroup(n)
     for a in brute_force_circular_orders(group):
-        table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
-        for t in [table, *(table.flipped(key) for key in sorted(table.entries))]:
+        table = ordering_table(arrangement_circular(group, a), a)
+        for t in [table, *(flip_entry(table, key) for key in sorted(table.entries))]:
             yield t.ordering(), group, d
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from lift_reference import ForcedCocycle, check_lift_associativity
+from orders_reference import flip_entry, ordering_table
 
 from ordkit.groups import CyclicGroup
 from ordkit.lift import (
@@ -30,7 +31,6 @@ from ordkit.lift import (
 from ordkit.obstruction import brute_force_circular_orders
 from ordkit.orders import (
     CircularOrdering,
-    OrderingTable,
     arrangement_circular,
     natural_circular_cyclic,
 )
@@ -56,9 +56,9 @@ def _table_cases():
     for n in range(3, 7):
         group = CyclicGroup(n)
         for t, a in enumerate(brute_force_circular_orders(group)):
-            table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
+            table = ordering_table(arrangement_circular(group, a), a)
             keys = [k for k in sorted(table.entries) if k[0] < k[1] < k[2]]
-            tables = [table, *(table.flipped(key) for key in keys)]
+            tables = [table, *(flip_entry(table, key) for key in keys)]
             yield f"cyclic:{n}/table{t}", [
                 _run(lambda: lift_check_report(o.ordering(), group, 0)["checks"])
                 for o in tables

