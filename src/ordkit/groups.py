@@ -618,22 +618,6 @@ def _leaf_group(descriptor: str) -> Group:
     raise ValueError(f"unknown group descriptor: {descriptor!r}")
 
 
-# -- element order ----------------------------------------------------------
-
-
-def element_order(g: Element, cap: int) -> int | None:
-    """Least k <= cap with g^k = id, or None when the order exceeds cap."""
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    ident = g.group.identity()
-    power = g
-    for k in range(1, cap + 1):
-        if power == ident:
-            return k
-        power = power * g
-    return None
-
-
 # -- balls -------------------------------------------------------------------
 
 

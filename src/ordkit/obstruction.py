@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from math import gcd
-from operator import attrgetter, mul
+from operator import mul
 from typing import Any, Iterable
 
 from .groups import (
@@ -30,9 +30,9 @@ from .groups import (
     Record,
     ResourceCapError,
     ball,
-    element_order,
 )
 from .orders import (
+    _DEFAULT_TUPLE_CAP,
     CheckList,
     CircularOrdering,
     LeftOrdering,
@@ -53,39 +53,6 @@ RECORDED_HYPOTHESES = ("countable", "amenable")
 
 class CertificateError(RuntimeError):
     """A recomputed fact that a certificate rests on came out wrong."""
-
-
-# -- torsion ------------------------------------------------------------------
-
-
-class TorsionProfile(Record):
-    """Realized element orders up to a search cap, each with a witness; the
-    witnesses are left out of equality."""
-
-    __slots__ = ("group", "cap", "orders", "witnesses")
-    _key = attrgetter("group", "cap", "orders")
-
-
-def torsion_profile(
-    source: Group | Ball, cap: int | None = None
-) -> TorsionProfile:
-    """Element orders realized in a finite group or within a ball."""
-    if isinstance(source, Ball):
-        group = source.group
-        elems = list(source.elements)
-        cap = cap or max(len(elems), 16)
-    else:
-        group = source
-        elems = group.elements()
-        cap = cap or group.order
-    found: dict[int, Element] = {}
-    for g in elems:
-        k = element_order(g, cap)
-        if k is not None and k not in found:
-            found[k] = g
-    if 1 not in found:
-        found[1] = group.identity()
-    return TorsionProfile(group, cap, tuple(sorted(found)), found)
 
 
 # -- finite groups -------------------------------------------------------------
@@ -169,48 +136,71 @@ class SpectrumReport(Record):
         }
 
 
+def _primes(n: int) -> list[int]:
+    """The distinct primes of n, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _first_of_order(elements: list[Element], k: int) -> Element | None:
+    """The first element of order k: g^(k/q) != e per prime q of k, g^k = e."""
+    cofactors = [k // q for q in _primes(k)]
+    for g in elements:
+        if not any((g**c).is_identity for c in cofactors) and (g**k).is_identity:
+            return g
+    return None
+
+
 def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
     """Fully determined spectrum of a finite group: n is obstructed exactly
-    when G x Z/n is not cyclic."""
+    when G x Z/n is not cyclic, that is when G is not cyclic or shares a
+    prime with n.  A cyclic G has an element of every order dividing |G|, so
+    the least such prime p is the least order > 1 sharing a prime with n,
+    witnessed by the first element of order p.  The walk makes about one
+    power per element, so |G| log2 |G| group operations bound it up front."""
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
     order = group.order
-    profile = torsion_profile(group)
-    cyclic = order in profile.orders
-    generator = profile.witnesses.get(order)
-
+    if (work := order * (order - 1).bit_length()) > _DEFAULT_TUPLE_CAP:
+        raise ResourceCapError(
+            f"spectrum of {group.descriptor} needs about {work} group operations "
+            f"(|G| log2 |G|), over the cap of {_DEFAULT_TUPLE_CAP}"
+        )
+    elements = group.elements()
+    first_of_order = functools.cache(functools.partial(_first_of_order, elements))
+    generator = first_of_order(order)
+    primes = _primes(order)
     obstructed: dict[int, dict] = {}
     unobstructed: dict[int, dict] = {}
     for n in range(2, cap + 1):
-        if cyclic and gcd(order, n) == 1:
+        if generator is None:
+            obstructed[n] = {
+                "kind": "factor-not-cyclic",
+                "note": "G is a non-cyclic finite group, so G x Z/n is "
+                "never cyclic and never circularly-orderable",
+            }
+        elif gcd(order, n) == 1:
             unobstructed[n] = {
                 "kind": "cyclic-product",
                 "product_order": order * n,
                 "generator": generator.encode(),
                 "note": "G x Z/n is cyclic, hence circularly-orderable",
             }
-        elif not cyclic:
-            obstructed[n] = {
-                "kind": "factor-not-cyclic",
-                "note": "G is a non-cyclic finite group, so G x Z/n is "
-                "never cyclic and never circularly-orderable",
-            }
         else:
-            shared = next(
-                k
-                for k in profile.orders
-                if k > 1 and gcd(k, n) != 1
-            )
+            p = next(q for q in primes if n % q == 0)
             obstructed[n] = {
                 "kind": "torsion",
-                "element_order": shared,
-                "witness": profile.witnesses[shared].encode(),
-                "shared_prime": next(
-                    q for q in range(2, shared + 1)
-                    if shared % q == 0 and n % q == 0
-                ),
+                "element_order": p,
+                "witness": first_of_order(p).encode(),
+                "shared_prime": p,
             }
-    notes = () if cyclic else (
+    notes = () if generator is not None else (
         "the group itself is not circularly-orderable (not cyclic)",
     )
     return SpectrumReport(group.descriptor, cap, obstructed, unobstructed, (), notes)

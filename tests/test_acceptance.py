@@ -10,7 +10,12 @@ from contextlib import contextmanager
 
 from lift_reference import lift_window, recover_c
 from orders_reference import flip_entry, natural_units, ordering_table
-from spectrum_reference import divisibility_closed, free_product_union, torsion_part
+from spectrum_reference import (
+    divisibility_closed,
+    free_product_union,
+    torsion_part,
+    torsion_profile,
+)
 
 from ordkit.groups import (
     CyclicGroup,
@@ -32,7 +37,6 @@ from ordkit.obstruction import (
     obstruction_finite,
     promislow_spectrum,
     promislow_worked_example,
-    torsion_profile,
 )
 from ordkit.orders import (
     as_carrier,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,24 @@ class TestSpectrum:
             f"presentation:{tmp_path}/nope.txt", "--cap", "10",
         )
         assert code == 2
+
+    def test_over_budget_finite_group_exits_at_once(self):
+        # |G| * ceil(log2 |G|) group operations over the tuple cap: refused
+        # before any element is built, so a 20-digit order fails at start-up
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ordkit", "spectrum", "--group",
+             "cyclic:99999999999999999999", "--cap", "3"],
+            env=child_env(), capture_output=True, text=True, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: spectrum of cyclic:99999999999999999999 needs about "
+            "6699999999999999999933 group operations (|G| log2 |G|), over the "
+            "cap of 2000000\n"
+        )
+        assert elapsed < 1.0
 
 
 class TestCorruptedTables:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectrum_reference import element_order
+
 from ordkit.groups import (
     CyclicGroup,
     DirectProductGroup,
@@ -20,7 +22,6 @@ from ordkit.groups import (
     ResourceCapError,
     ball,
     ball_with_words,
-    element_order,
     evaluate_word,
     free_reduce,
     get_group,

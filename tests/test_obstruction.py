@@ -4,10 +4,14 @@ import math
 import pytest
 
 from spectrum_reference import (
+    TorsionProfile,
     divisibility_closed,
+    element_order,
     finite_co_decide,
+    finite_spectrum_walk,
     free_product_union,
     torsion_part,
+    torsion_profile,
 )
 
 from ordkit.groups import (
@@ -30,7 +34,6 @@ from ordkit.obstruction import (
     CertificateError,
     LeftOrderEvidence,
     SpectrumReport,
-    TorsionProfile,
     UnobstructedCertificate,
     brute_force_circular_orders,
     exponent_obstruction,
@@ -45,7 +48,6 @@ from ordkit.obstruction import (
     promislow_spectrum,
     promislow_unobstructed_certificate,
     promislow_worked_example,
-    torsion_profile,
     verify_unobstructed,
 )
 from ordkit.orders import (
@@ -60,8 +62,6 @@ from ordkit.orders import (
 
 class TestTorsion:
     def test_cyclic_6_profile(self):
-        from ordkit.groups import element_order
-
         profile = torsion_profile(CyclicGroup(6))
         assert profile.orders == (1, 2, 3, 6)
         for k in profile.orders:
@@ -209,6 +209,62 @@ class TestObstructionFinite:
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
             SpectrumReport("x", 5, {2: {}}, {3: {}}, (4,))
+
+    FINITE_GROUPS = [
+        *(f"cyclic:{n}" for n in range(1, 61)),
+        *(f"product:cyclic:{a},cyclic:{b}" for a in range(1, 9) for b in range(1, 9)),
+        "klein4",
+        "trivial",
+        "product:product:cyclic:2,cyclic:3,cyclic:5",
+        "product:product:cyclic:2,cyclic:2,cyclic:3",
+        "product:cyclic:4,product:cyclic:3,cyclic:5",
+    ]
+
+    def test_report_matches_the_torsion_walk(self):
+        # the prime-order search keeps every byte of the report that the
+        # full torsion profile gives, witnesses and generators included
+        assert len(self.FINITE_GROUPS) == 129
+        for desc in self.FINITE_GROUPS:
+            group = get_group(desc)
+            expected = finite_spectrum_walk(group, 40).to_dict()
+            assert obstruction_finite(group, 40).to_dict() == expected, desc
+
+    def test_group_operations_grow_with_log_order(self, monkeypatch):
+        # the torsion walk made 558,903 Group.op calls on Z/1000; the search
+        # powers each element it passes, one square-and-multiply each
+        calls, op = [], groups.Group.op
+        monkeypatch.setattr(
+            groups.Group, "op", lambda *a: calls.append(None) or op(*a)
+        )
+        obstruction_finite(CyclicGroup(1000), 20)
+        assert len(calls) < 10_000
+
+    def test_work_bound(self, monkeypatch):
+        # |G| * ceil(log2 |G|) group operations against the tuple cap: at
+        # the real cap 117,647 * 17 = 1,999,999 is accepted and 117,648 * 17
+        # refused before any element is built; at a cap of 896 = 128 * 7
+        # order 128 runs and order 129 (129 * 8 = 1,032) is refused, for a
+        # cyclic and a non-cyclic group
+        assert obstruction_finite(CyclicGroup(117647), 3).fully_determined
+        with pytest.raises(ResourceCapError) as refused:
+            obstruction_finite(CyclicGroup(117648), 3)
+        assert str(refused.value) == (
+            "spectrum of cyclic:117648 needs about 2000016 group operations "
+            "(|G| log2 |G|), over the cap of 2000000"
+        )
+        monkeypatch.setattr(obstruction, "_DEFAULT_TUPLE_CAP", 896)
+        for accepted, refused_desc in [
+            ("cyclic:128", "cyclic:129"),
+            ("product:cyclic:8,cyclic:16", "product:cyclic:3,cyclic:43"),
+        ]:
+            report = obstruction_finite(get_group(accepted), 4)
+            assert report.fully_determined
+            with pytest.raises(ResourceCapError) as refused:
+                obstruction_finite(get_group(refused_desc), 4)
+            assert str(refused.value) == (
+                f"spectrum of {refused_desc} needs about 1032 group operations "
+                "(|G| log2 |G|), over the cap of 896"
+            )
 
 
 class TestFreeProduct:

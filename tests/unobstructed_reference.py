@@ -9,7 +9,9 @@ one validation per certificate, so the tests can compare the two reports
 (or raised errors) on real and sabotaged certificates.
 """
 
-from ordkit.groups import CyclicGroup, element_order
+from spectrum_reference import element_order
+
+from ordkit.groups import CyclicGroup
 from ordkit.obstruction import _chain_escape
 from ordkit.orders import CheckList, as_carrier, validate_left_ordering
 

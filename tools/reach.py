@@ -5,8 +5,9 @@
 Runs ``ordkit.cli.main`` in this process under one ``cProfile.Profile``,
 once for each distinct argv of ``tools/argv/*.txt`` and of perfbench's jobs
 of seeds 0-11 that read files, each in a fresh temporary work directory
-with the job's files written first (an argv with several file sets runs
-once per set, as ``tools/samebytes.py`` does).  stdout and stderr are
+with the files of ``tools/argv/files/`` and the job's files written first
+(an argv with several file sets runs once per set, as ``tools/samebytes.py``
+does).  stdout and stderr are
 discarded.  ``ordkit.cli`` is imported under the profile, so module and
 class bodies count as entered.  It then compiles every ``DIR/src/ordkit``
 module and walks its code objects through ``co_consts``, nested functions
@@ -29,7 +30,7 @@ import tempfile
 import types
 from pathlib import Path
 
-from samebytes import job_files
+from samebytes import argv_files, job_files
 
 TOOLS = Path(__file__).resolve().parent
 
@@ -42,9 +43,13 @@ def argv_runs() -> list[tuple[list[str], dict[str, str]]]:
         for line in path.read_text().splitlines()
         if line.strip()[:1] not in ("", "#")
     ]
-    file_sets = job_files()
+    file_sets, shared = job_files(), argv_files()
     argvs = dict.fromkeys([tuple(shlex.split(line)) for line in lines] + list(file_sets))
-    return [(list(argv), files) for argv in argvs for files in file_sets.get(argv, [{}])]
+    return [
+        (list(argv), {**shared, **files})
+        for argv in argvs
+        for files in file_sets.get(argv, [{}])
+    ]
 
 
 def code_objects(code: types.CodeType):

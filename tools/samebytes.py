@@ -8,9 +8,11 @@ runs ``python -m ordkit ARGV`` once against each tree, each run in a fresh
 temporary work directory, with perfbench's job environment (every
 ``PYTHON*`` and ``ORDKIT*`` variable dropped, ``PYTHONPATH`` the tree's
 sources) plus ``PYTHONHASHSEED=0``, and compares stdout, stderr and the
-exit code.  An argv that is a job of perfbench's workloads for seeds 0-11
-with input files (``perfbench/jobs.py``, ``Job.files``) is run once per
-distinct file set, each written into the work directory first.  Both trees
+exit code.  Every file of ``tools/argv/files/`` (the ordering tables that
+``table:`` argv name) is written into each work directory first.  An argv
+that is a job of perfbench's workloads for seeds 0-11 with input files
+(``perfbench/jobs.py``, ``Job.files``) is run once per distinct file set,
+each written there too.  Both trees
 are checkout roots, run from their ``src``.  It prints one line per run
 that differs, with the first differing line of each stream, then a
 summary, and exits 1 if any argv differs.  Files an argv writes
@@ -29,6 +31,12 @@ from pathlib import Path
 from importtime import child_env
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ARGV_FILES = Path(__file__).resolve().parent / "argv" / "files"
+
+
+def argv_files() -> dict[str, str]:
+    """The files of tools/argv/files/ by name, written beside every argv."""
+    return {path.name: path.read_text() for path in sorted(ARGV_FILES.glob("*"))}
 
 
 def job_files() -> dict[tuple[str, ...], list[dict[str, str]]]:
@@ -76,12 +84,12 @@ def main(argv: list[str]) -> int:
     parent, change = (Path(tree).resolve() / "src" for tree in argv[:2])
     lines = Path(argv[2]).read_text().splitlines()
     runs = [shlex.split(line) for line in lines if line.strip()[:1] not in ("", "#")]
-    file_sets = job_files()
+    file_sets, shared = job_files(), argv_files()
     differing = 0
     for job in runs:
         differs = False
         for number, files in enumerate(file_sets.get(tuple(job), [{}]), 1):
-            old, new = call(parent, job, files), call(change, job, files)
+            old, new = (call(tree, job, {**shared, **files}) for tree in (parent, change))
             if old == new:
                 continue
             differs = True
