@@ -297,13 +297,7 @@ def cmd_spectrum(args: SimpleNamespace) -> tuple[dict, bool]:
             raise UsageError(f"cannot read presentation {path}: {exc}") from exc
         report = presentation_spectrum(presentation, args.cap)
     elif desc.startswith("witness:"):
-        group = resolve_group(desc)
-        if not group.standard:
-            raise UsageError(
-                f"{group.descriptor}: the recorded witness spectrum holds only "
-                "for the standard construction"
-            )
-        report = _witness_recorded_spectrum(group.p, args.cap)
+        report = _witness_recorded_spectrum(resolve_group(desc).p, args.cap)
     else:
         group = resolve_group(desc)
         if group.is_finite:

@@ -609,12 +609,10 @@ def _leaf_group(descriptor: str) -> Group:
     if descriptor.startswith("witness:"):
         from . import witness
 
-        # witness:p, or witness:p:upU:downD as a sabotaged group writes it
-        form = re.fullmatch(r"witness:(\d+)(?::up(-?\d+):down(-?\d+))?", descriptor)
+        form = re.fullmatch(r"witness:(\d+)", descriptor)
         if form is None:
             raise ValueError(f"bad witness descriptor: {descriptor!r}")
-        p, up, down = (x if x is None else int(x) for x in form.groups())
-        return witness.WitnessAmbientGroup(p, up, down)
+        return witness.WitnessAmbientGroup(int(form[1]))
     raise ValueError(f"unknown group descriptor: {descriptor!r}")
 
 

@@ -8,63 +8,49 @@ shifts indices.  The subgroup of interest is
 
     G = { h k z^i  :  phi(h) = i }   with   phi(x_i^(1/(p+1)^j)) = 1 mod p.
 
-Elements are triples (a, b, i): x-part exponents as reduced int pairs
-(num, den), den > 0, printed as fractions; the y-part b in the canonical
-representative with last coordinate zero; the z-twist i mod p.  All
-arithmetic is exact; claims about the group are verified by recomputation.
+Elements are triples (a, b, i): each x-exponent in Z[1/(p+1)] as a
+normalised int pair (n, j) meaning n/(p+1)^j, with j >= 0 and j = 0 or
+(p+1) not dividing n (zero is (0, 0)), printed as a fraction; the y-part b
+in the canonical representative with last coordinate zero; the z-twist i
+mod p.  A y-word with exponents b scales x_j by (p+1)^(b_j - b_{j-1}), a
+shift of the power j, and phi is the sum of the numerators mod p, because
+p+1 = 1 mod p.  All arithmetic is exact; claims about the group are
+verified by recomputation.
 """
 
 from __future__ import annotations
 
 import random
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .groups import Element, Group, Record
 from .orders import CheckList, counterexample, sweep
-
-if TYPE_CHECKING:  # imported where used, off the start-up path of the CLI
-    from fractions import Fraction
 
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def _reduced(n: int, d: int) -> tuple[int, int]:
-    """n/d (d != 0) as a pair in lowest terms with a positive denominator."""
-    g = gcd(n, d) if d > 0 else -gcd(n, d)
-    return n // g, d // g
-
-
-def _fmt(q: tuple[int, int]) -> str:
-    """A reduced pair as str(Fraction) writes it: "3", "-1/4"."""
-    n, d = q
-    return str(n) if d == 1 else f"{n}/{d}"
+def _shifted(n: int, k: int, base: int) -> tuple[int, int]:
+    """n/base^k, for any int k, as a normalised (numerator, power) pair."""
+    if k < 0:
+        return n * base**-k, 0
+    while k and not n % base:
+        n, k = n // base, k - 1
+    return n, k
 
 
 class WitnessAmbientGroup(Group):
-    """B = (H x| K/(y)) x| <z>; see the module docstring.
+    """B = (H x| K/(y)) x| <z>; see the module docstring."""
 
-    up_base/down_base default to p+1 and exist so tests can sabotage one
-    direction of the action (the mutation knob for claim verification).
-    """
-
-    def __init__(self, p: int, up_base: int | None = None, down_base: int | None = None):
+    def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"p must be a prime, got {p}")
         self.p = p
-        self.up = (p + 1) if up_base is None else up_base
-        self.down = (p + 1) if down_base is None else down_base
-        self.standard = self.up == p + 1 and self.down == p + 1
-        self.descriptor = (
-            f"witness:{p}"
-            if self.standard
-            else f"witness:{p}:up{self.up}:down{self.down}"
-        )
-        self._factors: dict[tuple[int, int], tuple[int, int]] = {}
-        self._phi_multipliers: dict[int, int] = {}
-        self._samples: list[list[tuple[tuple[int, int], int]]] | None = None
+        self.base = p + 1
+        self.descriptor = f"witness:{p}"
+        self._samples: list[list[tuple[Any, int]]] | None = None
 
     @property
     def is_finite(self) -> bool:
@@ -76,87 +62,93 @@ class WitnessAmbientGroup(Group):
         last = b[-1]
         return tuple(x - last for x in b)
 
-    def _factor(self, bj: int, bprev: int) -> tuple[int, int]:
-        """up^bj * down^-bprev as a reduced pair: y-exponents bj on y_j and
-        bprev on y_{j-1} scale x_j by it.  Memoised; a miss computes it from
-        int powers.  A zero base under a negative power raises the error
-        Fraction raises there, ZeroDivisionError("Fraction(1, 0)")."""
-        pair = self._factors.get((bj, bprev))
-        if pair is None:
-            n = self.up ** max(bj, 0) * self.down ** max(-bprev, 0)
-            d = self.up ** max(-bj, 0) * self.down ** max(bprev, 0)
-            if not d:
-                from fractions import Fraction
+    def _coord(self, n: int, d: int) -> tuple[int, int]:
+        """The exponent n/d (d > 0) as a normalised pair; ValueError unless
+        it lies in Z[1/(p+1)].  The least j with d | (p+1)^j (d reduced)
+        leaves (p+1) not dividing the numerator."""
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        base, rest, j = self.base, d, 0
+        while rest > 1 and (g := gcd(rest, base)) > 1:
+            rest, j = rest // g, j + 1
+        if rest != 1:
+            raise ValueError(
+                f"exponent {n}/{d} has denominator outside powers of {base}"
+            )
+        return n * base**j // d, j
 
-                Fraction(1, 0)  # raises, as Fraction(0) ** -k does
-            pair = self._factors[bj, bprev] = _reduced(n, d)
-        return pair
+    def _fmt(self, q: tuple[int, int]) -> str:
+        """A normalised pair as str(Fraction) writes it: "3", "-1/4"."""
+        n, k = q
+        if not k:
+            return str(n)
+        d = self.base**k
+        g = gcd(n, d)
+        return f"{n // g}/{d // g}"
 
-    def scale_vector(
-        self, vec: Sequence[tuple[int, int]], b: Sequence[int]
-    ) -> tuple[tuple[int, int], ...]:
+    def scale_vector(self, vec: Sequence[Any], b: Sequence[int]) -> tuple[Any, ...]:
         """Conjugation action of the y-word with raw exponent vector b on H."""
-        out = []
-        for j, (n, d) in enumerate(vec):
-            fn, fd = self._factor(b[j], b[j - 1])
-            out.append(_reduced(n * fn, d * fd))
-        return tuple(out)
+        base = self.base
+        return tuple(
+            _shifted(n, k - b[j] + b[j - 1], base) for j, (n, k) in enumerate(vec)
+        )
 
     def _identity_value(self):
-        return (((0, 1),) * self.p, (0,) * self.p, 0)
+        return (((0, 0),) * self.p, (0,) * self.p, 0)
 
     def _op_values(self, x, y):
         a, b, i = x
         a2, b2, i2 = y
         if i:  # z^i shifts the indices of the right factor by i
             a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
-        factors = self._factors
+        base = self.base
         new_a = []
         prev = b[-1]
-        for (n1, d1), (n2, d2), bj in zip(a, a2, b):
-            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+        for (n1, k1), (n2, k2), bj in zip(a, a2, b):
+            k2 += prev - bj  # y^b scales x_j by (p+1)^(bj - prev)
             prev = bj
-            d2 *= fd
-            n, d = n1 * d2 + n2 * fn * d1, d1 * d2
-            g = gcd(n, d) if d > 0 else -gcd(n, d)  # _reduced, inline
-            new_a.append((n // g, d // g))
+            if k1 >= k2:
+                n, k = n1 + n2 * base ** (k1 - k2), k1
+            else:
+                n, k = n1 * base ** (k2 - k1) + n2, k2
+            while k and not n % base:  # _shifted, inline
+                n, k = n // base, k - 1
+            new_a.append((n, k))
         last = b[-1] + b2[-1]
         new_b = tuple([u + v - last for u, v in zip(b, b2)])
         return (tuple(new_a), new_b, (i + i2) % self.p)
 
     def _product_is_identity(self, x, y) -> bool:
         """Whether _op_values(x, y) is the identity, without building it:
-        n1/d1 + n2*fn/(d2*fd) = 0 on every coordinate, cross-multiplied (all
-        denominators are positive), and the y- and z-parts cancel.  Every
-        factor is looked up in _op_values's order, so a degenerate base
-        raises the same error at the same coordinate."""
+        the z- and y-parts cancel and every aligned x-coordinate sums to 0."""
         a, b, i = x
         a2, b2, i2 = y
+        if (i + i2) % self.p:
+            return False
         if i:
             a2, b2 = a2[-i:] + a2[:-i], b2[-i:] + b2[:-i]
-        factors = self._factors
+        base = self.base
         prev = b[-1]
         last = prev + b2[-1]
-        zero = (i + i2) % self.p == 0
-        for (n1, d1), (n2, d2), bj, bj2 in zip(a, a2, b, b2):
-            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+        for (n1, k1), (n2, k2), bj, bj2 in zip(a, a2, b, b2):
+            k2 += prev - bj
             prev = bj
-            zero = zero and bj + bj2 == last and n1 * d2 * fd + n2 * fn * d1 == 0
-        return zero
+            if bj + bj2 != last or (
+                n1 + n2 * base ** (k1 - k2)
+                if k1 >= k2
+                else n1 * base ** (k2 - k1) + n2
+            ):
+                return False
+        return True
 
     def _inv_value(self, x):
         a, b, i = x
-        factors = self._factors
+        base = self.base
         unscaled = []
         prev = b[-1]
-        for (n, d), bj in zip(a, b):
-            fn, fd = factors.get((bj, prev)) or self._factor(bj, prev)
+        for (n, k), bj in zip(a, b):
+            unscaled.append(_shifted(-n, k + bj - prev, base))
             prev = bj
-            if not fn:
-                from fractions import Fraction
-
-                Fraction(-n, d) / 0  # raises the ZeroDivisionError Fraction does
-            unscaled.append(_reduced(-n * fd, d * fn))
         b_star = b[i:] + b[:i]  # negated below, with the canonical shift
         a_star, last = tuple(unscaled[i:] + unscaled[:i]), b_star[-1]
         return (a_star, tuple([last - v for v in b_star]), (-i) % self.p)
@@ -173,18 +165,11 @@ class WitnessAmbientGroup(Group):
             ints = isinstance(q, tuple) and len(q) == 2 and all(
                 isinstance(v, int) for v in q
             )
-            if not (ints and q[1] > 0 and gcd(*q) == 1):
-                raise ValueError(f"x-part must be reduced (num, den) int pairs: {a!r}")
-        if self.standard:
-            for q in a:
-                den = q[1]
-                while den != 1:
-                    g = gcd(den, p + 1)
-                    if g == 1:
-                        raise ValueError(
-                            f"denominator of {_fmt(q)} is not a power of {p + 1}"
-                        )
-                    den //= g
+            if not (ints and q[1] >= 0 and (q[1] == 0 or q[0] % self.base)):
+                raise ValueError(
+                    f"x-part must be normalised (numerator, power of {self.base}) "
+                    f"int pairs: {a!r}"
+                )
         if not all(isinstance(v, int) for v in b) or b[-1] != 0:
             raise ValueError(f"y-part must be canonical (last entry 0): {b!r}")
         if not isinstance(i, int) or not 0 <= i < p:
@@ -194,83 +179,60 @@ class WitnessAmbientGroup(Group):
         from fractions import Fraction
 
         a, b, i = value
-        return (tuple(Fraction(n, d) for n, d in a), b, i)
+        return (tuple(Fraction(n, self.base**k) for n, k in a), b, i)
 
     def encode(self, value):
         a, b, i = value
-        return {"x": [_fmt(q) for q in a], "y": list(b), "z": i}
+        return {"x": [self._fmt(q) for q in a], "y": list(b), "z": i}
 
     def decode(self, obj):
         from fractions import Fraction
 
-        x = tuple(Fraction(s).as_integer_ratio() for s in obj["x"])
+        x = tuple(self._coord(*Fraction(s).as_integer_ratio()) for s in obj["x"])
         value = (x, tuple(int(v) for v in obj["y"]), int(obj["z"]))
         self.check_value(value)
         return value
 
     def format_value(self, value):
         a, b, i = value
-        return f"x{tuple(_fmt(q) for q in a)} y{b} z^{i}"
+        return f"x{tuple(self._fmt(q) for q in a)} y{b} z^{i}"
+
+    def phi_H(self, a: Sequence[Any]) -> int:
+        """phi of an x-part: the sum of its numerators mod p, since
+        x_i^(n/(p+1)^j) counts as n and p+1 = 1 mod p."""
+        return sum([n for n, _ in a]) % self.p
+
+    def sample_table(self) -> list[list[tuple[Any, int]]]:
+        """table[n + 4][j]: the exponent n/(p+1)^j for -4 <= n <= 4 and
+        0 <= j <= 3, with its phi class; built once per group."""
+        if self._samples is None:
+            self._samples = []
+            for n in range(-4, 5):
+                row = [self._coord(n, self.base**j) for j in range(4)]
+                self._samples.append([(q, self.phi_H((q,))) for q in row])
+        return self._samples
 
     # -- constructors --------------------------------------------------------
 
-    def from_parts(
-        self, a: Sequence[Fraction | int], b: Sequence[int], i: int
-    ) -> Element:
-        """The element with rational x-exponents a, y-part b and z-twist i."""
-        x = tuple(q.as_integer_ratio() for q in a)
-        return self.element((x, self._canon_b([int(v) for v in b]), i % self.p))
-
-    def x_gen(self, index: int, exponent: Fraction | int = 1) -> Element:
-        """x_index^exponent (index is 0-based)."""
-        a = [0] * self.p
-        a[index % self.p] = exponent
-        return self.from_parts(a, (0,) * self.p, 0)
+    def x_gen(self, index: int, num: int = 1, den: int = 1) -> Element:
+        """x_index^(num/den) (index is 0-based, den > 0); ValueError unless
+        num/den lies in Z[1/(p+1)]."""
+        a, b, i = self._identity_value()
+        a = list(a)
+        a[index % self.p] = self._coord(num, den)
+        return Element(self, (tuple(a), b, i))
 
     def y_gen(self, index: int) -> Element:
-        b = [0] * self.p
-        b[index % self.p] = 1
-        return self.from_parts((0,) * self.p, b, 0)
+        a, _, i = self._identity_value()
+        b = [int(k == index % self.p) for k in range(self.p)]
+        return Element(self, (a, self._canon_b(b), i))
 
     def z_gen(self, power: int = 1) -> Element:
-        return self.from_parts((0,) * self.p, (0,) * self.p, power)
+        a, b, _ = self._identity_value()
+        return Element(self, (a, b, power % self.p))
 
 
 # -- the subgroup G --------------------------------------------------------
-
-
-def phi_H(group: WitnessAmbientGroup, a: Sequence[tuple[int, int]]) -> int:
-    """Sum of scaled numerators mod p: x_i^(1/(p+1)^j) counts as 1.
-
-    a is an x-part of (num, den) pairs.  Well defined because p+1 = 1 mod p,
-    so rescaling a representation m/(p+1)^j to m(p+1)/(p+1)^(j+1) leaves the
-    numerator class fixed.
-    """
-    multipliers = group._phi_multipliers
-    total = 0
-    for n, d in a:
-        m = multipliers.get(d)
-        if m is None:
-            m = multipliers[d] = _phi_multiplier(group.p, d)
-        if not m:
-            raise ValueError(
-                f"exponent {_fmt((n, d))} has denominator outside powers of "
-                f"{group.p + 1}"
-            )
-        total += n * m
-    return total % group.p
-
-
-def _phi_multiplier(p: int, d: int) -> int:
-    """m mod p, where d*m is a power (p+1)^j, so n/d = n*m/(p+1)^j; 0 when d
-    divides no power of p+1 (m is a unit mod p, never 0)."""
-    base, m = p + 1, 1
-    while d != 1:
-        g = gcd(d, base)
-        if g == 1 or not d:
-            return 0
-        m, d = m * (base // g), d // g
-    return m % p
 
 
 class WitnessMembership(Record):
@@ -283,14 +245,13 @@ def membership_G(x: Element) -> WitnessMembership:
     if not isinstance(group, WitnessAmbientGroup):
         raise ValueError(f"{x!r} is not in a witness ambient group")
     a, _, i = x.value
-    phi = phi_H(group, a)
+    phi = group.phi_H(a)
     return WitnessMembership(x, phi, phi == i)
 
 
-def random_subgroup_element(
-    group: WitnessAmbientGroup, rng: random.Random
-) -> Element:
-    """A random element of G: the z-twist is forced to phi of the x-part.
+def random_subgroup_value(group: WitnessAmbientGroup, rng: random.Random) -> Any:
+    """The canonical value of a random element of G: the z-twist is forced
+    to phi of the x-part.
 
     Per coordinate it draws n = randint(-4, 4), then j = randint(0, 3), for
     the exponent n/(p+1)^j; then the y-part is p draws of randint(-3, 3).
@@ -299,12 +260,7 @@ def random_subgroup_element(
     b - a + 1, k its bit length), so the stream matches randint's.
     """
     p = group.p
-    samples = group._samples
-    if samples is None:  # samples[n + 4][j]: n/(p+1)^j and its phi class
-        samples = group._samples = []
-        for n in range(-4, 5):
-            pairs = [_reduced(n, (p + 1) ** j) for j in range(4)]
-            samples.append([(q, phi_H(group, (q,))) for q in pairs])
+    samples = group.sample_table()
     bits = rng.getrandbits
     a, phi = [], 0
     for _ in range(p):
@@ -324,8 +280,8 @@ def random_subgroup_element(
             r = bits(3)
         b.append(r)
     last = b[-1]
-    # canonical by construction: reduced pairs, canonical b, phi in [0, p)
-    return Element(group, (tuple(a), tuple([v - last for v in b]), phi % p))
+    # canonical by construction: tabulated exponents, canonical b, phi in [0, p)
+    return (tuple(a), tuple([v - last for v in b]), phi % p)
 
 
 # -- claim verification -------------------------------------------------------
@@ -356,27 +312,23 @@ def verify_witness_claims(
     """
     G, p = group, group.p
     rng = random.Random(seed)
-    ident = G.identity()
     gij_cases = [(i, j) for i in range(p) for j in range(-3, 4)]
-
-    def x_pow(index: int, q: tuple[int, int]) -> Element:
-        """x_index^(n/d) for a reduced pair q = (n, d)."""
-        a = [(0, 1)] * p
-        a[index % p] = q
-        return G.element((tuple(a), (0,) * p, 0))
 
     def g_ij(i: int, j: int) -> tuple[tuple[int, int], Element]:
         t = (1, (p + 1) ** j) if j >= 0 else ((p + 1) ** -j, 1)
-        return t, x_pow(i, t) * x_pow(i + 1, (-t[0], t[1]))
+        return t, G.x_gen(i, *t) * G.x_gen(i + 1, -t[0], t[1])
 
     def y_centralizes():
         # the product y_1...y_p acts trivially on H (raw action, so the
         # K/(y) quotient cannot mask a broken exponent)
         for i in range(p):
-            basis = tuple((int(j == i), 1) for j in range(p))
+            basis, zero_b, _ = G.x_gen(i).value
             conjugated = G.scale_vector(basis, (1,) * p)
             yield (
-                {"generator": i, "conjugated_exponents": [_fmt(q) for q in conjugated]}
+                {
+                    "generator": i,
+                    "conjugated_exponents": G.encode((conjugated, zero_b, 0))["x"],
+                }
                 if conjugated != basis
                 else None
             )
@@ -391,9 +343,9 @@ def verify_witness_claims(
             (tn, td), g = g_ij(i, j)
             y = G.y_gen(i + 1)
             comm = g * y * ~g * ~y
-            expected = x_pow(i + 1, _reduced(tn * p, td))
+            expected = G.x_gen(i + 1, tn * p, td)
             if p == 2:  # x_{i+2} = x_i adds the wrap-around term
-                expected = expected * x_pow(i, _reduced(tn * p, td * (p + 1)))
+                expected = expected * G.x_gen(i, tn * p, td * (p + 1))
             if comm != expected:
                 yield {"i": i, "j": j, "got": comm.encode(), "expected": expected.encode()}
             elif not membership_G(comm).in_subgroup:
@@ -416,35 +368,33 @@ def verify_witness_claims(
                 else None
             )
 
-    # families (5) and (6) work on canonical values; membership of a value
-    # (a, b, i) in G is phi_H(a) == i, and Elements are built only for
-    # counterexamples
-    op, inv, ident_value = G._op_values, G._inv_value, ident.value
-    is_identity = G._product_is_identity
+    # families (5) and (6) draw and work on canonical values; membership of
+    # a value (a, b, i) in G is phi_H(a) == i, and Elements are built only
+    # for counterexamples
+    op, inv, ident_value = G._op_values, G._inv_value, G._identity_value()
+    is_identity, phi = G._product_is_identity, G.phi_H
 
     def subgroup_closure():
         # closure of G under sampled products and inverses
         for _ in range(max(10, budget // 2)):
-            g = random_subgroup_element(G, rng)
-            h = random_subgroup_element(G, rng)
-            gv = g.value
-            a, _, i = op(gv, h.value)
-            if phi_H(G, a) != i:
-                yield counterexample("product", (g, h))
+            gv = random_subgroup_value(G, rng)
+            hv = random_subgroup_value(G, rng)
+            a, _, i = op(gv, hv)
+            if phi(a) != i:
+                yield counterexample("product", (Element(G, gv), Element(G, hv)))
                 continue
             g_inv = inv(gv)
-            if phi_H(G, g_inv[0]) != g_inv[2]:
-                yield counterexample("inverse", (g,))
+            if phi(g_inv[0]) != g_inv[2]:
+                yield counterexample("inverse", (Element(G, gv),))
             elif not (is_identity(gv, g_inv) and is_identity(g_inv, gv)):
-                yield counterexample("inverse-law", (g,))
+                yield counterexample("inverse-law", (Element(G, gv),))
             else:
                 yield None
 
     def torsion_spot_check():
         # no sampled g != id in G has order <= p; identity samples not counted
         for _ in range(max(10, budget // 4)):
-            g = random_subgroup_element(G, rng)
-            gv = g.value
+            gv = random_subgroup_value(G, rng)
             if gv == ident_value:
                 continue
             power, order = gv, None
@@ -455,7 +405,7 @@ def verify_witness_claims(
                     break
             else:  # the last power only needs deciding
                 order = p if is_identity(power, gv) else None
-            yield None if order is None else {"element": g.encode(), "order": order}
+            yield None if order is None else {"element": G.encode(gv), "order": order}
 
     checks = CheckList()
     for name, family, note in (

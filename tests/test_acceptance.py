@@ -16,6 +16,7 @@ from spectrum_reference import (
     torsion_part,
     torsion_profile,
 )
+from witness_reference import FractionWitnessGroup
 
 from ordkit.groups import (
     CyclicGroup,
@@ -229,7 +230,7 @@ def test_mutation_sensitivity():
             report = validate_circular(mutated.ordering(), group)
             assert not report.passed, f"flip at {key} went undetected"
 
-        sabotaged = WitnessAmbientGroup(2, up_base=2)
+        sabotaged = FractionWitnessGroup(2, up_base=2)
         report = verify_witness_claims(sabotaged, budget=50)
         assert report["checks"][0]["name"] == "y-centralizes-each-x"
         assert report["checks"][0]["status"] == "fail"

@@ -437,12 +437,13 @@ class TestBadArguments:
         )
 
     def test_sabotaged_witness_spectrum(self, capsys):
-        # the recorded spectrum is a conclusion about the standard action only
+        # only the standard construction has a descriptor; its sabotaged
+        # bases live in the tests' Fraction model
         argv = ["spectrum", "--group", "witness:3:up2:down4", "--cap", "10"]
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.count("error:") == 1 and "standard construction" in err
+        assert err.count("error:") == 1 and "bad witness descriptor" in err
 
     def test_negative_budget(self, capsys):
         self.assert_usage_error(capsys, "witness", "--p", "3", "--budget", "-5")

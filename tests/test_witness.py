@@ -2,20 +2,24 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from witness_reference import (
+    FractionWitnessGroup,
+    random_subgroup_element,
+    to_fraction,
+    value_from_parts,
+)
 
 from ordkit import witness as witness_module
-from ordkit.groups import Group, get_group
+from ordkit.groups import Element, Group, get_group
 from ordkit.witness import (
     WitnessAmbientGroup,
     membership_G,
-    phi_H,
-    random_subgroup_element,
+    random_subgroup_value,
     verify_witness_claims,
 )
 
@@ -36,7 +40,7 @@ class TestDefiningRelations:
         p = group.p
         for i in range(p):
             conj = group.y_gen(i) * group.x_gen(i + 1) * ~group.y_gen(i)
-            assert conj == group.x_gen(i + 1, Fraction(1, p + 1))
+            assert conj == group.x_gen(i + 1, 1, p + 1)
 
     def test_y_fixes_distant_x(self):
         group = WitnessAmbientGroup(5)
@@ -80,51 +84,73 @@ class TestGroupAxioms:
         rng = random.Random(13)
         for _ in range(80):
             g = random_subgroup_element(group, rng)
-            a, b, i = g.value
-            exponents = [Fraction(n, d) for n, d in a]
-            shifted = group.from_parts(exponents, tuple(v + 2 for v in b), i)
+            exponents, b, i = to_fraction(group, g.value)
+            shifted = group.element(
+                value_from_parts(group, exponents, tuple(v + 2 for v in b), i)
+            )
             assert shifted == g
             h = random_subgroup_element(group, rng)
             assert shifted * h == g * h
 
-    def test_canonical_forms_unique(self, group):
-        rng = random.Random(17)
-        seen = {}
-        for _ in range(60):
-            g = random_subgroup_element(group, rng)
-            if g.value in seen:
-                assert seen[g.value] == g
-            seen[g.value] = g
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_canonical_forms_unique(p):
+    """Every sampled value, product, inverse and power is the canonical form
+    of its rational value in the Fraction model, so two values are equal
+    exactly when the model's are."""
+    group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+    rng = random.Random(17)
+    samples = [random_subgroup_value(group, rng) for _ in range(60)]
+    values = samples + [group._inv_value(v) for v in samples]
+    values += [group._op_values(u, v) for u, v in zip(samples, samples[1:])]
+    for v in samples[:10]:
+        power = v
+        for _ in range(p):
+            power = group._op_values(power, v)
+            values.append(power)
+    by_model = {}
+    for value in values:
+        group.check_value(value)
+        exponents, b, i = ref = to_fraction(group, value)
+        assert value_from_parts(group, exponents, b, i) == value
+        assert by_model.setdefault(ref, value) == value
+        model.check_value(ref)
+    assert len(by_model) > len(values) // 2
 
 
 def _x_part(group, *exponents):
-    """The (num, den) x-part of x_0^e_0 x_1^e_1 ..."""
-    return group.from_parts(exponents, (0,) * group.p, 0).value[0]
+    """The (numerator, power) x-part of x_0^e_0 x_1^e_1 ..."""
+    return value_from_parts(group, exponents, (0,) * group.p, 0)[0]
 
 
 class TestPhi:
     def test_examples(self):
         g2 = WitnessAmbientGroup(2)
-        assert phi_H(g2, _x_part(g2, Fraction(1, 3), 0)) == 1
+        assert g2.phi_H(_x_part(g2, Fraction(1, 3), 0)) == 1
         g3 = WitnessAmbientGroup(3)
-        assert phi_H(g3, _x_part(g3, *[Fraction(1, 4)] * 3)) == 0
-        assert phi_H(g2, _x_part(g2, 0, 0)) == 0
+        assert g3.phi_H(_x_part(g3, *[Fraction(1, 4)] * 3)) == 0
+        assert g2.phi_H(_x_part(g2, 0, 0)) == 0
 
     def test_well_defined_across_representations(self):
-        # 1/2 = 8/16 in Z[1/4]; both representations give the same class
+        # 1/2 = 8/16 = 2/4 in Z[1/4]: one normalised pair, numerator class 2
         g3 = WitnessAmbientGroup(3)
-        assert phi_H(g3, _x_part(g3, Fraction(1, 2), 0, 0)) == 2
-        assert phi_H(g3, ((8, 16), (0, 1), (0, 1))) == 2
+        assert _x_part(g3, Fraction(1, 2), 0, 0) == ((2, 1), (0, 0), (0, 0))
+        assert g3.x_gen(0, 8, 16) == g3.x_gen(0, 1, 2) == g3.x_gen(0, 2, 4)
+        assert g3.phi_H(g3.x_gen(0, 8, 16).value[0]) == 2
 
     def test_invalid_denominator(self):
         g2 = WitnessAmbientGroup(2)
-        with pytest.raises(ValueError):
-            phi_H(g2, ((1, 5), (0, 1)))
+        with pytest.raises(ValueError, match="1/5 has denominator outside powers of 3"):
+            g2.x_gen(0, 1, 5)
+        with pytest.raises(ValueError, match="denominator outside"):
+            g2.decode({"x": ["1/5", "0"], "y": [0, 0], "z": 0})
 
-    def test_zero_denominator_raises(self):
+    def test_unnormalised_pair_rejected(self):
+        # 3/3^1 is (1, 0), a negative power is no pair, and zero is (0, 0)
         g2 = WitnessAmbientGroup(2)
-        with pytest.raises(ValueError, match="1/0 has denominator outside"):
-            phi_H(g2, ((1, 0), (0, 1)))
+        for x in (((3, 1), (0, 0)), ((1, -1), (0, 0)), ((0, 2), (0, 0))):
+            with pytest.raises(ValueError, match="normalised"):
+                g2.element((x, (0, 0), 1))
 
     def test_conjugation_invariance(self, group):
         rng = random.Random(19)
@@ -132,7 +158,7 @@ class TestPhi:
             g = random_subgroup_element(group, rng)
             for conj in (group.y_gen(rng.randrange(group.p)), group.z_gen()):
                 c = conj * g * ~conj
-                assert phi_H(group, c.value[0]) == phi_H(group, g.value[0])
+                assert group.phi_H(c.value[0]) == group.phi_H(g.value[0])
 
 
 class TestMembership:
@@ -174,7 +200,7 @@ class TestClaimVerification:
         assert a == b
 
     def test_sabotaged_action_fails_first_check(self):
-        sabotaged = WitnessAmbientGroup(2, up_base=2)
+        sabotaged = FractionWitnessGroup(2, up_base=2)
         report = verify_witness_claims(sabotaged, budget=50)
         first = report["checks"][0]
         assert first["name"] == "y-centralizes-each-x"
@@ -182,7 +208,7 @@ class TestClaimVerification:
         assert report["status"] == "fail"
 
     def test_raising_family_counts_the_raising_case(self):
-        report = verify_witness_claims(WitnessAmbientGroup(2, up_base=0), budget=40)
+        report = verify_witness_claims(FractionWitnessGroup(2, up_base=0), budget=40)
         checks = {c["name"]: c for c in report["checks"]}
         assert checks["gij-y-commutator"]["cases"] == 1
         assert checks["gij-y-commutator"]["failure"] == {"error": "Fraction(1, 0)"}
@@ -192,7 +218,7 @@ class TestClaimVerification:
 
     def test_first_family_errors_are_reported(self):
         # down_base = 0 makes the raw action of y divide by zero in family (1)
-        report = verify_witness_claims(WitnessAmbientGroup(3, down_base=0), budget=40)
+        report = verify_witness_claims(FractionWitnessGroup(3, down_base=0), budget=40)
         first = report["checks"][0]
         assert first["name"] == "y-centralizes-each-x"
         assert first["status"] == "fail"
@@ -206,11 +232,11 @@ class TestClaimVerification:
         def every_third_is_identity(group, rng):
             nonlocal calls
             calls += 1
-            g = random_subgroup_element(group, rng)
-            return group.identity() if calls % 3 == 0 else g
+            g = random_subgroup_value(group, rng)
+            return group._identity_value() if calls % 3 == 0 else g
 
         monkeypatch.setattr(
-            witness_module, "random_subgroup_element", every_third_is_identity
+            witness_module, "random_subgroup_value", every_third_is_identity
         )
         report = verify_witness_claims(WitnessAmbientGroup(2), budget=40)
         closure, torsion = report["checks"][4:]
@@ -237,7 +263,8 @@ def _randint_sample(group, rng):
         n = rng.randint(-4, 4)
         a.append(Fraction(n, (p + 1) ** rng.randint(0, 3)))
     b = [rng.randint(-3, 3) for _ in range(p)]
-    return group.from_parts(a, b, _ref_phi(group, a))
+    phi = FractionWitnessGroup(p).phi_H(a)
+    return group.element(value_from_parts(group, a, b, phi))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -303,148 +330,85 @@ SABOTAGE_GOLDEN = json.loads(
 def test_sabotaged_report_matches_golden(p, knob, base):
     """Full reports of sabotaged groups, captured from the Fraction-based
     arithmetic, including the ZeroDivisionError texts of degenerate bases
-    and the case at which each family failed; key order included."""
-    group = WitnessAmbientGroup(p, **{knob: base})
+    and the case at which each family failed; key order included.  The
+    library's families run on the Fraction model, which carries the bases."""
+    group = FractionWitnessGroup(p, **{knob: base})
     report = verify_witness_claims(group, budget=20, seed=0)
     assert json.dumps(report) == json.dumps(SABOTAGE_GOLDEN[group.descriptor])
 
 
-# -- the int-pair kernel against a Fraction reference model ---------------------
-#
-# The reference is the arithmetic the module used before its x-parts became
-# (num, den) pairs: the same formulas on Fraction vectors.
+# -- the int-pair kernel against the Fraction model ------------------------------
 
-
-def _ref_factor(group, b, j):
-    return Fraction(group.up) ** b[j] * Fraction(group.down) ** (-b[(j - 1) % group.p])
-
-
-def _ref_shift(vec, s):
-    out = [None] * len(vec)
-    for idx, v in enumerate(vec):
-        out[(idx + s) % len(vec)] = v
-    return tuple(out)
-
-
-def _ref_canon(b):
-    return tuple(v - b[-1] for v in b)
-
-
-def _ref_op(group, x, y):
-    (a, b, i), (a2, b2, i2) = x, y
-    p = group.p
-    a2, b2 = _ref_shift(a2, i), _ref_shift(b2, i)
-    scaled = [a2[j] * _ref_factor(group, b, j) for j in range(p)]
-    new_a = tuple(a[j] + scaled[j] for j in range(p))
-    return (new_a, _ref_canon([b[j] + b2[j] for j in range(p)]), (i + i2) % p)
-
-
-def _ref_inv(group, x):
-    a, b, i = x
-    unscaled = tuple(-a[j] / _ref_factor(group, b, j) for j in range(group.p))
-    b_star = _ref_shift(tuple(-v for v in b), -i)
-    return (_ref_shift(unscaled, -i), _ref_canon(b_star), (-i) % group.p)
-
-
-def _ref_phi(group, a):
-    base = group.p + 1
-    total = 0
-    for q in a:
-        scaled = q
-        while scaled.denominator != 1:
-            if gcd(scaled.denominator, base) == 1:
-                raise ValueError(
-                    f"exponent {q} has denominator outside powers of {base}"
-                )
-            scaled *= base
-        total += scaled.numerator
-    return total % group.p
-
-
-def _ref_encode(value):
-    a, b, i = value
-    return {"x": [str(q) for q in a], "y": list(b), "z": i}
-
-
-def _as_ref(value):
-    """The kernel value with Fraction x-parts; fails unless every pair is
-    reduced with a positive denominator."""
-    a, b, i = value
-    fractions = tuple(Fraction(n, d) for n, d in a)
-    assert [(q.numerator, q.denominator) for q in fractions] == list(a)
-    return (fractions, b, i)
-
-
-def _outcome(fn):
-    try:
-        return ("value", fn())
-    except (ValueError, ZeroDivisionError) as exc:
-        return ("raises", type(exc).__name__, str(exc))
-
-
-KERNEL_GROUPS = [WitnessAmbientGroup(p) for p in (2, 3, 5)] + [
-    WitnessAmbientGroup(p, up, down)
-    for p in (2, 3)
-    for up, down in ((2, None), (4, 7), (-2, 3), (3, 3), (0, None), (None, 0))
-]
+STANDARD_PRIMES = [2, 3, 5, 7]
 
 
 @st.composite
-def _elements(draw, group):
-    """A random element of the ambient group, built by from_parts from
-    Fraction exponents (any denominator where the group allows it)."""
-    p = group.p
-    dens = (
-        st.integers(0, 4).map(lambda k: (p + 1) ** k)
-        if group.standard
-        else st.integers(1, 60)
-    )
-    a = [Fraction(draw(st.integers(-30, 30)), draw(dens)) for _ in range(p)]
+def _exponents(draw, p):
+    """Rational x-exponents in Z[1/(p+1)], a raw y-part and a z-twist."""
+    a = [
+        Fraction(draw(st.integers(-30, 30)), (p + 1) ** draw(st.integers(0, 4)))
+        for _ in range(p)
+    ]
     b = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
-    return group.from_parts(a, b, draw(st.integers(0, p - 1)))
+    return a, b, draw(st.integers(0, p - 1))
 
 
-@pytest.mark.parametrize("group", KERNEL_GROUPS, ids=lambda g: g.descriptor)
+def _pair(group, model, parts):
+    """The element of `group` with these parts and the model's value."""
+    value = value_from_parts(group, *parts)
+    ref = value_from_parts(model, *parts)
+    assert to_fraction(group, value) == ref
+    return group.element(value), ref
+
+
+@pytest.mark.parametrize("p", STANDARD_PRIMES)
 class TestKernelMatchesFractionReference:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_op(self, group, data):
-        x, y = data.draw(_elements(group)), data.draw(_elements(group))
-        got = _outcome(lambda: _as_ref((x * y).value))
-        assert got == _outcome(lambda: _ref_op(group, _as_ref(x.value), _as_ref(y.value)))
+    def test_op(self, p, data):
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        x, xr = _pair(group, model, data.draw(_exponents(p)))
+        y, yr = _pair(group, model, data.draw(_exponents(p)))
+        product = (x * y).value
+        group.check_value(product)
+        assert to_fraction(group, product) == model._op_values(xr, yr)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_inverse(self, group, data):
-        x = data.draw(_elements(group))
-        got = _outcome(lambda: _as_ref((~x).value))
-        assert got == _outcome(lambda: _ref_inv(group, _as_ref(x.value)))
+    def test_inverse(self, p, data):
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        x, xr = _pair(group, model, data.draw(_exponents(p)))
+        inverse = (~x).value
+        group.check_value(inverse)
+        assert to_fraction(group, inverse) == model._inv_value(xr)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_phi(self, group, data):
-        a = data.draw(_elements(group)).value[0]
-        got = _outcome(lambda: phi_H(group, a))
-        assert got == _outcome(lambda: _ref_phi(group, _as_ref((a, (), 0))[0]))
+    def test_phi_and_scale_vector(self, p, data):
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        x, xr = _pair(group, model, data.draw(_exponents(p)))
+        assert group.phi_H(x.value[0]) == model.phi_H(xr[0])
+        b = data.draw(st.lists(st.integers(-4, 4), min_size=p, max_size=p))
+        scaled = group.scale_vector(x.value[0], b)
+        assert to_fraction(group, (scaled, (), 0))[0] == model.scale_vector(xr[0], b)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_encode_format_and_order(self, group, data):
-        xs = data.draw(st.lists(_elements(group), min_size=1, max_size=6))
-        for x in xs:
-            ref = _as_ref(x.value)
-            assert x.encode() == _ref_encode(ref)
-            assert repr(x) == (
-                f"<{group.descriptor}: x{tuple(str(q) for q in ref[0])} "
-                f"y{ref[1]} z^{ref[2]}>"
-            )
-        by_kernel = sorted(xs, key=lambda x: x.sort_key())
-        assert [_as_ref(x.value) for x in by_kernel] == sorted(map(_as_ref, (x.value for x in xs)))
+    def test_encode_format_and_order(self, p, data):
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        parts = data.draw(st.lists(_exponents(p), min_size=1, max_size=6))
+        pairs = [_pair(group, model, q) for q in parts]
+        for x, ref in pairs:
+            assert x.encode() == model.encode(ref)
+            assert repr(x) == repr(Element(model, ref))
+        by_kernel = sorted(pairs, key=lambda pair: pair[0].sort_key())
+        assert [ref for _, ref in by_kernel] == sorted(ref for _, ref in pairs)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_codec_roundtrip(self, group, data):
-        x = data.draw(_elements(group))
+    def test_codec_roundtrip(self, p, data):
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        x, _ = _pair(group, model, data.draw(_exponents(p)))
         resolved = get_group(group.descriptor)
         assert resolved == group and resolved.descriptor == group.descriptor
         wire = json.loads(json.dumps(x.encode()))
@@ -452,65 +416,48 @@ class TestKernelMatchesFractionReference:
         assert resolved.decode(wire) == x.value
 
 
-# -- the identity-product kernel and the int y-factors ---------------------------
+def test_sample_table_matches_model():
+    for p in STANDARD_PRIMES:
+        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+        table = group.sample_table()
+        assert table is group.sample_table()
+        assert [
+            [(Fraction(n, (p + 1) ** k), c) for (n, k), c in row] for row in table
+        ] == model.sample_table()
 
-IDENTITY_GROUPS = [WitnessAmbientGroup(p) for p in (2, 3, 5, 7)] + [
-    WitnessAmbientGroup(p, **{knob: base})
-    for p in (2, 3)
-    for knob in ("up_base", "down_base")
-    for base in (0, 1, -2)
-]
+
+# -- the identity-product kernel ---------------------------------------------------
 
 
 def _identity_pairs(group, seed):
-    """Sampled pairs, (g, g^-1) and (g^-1, g) where g^-1 exists, and
-    (g^k, g) for the powers of g up to p, for samples g of G and z."""
+    """Sampled pairs, (g, g^-1) and (g^-1, g), and (g^k, g) for the powers
+    of g up to p, for samples g of G and z."""
     rng = random.Random(seed)
-    samples = [random_subgroup_element(group, rng).value for _ in range(40)]
+    samples = [random_subgroup_value(group, rng) for _ in range(40)]
     samples.append(group.z_gen().value)
     pairs = list(zip(samples, samples[1:]))
     for g in samples:
-        inverse = _outcome(lambda: group._inv_value(g))
-        if inverse[0] == "value":
-            pairs += [(g, inverse[1]), (inverse[1], g)]
+        inverse = group._inv_value(g)
+        pairs += [(g, inverse), (inverse, g)]
         power = g
         for _ in range(group.p):
             pairs.append((power, g))
-            step = _outcome(lambda: group._op_values(power, g))
-            if step[0] != "value":
-                break
-            power = step[1]
+            power = group._op_values(power, g)
     return pairs
 
 
-@pytest.mark.parametrize("group", IDENTITY_GROUPS, ids=lambda g: g.descriptor)
-def test_product_is_identity_matches_op(group):
-    identity = group.identity().value
+@pytest.mark.parametrize("p", STANDARD_PRIMES)
+def test_product_is_identity_matches_op(p):
+    group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+    identity = model._identity_value()
     outcomes = Counter()
     for seed in range(3):
         for x, y in _identity_pairs(group, seed):
-            want = _outcome(lambda: group._op_values(x, y) == identity)
-            assert _outcome(lambda: group._product_is_identity(x, y)) == want, (x, y)
-            outcomes[want[1] if want[0] == "value" else "raises"] += 1
-    # the pairs reach both verdicts, and a zero base raises
-    assert outcomes[False] > 0
-    assert outcomes[True] > 0 or not group.standard
-    assert outcomes["raises"] > 0 or (group.up and group.down)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_int_factor_matches_fraction_powers(p):
-    bases = (-2, 0, 1, 2, 4, p + 1)
-    for up in bases:
-        for down in bases:
-            group = WitnessAmbientGroup(p, up, down)
-            for bj in range(-6, 7):
-                for bprev in range(-6, 7):
-                    want = _outcome(
-                        lambda: (
-                            Fraction(up) ** bj * Fraction(down) ** -bprev
-                        ).as_integer_ratio()
-                    )
-                    # the first call computes the pair, the second reads the memo
-                    for _ in range(2):
-                        assert _outcome(lambda: group._factor(bj, bprev)) == want
+            xr, yr = to_fraction(group, x), to_fraction(group, y)
+            product = model._op_values(xr, yr)
+            want = product == identity
+            assert group._product_is_identity(x, y) == want, (x, y)
+            assert to_fraction(group, group._op_values(x, y)) == product
+            outcomes[want] += 1
+    # the pairs reach both verdicts
+    assert outcomes[False] > 0 and outcomes[True] > 0
