@@ -394,12 +394,14 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_group("nonsense:1")
 
-    def test_witness_descriptor_round_trip(self):
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_witness_descriptor_round_trip(self, p):
         from ordkit.witness import WitnessAmbientGroup
 
-        group = WitnessAmbientGroup(3)
+        group = WitnessAmbientGroup(p)
         parsed = get_group(group.descriptor)
-        assert parsed == group and parsed.descriptor == "witness:3"
+        assert parsed == group and parsed.descriptor == f"witness:{p}"
+        assert (parsed.p, parsed.base) == (p, p + 1)
 
     @pytest.mark.parametrize(
         "descriptor",

@@ -145,6 +145,11 @@ class TestPhi:
         with pytest.raises(ValueError, match="denominator outside"):
             g2.decode({"x": ["1/5", "0"], "y": [0, 0], "z": 0})
 
+    def test_zero_denominator_raises(self):
+        g2 = WitnessAmbientGroup(2)
+        with pytest.raises(ValueError, match="1/0 has denominator outside"):
+            g2.x_gen(0, 1, 0)
+
     def test_unnormalised_pair_rejected(self):
         # 3/3^1 is (1, 0), a negative power is no pair, and zero is (0, 0)
         g2 = WitnessAmbientGroup(2)
@@ -337,6 +342,119 @@ def test_sabotaged_report_matches_golden(p, knob, base):
     assert json.dumps(report) == json.dumps(SABOTAGE_GOLDEN[group.descriptor])
 
 
+# -- the Fraction model's sabotage knobs -------------------------------------------
+#
+# The golden sabotage reports above are only as good as the model that carries
+# the bases, so the model is checked on its own.  With equal nonzero bases the
+# product y = y_1...y_p acts trivially, so the model is a group whose y-action
+# is the one its base names.  With unequal bases y acts by (up/down)^c on a
+# y-word c(1, ..., 1), the K/(y) quotient of the canonical y-part forgets that,
+# and only the right inverse survives; a zero base divides by zero exactly where
+# a negative power of it is taken.
+
+EQUAL_BASE_MODELS = [FractionWitnessGroup(p) for p in (2, 3, 5)] + [
+    FractionWitnessGroup(p, base, base) for p in (2, 3) for base in (2, -2)
+]
+MODEL_GROUPS = EQUAL_BASE_MODELS + [
+    FractionWitnessGroup(p, up, down)
+    for p in (2, 3)
+    for up, down in ((2, None), (4, 7), (-2, 3))
+]
+ZERO_BASE_GROUPS = [
+    FractionWitnessGroup(p, **{knob: 0})
+    for p in (2, 3)
+    for knob in ("up_base", "down_base")
+]
+
+
+@st.composite
+def _model_elements(draw, model):
+    """An element of the model with any denominators up to 60."""
+    p = model.p
+    a = [Fraction(draw(st.integers(-30, 30)), draw(st.integers(1, 60))) for _ in range(p)]
+    b = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    return model.element(value_from_parts(model, a, b, draw(st.integers(0, p - 1))))
+
+
+@pytest.mark.parametrize("model", MODEL_GROUPS, ids=lambda g: g.descriptor)
+class TestFractionModel:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_right_inverse(self, model, data):
+        x = data.draw(_model_elements(model))
+        inverse = ~x
+        model.check_value(inverse.value)
+        assert x * inverse == model.identity()
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_codec_roundtrip(self, model, data):
+        x = data.draw(_model_elements(model))
+        wire = json.loads(json.dumps(x.encode()))
+        assert wire["x"] == [str(q) for q in x.value[0]]
+        assert model.decode(wire) == x.value
+
+    def test_y_centralizes_exactly_when_bases_agree(self, model):
+        # family (1) of the claims fails on the model exactly when up != down
+        ones = (Fraction(1),) * model.p
+        fixed = model.scale_vector(ones, (1,) * model.p) == ones
+        assert fixed == (model.up == model.down)
+
+
+@pytest.mark.parametrize("model", EQUAL_BASE_MODELS, ids=lambda g: g.descriptor)
+class TestEqualBaseModelIsAGroup:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_associative(self, model, data):
+        x, y, z = (data.draw(_model_elements(model)) for _ in range(3))
+        product = (x * y) * z
+        model.check_value(product.value)
+        assert product == x * (y * z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_left_inverse(self, model, data):
+        x = data.draw(_model_elements(model))
+        assert ~x * x == model.identity()
+        assert ~~x == x
+
+    def test_y_action_follows_the_base(self, model):
+        # y_j x_j^q y_j^-1 = x_j^(q up), y_(j-1) x_j^q y_(j-1)^-1 = x_j^(q/down),
+        # and every other y_k fixes x_j
+        p, q = model.p, Fraction(3, 5)
+        for j in range(p):
+            x = model.x_gen(j, q.numerator, q.denominator)
+            own, prev = model.y_gen(j), model.y_gen(j - 1)
+            assert own * x * ~own == model.x_gen(j, *(q * model.up).as_integer_ratio())
+            assert prev * x * ~prev == model.x_gen(j, *(q / model.down).as_integer_ratio())
+            for k in range(p):
+                if k not in (j, (j - 1) % p):
+                    y = model.y_gen(k)
+                    assert y * x * ~y == x
+
+
+@pytest.mark.parametrize("model", ZERO_BASE_GROUPS, ids=lambda g: g.descriptor)
+def test_zero_base_divides_by_zero_on_negative_powers(model):
+    """A zero base scales x_j by 0 under a positive power and raises the
+    ZeroDivisionError text of Fraction under a negative one, as the golden
+    reports of degenerate bases record."""
+    from itertools import product
+
+    p, ones = model.p, (Fraction(1),) * model.p
+    raised = 0
+    for b in product(range(-2, 3), repeat=p):
+        # the power of the zero base in the factor of x_j
+        powers = [b[j] if model.up == 0 else -b[j - 1] for j in range(p)]
+        if min(powers) < 0:
+            with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+                model.scale_vector(ones, b)
+            raised += 1
+        else:
+            scaled = model.scale_vector(ones, b)
+            assert [q == 0 for q in scaled] == [k > 0 for k in powers]
+    assert 0 < raised < 5**p
+
+
 # -- the int-pair kernel against the Fraction model ------------------------------
 
 STANDARD_PRIMES = [2, 3, 5, 7]
@@ -416,14 +534,34 @@ class TestKernelMatchesFractionReference:
         assert resolved.decode(wire) == x.value
 
 
-def test_sample_table_matches_model():
-    for p in STANDARD_PRIMES:
-        group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
-        table = group.sample_table()
-        assert table is group.sample_table()
-        assert [
-            [(Fraction(n, (p + 1) ** k), c) for (n, k), c in row] for row in table
-        ] == model.sample_table()
+@pytest.mark.parametrize("p", STANDARD_PRIMES)
+def test_sample_table_matches_model(p):
+    group, model = WitnessAmbientGroup(p), FractionWitnessGroup(p)
+    table = group.sample_table()
+    assert table is group.sample_table()
+    assert [
+        [(Fraction(n, (p + 1) ** k), c) for (n, k), c in row] for row in table
+    ] == model.sample_table()
+
+
+@pytest.mark.parametrize("p", STANDARD_PRIMES)
+def test_y_action_matches_fraction_powers(p):
+    """The y-action as a shift of the power of p+1: for every pair of
+    neighbouring y-exponents in [-6, 6], scale_vector multiplies each
+    exponent by (p+1)^(b_j - b_(j-1)), checked in Fraction arithmetic."""
+    group, base = WitnessAmbientGroup(p), Fraction(p + 1)
+    exponents = [Fraction(n, (p + 1) ** k) for n in (-7, -1, 0, 1, p, p + 1) for k in (0, 1, 3)]
+    for bj in range(-6, 7):
+        for bprev in range(-6, 7):
+            b = [0] * p
+            b[1], b[0] = bj, bprev  # x_1 is scaled by base^(b_1 - b_0)
+            factor = base ** (b[1] - b[0])
+            for q in exponents:
+                vec = [group._coord(0, 1)] * p
+                vec[1] = group._coord(*q.as_integer_ratio())
+                scaled = group.scale_vector(vec, b)
+                group.check_value((scaled, (0,) * p, 0))
+                assert to_fraction(group, (scaled, (), 0))[0][1] == q * factor
 
 
 # -- the identity-product kernel ---------------------------------------------------
