@@ -111,7 +111,7 @@ def builtin_left_order(group: Group) -> LeftOrdering:
 
 def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
     """Ordering descriptors: natural[:k], secret, lex, table:<file>."""
-    if descriptor.startswith("natural"):
+    if descriptor == "natural" or descriptor.startswith("natural:"):
         if not isinstance(group, CyclicGroup):
             raise UsageError("natural orderings live on cyclic groups")
         try:

@@ -79,9 +79,6 @@ class Inconclusive(Record):
         }
 
 
-DetectionVerdict = SecretWitness | NotSecretOnCarrier | Inconclusive
-
-
 class SolverInvariantError(RuntimeError):
     """The search's assignment breaks a carrier constraint: a solver defect,
     not a verdict about the ordering."""
@@ -92,34 +89,34 @@ _MAX_TRIALS = 1 << 20
 
 def detect_secret(
     c: CircularOrdering, carrier: Ball | Group | Iterable[Element]
-) -> DetectionVerdict:
+) -> SecretWitness | NotSecretOnCarrier | Inconclusive:
     """Solve the coboundary equations for c over the carrier.
 
     Every pair with g, h and gh inside the carrier gives the constraint
     d(g) + d(h) - d(gh) = f_c(g,h), f_c read by rows of `Cocycle.on_carrier`.
-    Seeds d(id) = 0 and propagates: each constraint keeps the number of its
-    unassigned terms and f less the sum of its assigned ones, so a visit to
-    one with two or more unknowns costs O(1), one with none checks that
-    this rest is 0, and only one with a single unknown reads its terms.  The
-    remaining free values are searched depth-first (smallest canonical form
-    first, value 0 before 1) with chronological backtracking on one trail of
-    assignments, along which the counts are restored.  Deterministic,
-    including the contradiction trace; the trace of a failed search shows
-    the last falsified branch after all alternatives were exhausted.
+    Seeds d(id) = 0 and propagates: a visit to a constraint reads its
+    terms' values from the assignment, passes over one with two or more
+    free terms, checks one with none against f, and derives the free term
+    of one with exactly one.  The remaining free values are searched
+    depth-first (smallest canonical form first, value 0 before 1) with
+    chronological backtracking on one trail of assignments.  Visit order,
+    verdicts and traces are those of the rescan reference solver of
+    tests/test_secret_solver.py; beside the per-element assignment and
+    trail, the memory is the constraints and their watch lists only.
+    Deterministic, including the contradiction trace; the trace of a failed
+    search shows the last falsified branch after all alternatives were
+    exhausted.
     """
     elems, group = as_carrier(carrier), c.group
     # the variables are carrier indices; vals[i] is the canonical form of i
     points, vals, index, ids = intern_carrier(elems)
     row = Cocycle(c).on_carrier(points)
 
-    # constraint (g, h, gh, f) over indices, with terms the indices of nonzero
-    # coefficient (g, h and gh differ unless g = h or one is the identity):
-    # watch[v] lists those v is a term of, coef[v] beside it v's coefficients
-    # there, and unknown[ci] counts the terms still unassigned
+    # constraint (g, h, gh, f) over indices; watch[v] lists those with v a
+    # term of nonzero coefficient (g, h and gh differ unless g = h or one is
+    # the identity)
     constraints: list[tuple[int, int, int, int]] = []
     watch: list[list[int]] = [[] for _ in vals]
-    coef: list[list[int]] = [[] for _ in vals]
-    unknown = [3] * len(ids) ** 2  # cut to the constraints' length below
     op, find, ci = group._op_values, index.get, -1
     for gi in ids:
         g = vals[gi]
@@ -136,17 +133,10 @@ def detect_secret(
                 watch[gi].append(ci)
                 watch[hi].append(ci)
                 watch[ghi].append(ci)
-                coef[gi].append(1)
-                coef[hi].append(1)
-                coef[ghi].append(-1)
             else:
-                terms = [v for v in {gi, hi, ghi} if _coefficient(v, constraint)]
-                for v in terms:
-                    watch[v].append(ci)
-                    coef[v].append(_coefficient(v, constraint))
-                unknown[ci] = len(terms)
-    del unknown[ci + 1:]
-    rest = [constraint[3] for constraint in constraints]  # f less assigned terms
+                for v in {gi, hi, ghi}:
+                    if _coefficient(v, constraint):
+                        watch[v].append(ci)
 
     # trail entries (kind, var, value, constraint); origin[var] is the trail
     # position of var's entry while value[var] is not None
@@ -154,27 +144,14 @@ def detect_secret(
     value: list[int | None] = [None] * len(vals)
     origin = [0] * len(vals)
 
-    def count(var: int, x: int, sign: int) -> None:
-        """Count var = x into (sign 1) or out of (sign -1) the unknowns and
-        rests of the constraints var watches."""
-        if x:
-            for ci, k in zip(watch[var], coef[var]):
-                unknown[ci] -= sign
-                rest[ci] -= sign * k
-        else:
-            for ci in watch[var]:
-                unknown[ci] -= sign
-
     def assign(kind: str, var: int, x: int, ci: int | None) -> None:
         value[var] = x
         origin[var] = len(trail)
         trail.append((kind, var, x, ci))
-        count(var, x, 1)
 
     def undo(mark: int) -> None:
-        for _, var, x, _ in trail[mark:]:
+        for _, var, _, _ in trail[mark:]:
             value[var] = None
-            count(var, x, -1)
         del trail[mark:]
 
     def propagate(var: int) -> tuple[int, str] | None:
@@ -184,16 +161,34 @@ def detect_secret(
         batches = [watch[var]]
         for batch in batches:
             for ci in batch:
-                left = unknown[ci]
-                if left > 1:
-                    continue
-                num = rest[ci]
+                g, h, gh, num = constraint = constraints[ci]
+                # num becomes f less the assigned terms, free ones read as 0,
+                # and left the number of free variables of nonzero
+                # coefficient; only a degenerate constraint (g = h, or g or h
+                # the identity) needs _coefficient for that.  Most visits
+                # find all three terms assigned and only check f.
+                a, b, ab = value[g], value[h], value[gh]
+                if a is None or b is None or ab is None:
+                    if g != h and g != gh and h != gh:
+                        left = (a is None) + (b is None) + (ab is None)
+                    else:
+                        left = sum(
+                            value[v] is None and _coefficient(v, constraint) != 0
+                            for v in {g, h, gh}
+                        )
+                    if left > 1:
+                        continue
+                    num -= (a or 0) + (b or 0) - (ab or 0)
+                else:
+                    num -= a + b - ab
+                    if not num:
+                        continue
+                    left = 0
                 if not left:
                     if num:
-                        rhs = constraints[ci][3]
+                        rhs = constraint[3]
                         return ci, f"constraint evaluates to {rhs - num}, needs {rhs}"
                     continue
-                constraint = constraints[ci]
                 v = next(
                     v for v in constraint[:3]
                     if value[v] is None and _coefficient(v, constraint)

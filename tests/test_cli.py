@@ -425,9 +425,13 @@ class TestBadArguments:
             "{'t': [0, 0, 0]} is not in promislow\n"
         )
 
-    def test_natural_unit_not_an_integer(self, capsys):
+    @pytest.mark.parametrize(
+        "descriptor", ["natural:x", "naturalX", "natural:", "natural:1:2"]
+    )
+    def test_malformed_natural_descriptor(self, capsys, descriptor):
+        # only natural and natural:<k> name the natural orderings
         self.assert_usage_error(
-            capsys, "validate", "--group", "cyclic:5", "--ordering", "natural:x"
+            capsys, "validate", "--group", "cyclic:5", "--ordering", descriptor
         )
 
     def test_negative_radius(self, capsys):

@@ -1,10 +1,11 @@
-"""The counted solver of `detect_secret` against a rescan reference.
+"""`detect_secret` against a rescan reference solver.
 
-`rescan_detect_secret` is the solver `detect_secret` replaced: every visit to
-a constraint re-sums its terms from the current values.  It takes f_c from
-`Cocycle.of_values`, the cocycle on canonical forms, so it shares neither the
-propagation nor the carrier cocycle with `detect_secret`.  Both must give the
-same verdict JSON and spend the same number of branch trials.
+`rescan_detect_secret` is the solver `detect_secret` replaced: every visit
+to a constraint re-sums its terms from a coefficient table of its own.  It
+takes f_c from `Cocycle.of_values`, the cocycle on canonical forms, so it
+shares neither the constraint build nor the carrier cocycle with
+`detect_secret`.  Both must give the same verdict JSON and spend the same
+number of branch trials.
 """
 
 import re
@@ -220,7 +221,7 @@ def assert_solvers_agree(c, carrier, max_trials=1 << 20):
 caps = st.sampled_from([0, 1, 2, 3, 1 << 20])
 
 
-class TestCountedMatchesRescan:
+class TestSolverMatchesRescan:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-8, 8), max_size=9, unique=True), caps)
     def test_integer_carriers(self, points, max_trials):
@@ -269,7 +270,9 @@ class TestCountedMatchesRescan:
         c = secret_from_left(LeftOrdering(Z2, "corrupted", positives.__contains__))
         assert_solvers_agree(c, [Z2.identity(), *drawn], max_trials)
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    # from n = 2, whose only constraint without an identity argument is
+    # degenerate (g = h and gh = e)
+    @pytest.mark.parametrize("n", range(2, 13))
     def test_natural_cyclic(self, n):
         for k in natural_units(n):
             assert_solvers_agree(natural_circular_cyclic(n, k), CyclicGroup(n))
