@@ -114,8 +114,13 @@ def resolve_ordering(group: Group, descriptor: str) -> CircularOrdering:
     if descriptor == "natural" or descriptor.startswith("natural:"):
         if not isinstance(group, CyclicGroup):
             raise UsageError("natural orderings live on cyclic groups")
+        _, colon, k = descriptor.partition(":")
+        digits = k.removeprefix("-")
         try:
-            unit = int(descriptor.split(":", 1)[1]) if ":" in descriptor else 1
+            unit = int(k) if colon else 1
+            if colon and not (digits.isascii() and digits.isdigit()):
+                # int() also takes '+', spaces, '_' and other scripts' digits
+                raise ValueError("k must be ASCII digits after at most a '-'")
             return natural_circular_cyclic(group.n, unit)
         except ValueError as exc:
             raise UsageError(f"bad ordering {descriptor!r}: {exc}") from exc

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from operator import attrgetter
@@ -603,17 +602,24 @@ def _leaf_group(descriptor: str) -> Group:
     if descriptor == "trivial":
         return CyclicGroup(1)
     if descriptor.startswith("cyclic:"):
-        return CyclicGroup(int(descriptor.split(":", 1)[1]))
+        return CyclicGroup(_size(descriptor))
     if descriptor.startswith("free-abelian:"):
-        return FreeAbelianGroup(int(descriptor.split(":", 1)[1]))
+        return FreeAbelianGroup(_size(descriptor))
     if descriptor.startswith("witness:"):
         from . import witness
 
-        form = re.fullmatch(r"witness:(\d+)", descriptor)
-        if form is None:
-            raise ValueError(f"bad witness descriptor: {descriptor!r}")
-        return witness.WitnessAmbientGroup(int(form[1]))
+        return witness.WitnessAmbientGroup(_size(descriptor))
     raise ValueError(f"unknown group descriptor: {descriptor!r}")
+
+
+def _size(descriptor: str) -> int:
+    """The n of a `name:n` descriptor, in ASCII digits only: int() would also
+    take a sign, spaces, '_' and other scripts' digits, and give one group
+    several names."""
+    name, _, text = descriptor.partition(":")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad {name} descriptor: {descriptor!r}")
+    return int(text)
 
 
 # -- balls -------------------------------------------------------------------

@@ -148,22 +148,19 @@ def _primes(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _first_of_order(elements: list[Element], k: int) -> Element | None:
-    """The first element of order k: g^(k/q) != e per prime q of k, g^k = e."""
-    cofactors = [k // q for q in _primes(k)]
-    for g in elements:
-        if not any((g**c).is_identity for c in cofactors) and (g**k).is_identity:
-            return g
-    return None
-
-
 def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
     """Fully determined spectrum of a finite group: n is obstructed exactly
     when G x Z/n is not cyclic, that is when G is not cyclic or shares a
     prime with n.  A cyclic G has an element of every order dividing |G|, so
     the least such prime p is the least order > 1 sharing a prime with n,
-    witnessed by the first element of order p.  The walk makes about one
-    power per element, so |G| log2 |G| group operations bound it up front."""
+    witnessed by the first element of order p.
+
+    The walk lists each cyclic subgroup C = <g> once, from the first g whose
+    order is not yet known, by |C| - 1 multiplications by g, and reads off
+    the order of every power of g.  C has phi(|C|) generators, so the walk
+    makes at most the sum over g != e of (ord(g) - 1) / phi(ord(g)) group
+    operations, each term at most ceil(log2 ord(g)): |G| ceil(log2 |G|)
+    bounds it up front."""
     if not group.is_finite:
         raise ValueError(f"{group.descriptor} is not finite")
     order = group.order
@@ -172,9 +169,20 @@ def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
             f"spectrum of {group.descriptor} needs about {work} group operations "
             f"(|G| log2 |G|), over the cap of {_DEFAULT_TUPLE_CAP}"
         )
-    elements = group.elements()
-    first_of_order = functools.cache(functools.partial(_first_of_order, elements))
-    generator = first_of_order(order)
+    # orders by canonical form, and the first element of each order
+    op = group.op
+    orders: dict[Any, int] = {}
+    first: dict[int, Element] = {}
+    for g in group.elements():
+        if (v := g.value) not in orders:
+            powers, x = [v], g
+            while not x.is_identity:
+                x = op(x, g)
+                powers.append(x.value)
+            d = len(powers)
+            orders.update(zip(powers, [d // gcd(d, j) for j in range(1, d + 1)]))
+        first.setdefault(orders[v], g)
+    generator = first.get(order)
     primes = _primes(order)
     obstructed: dict[int, dict] = {}
     unobstructed: dict[int, dict] = {}
@@ -197,7 +205,7 @@ def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
             obstructed[n] = {
                 "kind": "torsion",
                 "element_order": p,
-                "witness": first_of_order(p).encode(),
+                "witness": first[p].encode(),
                 "shared_prime": p,
             }
     notes = () if generator is not None else (

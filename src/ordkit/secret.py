@@ -94,10 +94,14 @@ def detect_secret(
 
     Every pair with g, h and gh inside the carrier gives the constraint
     d(g) + d(h) - d(gh) = f_c(g,h), f_c read by rows of `Cocycle.on_carrier`.
-    Seeds d(id) = 0 and propagates: a visit to a constraint reads its
-    terms' values from the assignment, passes over one with two or more
-    free terms, checks one with none against f, and derives the free term
-    of one with exactly one.  The remaining free values are searched
+    A pair with an identity argument says d(id) = f_c = 0, which the seed
+    d(id) = 0 meets: it is counted and re-checked by the closing pass but
+    never searched.  Every other constraint has three distinct terms except
+    the diagonal (g, g, g²), the one with a coefficient of 2.  Seeds
+    d(id) = 0 and propagates: a visit to a constraint reads its terms'
+    values from the assignment, passes over one with two or more free
+    terms, checks one with none against f, and derives the free term of
+    one with exactly one.  The remaining free values are searched
     depth-first (smallest canonical form first, value 0 before 1) with
     chronological backtracking on one trail of assignments.  Visit order,
     verdicts and traces are those of the rescan reference solver of
@@ -113,11 +117,13 @@ def detect_secret(
     row = Cocycle(c).on_carrier(points)
 
     # constraint (g, h, gh, f) over indices; watch[v] lists those with v a
-    # term of nonzero coefficient (g, h and gh differ unless g = h or one is
-    # the identity)
+    # term.  An identity pair, (e, h, h) or (g, e, g), says d(e) = f = 0 and
+    # is watched by nothing; every other has three distinct terms except the
+    # diagonal (g, g, g²)
     constraints: list[tuple[int, int, int, int]] = []
     watch: list[list[int]] = [[] for _ in vals]
     op, find, ci = group._op_values, index.get, -1
+    e = index[group._identity_value()]
     for gi in ids:
         g = vals[gi]
         ks = [find(op(g, h)) for h in vals]
@@ -127,16 +133,12 @@ def detect_secret(
             if ghi is None:
                 continue
             ci += 1
-            constraint = (gi, hi, ghi, fs[hi])
-            constraints.append(constraint)
-            if gi != hi and gi != ghi and hi != ghi:
+            constraints.append((gi, hi, ghi, fs[hi]))
+            if gi != e and hi != e:
                 watch[gi].append(ci)
-                watch[hi].append(ci)
+                if hi != gi:
+                    watch[hi].append(ci)
                 watch[ghi].append(ci)
-            else:
-                for v in {gi, hi, ghi}:
-                    if _coefficient(v, constraint):
-                        watch[v].append(ci)
 
     # trail entries (kind, var, value, constraint); origin[var] is the trail
     # position of var's entry while value[var] is not None
@@ -161,39 +163,24 @@ def detect_secret(
         batches = [watch[var]]
         for batch in batches:
             for ci in batch:
-                g, h, gh, num = constraint = constraints[ci]
-                # num becomes f less the assigned terms, free ones read as 0,
-                # and left the number of free variables of nonzero
-                # coefficient; only a degenerate constraint (g = h, or g or h
-                # the identity) needs _coefficient for that.  Most visits
-                # find all three terms assigned and only check f.
+                # most visits find all three terms assigned and only check f;
+                # otherwise the free variables are counted, the diagonal's g
+                # once, and the one free term of a constraint is derived
+                g, h, gh, rhs = constraints[ci]
                 a, b, ab = value[g], value[h], value[gh]
-                if a is None or b is None or ab is None:
-                    if g != h and g != gh and h != gh:
-                        left = (a is None) + (b is None) + (ab is None)
-                    else:
-                        left = sum(
-                            value[v] is None and _coefficient(v, constraint) != 0
-                            for v in {g, h, gh}
-                        )
-                    if left > 1:
-                        continue
-                    num -= (a or 0) + (b or 0) - (ab or 0)
-                else:
-                    num -= a + b - ab
-                    if not num:
-                        continue
-                    left = 0
-                if not left:
-                    if num:
-                        rhs = constraint[3]
-                        return ci, f"constraint evaluates to {rhs - num}, needs {rhs}"
+                if a is not None and b is not None and ab is not None:
+                    if a + b - ab != rhs:
+                        return ci, f"constraint evaluates to {a + b - ab}, needs {rhs}"
                     continue
-                v = next(
-                    v for v in constraint[:3]
-                    if value[v] is None and _coefficient(v, constraint)
-                )
-                k = _coefficient(v, constraint)
+                if (a is None) + (b is None and h != g) + (ab is None) > 1:
+                    continue
+                num = rhs - (a or 0) - (b or 0) + (ab or 0)
+                if a is None:
+                    v, k = g, 1 + (h == g)
+                elif b is None:
+                    v, k = h, 1
+                else:
+                    v, k = gh, -1
                 if num % k == 0 and num // k in (0, 1):
                     assign("derive", v, num // k, ci)
                     batches.append(watch[v])
@@ -238,8 +225,8 @@ def detect_secret(
         conflict = {"step": len(trail), "kind": "conflict", "detail": detail}
         return (*trace, {**conflict, "constraint": constraint_dict(ci)})
 
-    assign("seed", index[group._identity_value()], 0, None)
-    conflict = propagate(index[group._identity_value()])
+    assign("seed", e, 0, None)
+    conflict = propagate(e)
     if conflict is not None:
         return NotSecretOnCarrier(conflict_trace(*conflict), len(constraints))
 
@@ -304,12 +291,6 @@ def detect_secret(
                 f"g = {group.format_value(vals[g])}, h = {group.format_value(vals[h])}"
             )
     return SecretWitness(solution, len(constraints))
-
-
-def _coefficient(var: int, constraint: tuple[int, int, int, int]) -> int:
-    """The coefficient of d(var) in the constraint d(g) + d(h) - d(gh) = f."""
-    g, h, gh, _ = constraint
-    return (var == g) + (var == h) - (var == gh)
 
 
 def cone_from_solution(solution: CoboundarySolution) -> LeftOrdering:

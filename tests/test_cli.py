@@ -434,6 +434,31 @@ class TestBadArguments:
             capsys, "validate", "--group", "cyclic:5", "--ordering", descriptor
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["validate", "--group", "cyclic:5", "--ordering", f"natural:{k}"]
+              for k in ["+2", "1_2", " 2", "٢"]),
+            *(["validate", "--group", group, "--ordering", "natural"]
+              for group in ["cyclic:+6", "cyclic:٦", "cyclic: 6", "cyclic:1_2"]),
+            ["detect-secret", "--group", "free-abelian:+2", "--ordering", "secret",
+             "--radius", "1"],
+            ["spectrum", "--group", "witness:٣", "--cap", "10"],
+        ],
+        ids=lambda argv: f"{argv[2]}/{argv[4]}",
+    )
+    def test_descriptor_integer_not_in_ascii_digits(self, capsys, argv):
+        # int() reads these too, so one group or ordering had several names
+        self.assert_usage_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "group, ordering",
+        [("cyclic:5", "natural:-1"), ("cyclic:05", "natural:02")],
+    )
+    def test_descriptor_integer_in_ascii_digits(self, capsys, group, ordering):
+        assert main(["validate", "--group", group, "--ordering", ordering]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_negative_radius(self, capsys):
         self.assert_usage_error(
             capsys, "validate", "--group", "integers", "--ordering", "secret",

@@ -230,8 +230,8 @@ class TestObstructionFinite:
             assert obstruction_finite(group, 40).to_dict() == expected, desc
 
     def test_group_operations_grow_with_log_order(self, monkeypatch):
-        # the torsion walk made 558,903 Group.op calls on Z/1000; the search
-        # powers each element it passes, one square-and-multiply each
+        # the torsion walk made 558,903 Group.op calls on Z/1000; listing
+        # each cyclic subgroup once makes 999
         calls, op = [], groups.Group.op
         monkeypatch.setattr(
             groups.Group, "op", lambda *a: calls.append(None) or op(*a)
@@ -265,6 +265,26 @@ class TestObstructionFinite:
                 f"spectrum of {refused_desc} needs about 1032 group operations "
                 "(|G| log2 |G|), over the cap of 896"
             )
+        # and the walk's Group.op calls stay within that estimate, cyclic or
+        # not; the old walk made 2,704,800 on the last group, accepted at the
+        # real cap
+        calls, op = [], groups.Group.op
+        monkeypatch.setattr(
+            groups.Group, "op", lambda *a: calls.append(None) or op(*a)
+        )
+        for descriptor, cap in [
+            ("trivial", 896), ("cyclic:2", 896), ("cyclic:128", 896),
+            ("klein4", 896), ("product:cyclic:2,cyclic:3", 896),
+            ("product:cyclic:6,cyclic:10", 896), ("product:cyclic:8,cyclic:16", 896),
+            ("product:cyclic:3,cyclic:43", 1032),
+            ("product:cyclic:2,cyclic:58800", 2_000_000),
+        ]:
+            monkeypatch.setattr(obstruction, "_DEFAULT_TUPLE_CAP", cap)
+            group = get_group(descriptor)
+            estimate = group.order * (group.order - 1).bit_length()
+            calls.clear()
+            assert obstruction_finite(group, 12).fully_determined
+            assert len(calls) <= estimate <= cap, descriptor
 
 
 class TestFreeProduct:

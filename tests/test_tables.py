@@ -118,6 +118,67 @@ Z = IntegerGroup()
 Z2 = FreeAbelianGroup(2)
 
 
+def _natural_case(data):
+    n = data.draw(st.integers(2, 12))
+    k = data.draw(st.sampled_from(natural_units(n)))
+    return natural_circular_cyclic(n, k), CyclicGroup(n).elements()
+
+
+def _secret_case(lo, pool):
+    return lambda data: (secret_from_left(lo), pool)
+
+
+def _corrupted_secret_case(group, pool):
+    def case(data):
+        positive = data.draw(st.sets(st.sampled_from([g.value for g in pool])))
+        lo = LeftOrdering(group, "corrupt", positive.__contains__)
+        return secret_from_left(lo), pool
+
+    return case
+
+
+def _restricted_secret_case(group, pool):
+    # the cone answers only on an inner set, and may be corrupted there
+    def case(data):
+        inner = data.draw(subsets(pool, len(pool)))
+        positives = data.draw(st.sets(st.sampled_from(inner)))
+        return secret_from_left(restricted_cone(group, positives, inner)), pool
+
+    return case
+
+
+def _lex_product_case(data):
+    c = product_circular(usual_integer_order(Z), data.draw(st.integers(2, 6)))
+    return c, as_carrier(resolve_carrier(c.group, 2))
+
+
+def _table_case(data):
+    # a table: ordering has no row formula, so its rows run the case ladder;
+    # one flipped entry may leave a pair undecided
+    group = CyclicGroup(data.draw(st.integers(3, 6)))
+    k = data.draw(st.sampled_from(natural_units(group.n)))
+    table = ordering_table(natural_circular_cyclic(group.n, k), group.elements())
+    if data.draw(st.booleans()):
+        table = flip_entry(table, data.draw(st.sampled_from(sorted(table.entries))))
+    return table.ordering(), group.elements()
+
+
+Z_POOL = as_carrier(ball([Z.element(1)], 6))
+Z2_POOL = as_carrier(ball(Z2.basis(), 2))
+ROW_CASES = [
+    _natural_case,
+    _secret_case(usual_integer_order(Z), Z_POOL),
+    _secret_case(lex_free_abelian_order(Z2), Z2_POOL),
+    _corrupted_secret_case(Z, Z_POOL),
+    _corrupted_secret_case(Z2, Z2_POOL),
+    _restricted_secret_case(Z, Z_POOL),
+    _restricted_secret_case(Z2, Z2_POOL),
+    _lex_product_case,
+    lambda data: (promislow_circular(), as_carrier(resolve_carrier(PROMISLOW, 2))),
+    _table_case,
+]
+
+
 def arrangement_cases():
     """natural:k on Z/n for n <= 12, every unit k, and each arrangement that
     `enumerate` finds on Z/n for n <= 8, each on its whole group."""
@@ -306,6 +367,38 @@ class TestCocycleOnCarrier:
         elems = [Z.element(1), Z.element(2)]
         with pytest.raises(ValueError, match="identity"):
             Cocycle(secret_from_left(usual_integer_order(Z))).on_carrier(elems)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_match_of_values(self, data):
+        # every row entry is the pair cocycle where the product is in the
+        # carrier and None where it is not, and 0 at an identity argument,
+        # which detect_secret relies on to leave identity pairs unsearched;
+        # a row that raises does so where the pair cocycle first raises
+        c, pool = data.draw(st.sampled_from(ROW_CASES))(data)
+        elems = as_carrier({c.group.identity(), *data.draw(subsets(pool, 12))})
+        row, f = Cocycle(c).on_carrier(elems), Cocycle(c)
+        index = {g.value: i for i, g in enumerate(elems)}
+        for i, g in enumerate(elems):
+            ks = [index.get((g * h).value) for h in elems]
+            want, failure = [], None
+            for h, k in zip(elems, ks):
+                try:
+                    want.append(None if k is None else f.of_values(g.value, h.value))
+                except (InvalidOrderingError, OutsideCarrierError) as exc:
+                    failure = (type(exc), str(exc))
+                    break
+            try:
+                got = row(i, ks)
+            except (InvalidOrderingError, OutsideCarrierError) as exc:
+                assert (type(exc), str(exc)) == failure
+                return
+            assert failure is None and got == want
+            assert all(
+                value == 0
+                for h, value in zip(elems, got)
+                if g.is_identity or h.is_identity
+            )
 
 
 def test_detect_secret_cone_calls_bounded_by_pairs():
