@@ -33,7 +33,6 @@ from .groups import (
 )
 from .lift import InvalidOrderingError, lift_check_report
 from .obstruction import (
-    SpectrumReport,
     brute_force_circular_orders,
     left_orderable_spectrum,
     obstruction_finite,
@@ -41,6 +40,7 @@ from .obstruction import (
     promislow_circular,
     promislow_spectrum,
     promislow_worked_example,
+    witness_recorded_spectrum,
 )
 from .orders import (
     CircularOrdering,
@@ -271,25 +271,6 @@ def cmd_detect_secret(args: SimpleNamespace) -> tuple[dict, bool]:
     }, verdict.status == "secret-on-carrier"
 
 
-def _witness_recorded_spectrum(p: int, cap: int) -> SpectrumReport:
-    certificate = {
-        "kind": "recorded-conclusion",
-        "note": "spectrum of the witness subgroup is the multiples of p by "
-        "construction; run the witness subcommand for the desk-scale checks",
-    }
-    obstructed = {n: dict(certificate) for n in range(2, cap + 1) if n % p == 0}
-    unobstructed = {
-        n: dict(certificate) for n in range(2, cap + 1) if n % p != 0
-    }
-    return SpectrumReport(
-        f"witness:{p}",
-        cap,
-        obstructed,
-        unobstructed,
-        notes=("recorded conclusion, not a computation",),
-    )
-
-
 def cmd_spectrum(args: SimpleNamespace) -> tuple[dict, bool]:
     desc: str = args.group
     if desc == "promislow":
@@ -302,7 +283,7 @@ def cmd_spectrum(args: SimpleNamespace) -> tuple[dict, bool]:
             raise UsageError(f"cannot read presentation {path}: {exc}") from exc
         report = presentation_spectrum(presentation, args.cap)
     elif desc.startswith("witness:"):
-        report = _witness_recorded_spectrum(resolve_group(desc).p, args.cap)
+        report = witness_recorded_spectrum(resolve_group(desc).p, args.cap)
     else:
         group = resolve_group(desc)
         if group.is_finite:

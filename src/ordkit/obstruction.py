@@ -6,7 +6,8 @@ bracketing: an exponent certificate from a finite abelianization puts
 multiples of the exponent into the spectrum under recorded hypotheses,
 and homomorphism certificates with left-orderable kernel evidence keep
 individual n out of it.  The Promislow group's spectrum (the multiples of
-four) is reproduced end to end at desk scale.
+four) is reproduced end to end at desk scale.  Every report comes from one
+per-n engine, `spectrum`, which asks a builder's deciders in order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import functools
 import itertools
 from math import gcd
 from operator import mul
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .groups import (
     Ball,
@@ -104,11 +105,7 @@ class SpectrumReport(Record):
         unobstructed: dict[int, dict], undetermined: tuple[int, ...] = (),
         notes: tuple[str, ...] = (),
     ) -> None:
-        full = set(range(2, cap + 1))
-        triple = (set(obstructed), set(unobstructed), set(undetermined))
-        union = triple[0] | triple[1] | triple[2]
-        total = sum(len(part) for part in triple)
-        if union != full or total != len(full):
+        if sorted([*obstructed, *unobstructed, *undetermined]) != [*range(2, cap + 1)]:
             raise ValueError(f"spectrum parts do not partition [2, {cap}]")
         super().__init__(
             group_label, cap, obstructed, unobstructed, undetermined, notes
@@ -134,6 +131,32 @@ class SpectrumReport(Record):
             "undetermined": sorted(self.undetermined),
             "notes": list(self.notes),
         }
+
+
+# n -> None, or (True, certificate) obstructed, (False, certificate) unobstructed
+Decider = Callable[[int], "tuple[bool, dict] | None"]
+
+
+def spectrum(
+    label: str, cap: int, deciders: list[Decider], notes: Iterable[str] = ()
+) -> SpectrumReport:
+    """The report on [2, cap] that the deciders give.  Each n takes the first
+    answer that is not None, so earlier deciders win; n is undetermined when
+    every decider returns None.  A new certificate kind is a new decider."""
+    obstructed: dict[int, dict] = {}
+    unobstructed: dict[int, dict] = {}
+    undetermined: list[int] = []
+    for n in range(2, cap + 1):
+        for decide in deciders:
+            if (answer := decide(n)) is not None:
+                blocked, certificate = answer
+                (obstructed if blocked else unobstructed)[n] = certificate
+                break
+        else:
+            undetermined.append(n)
+    return SpectrumReport(
+        label, cap, obstructed, unobstructed, tuple(undetermined), tuple(notes)
+    )
 
 
 def _primes(n: int) -> list[int]:
@@ -184,34 +207,33 @@ def obstruction_finite(group: Group, cap: int) -> SpectrumReport:
         first.setdefault(orders[v], g)
     generator = first.get(order)
     primes = _primes(order)
-    obstructed: dict[int, dict] = {}
-    unobstructed: dict[int, dict] = {}
-    for n in range(2, cap + 1):
+
+    def decide(n: int) -> tuple[bool, dict]:
         if generator is None:
-            obstructed[n] = {
+            return True, {
                 "kind": "factor-not-cyclic",
                 "note": "G is a non-cyclic finite group, so G x Z/n is "
                 "never cyclic and never circularly-orderable",
             }
-        elif gcd(order, n) == 1:
-            unobstructed[n] = {
+        if gcd(order, n) == 1:
+            return False, {
                 "kind": "cyclic-product",
                 "product_order": order * n,
                 "generator": generator.encode(),
                 "note": "G x Z/n is cyclic, hence circularly-orderable",
             }
-        else:
-            p = next(q for q in primes if n % q == 0)
-            obstructed[n] = {
-                "kind": "torsion",
-                "element_order": p,
-                "witness": first[p].encode(),
-                "shared_prime": p,
-            }
+        p = next(q for q in primes if n % q == 0)
+        return True, {
+            "kind": "torsion",
+            "element_order": p,
+            "witness": first[p].encode(),
+            "shared_prime": p,
+        }
+
     notes = () if generator is not None else (
         "the group itself is not circularly-orderable (not cyclic)",
     )
-    return SpectrumReport(group.descriptor, cap, obstructed, unobstructed, (), notes)
+    return spectrum(group.descriptor, cap, [decide], notes)
 
 
 def monotonicity_check(
@@ -759,60 +781,57 @@ def promislow_worked_example(radius: int = 4) -> dict:
     }
 
 
-def _exponent_entries(e: int, record: dict, cap: int) -> dict[int, dict]:
-    """The exponent record at e, divisibility closure at its other multiples."""
-    return {
-        n: record if n == e else {
+def _exponent_decider(e: int, record: dict) -> Decider:
+    """The exponent record obstructs e, and divisibility closure its other
+    multiples.  Closure from e needs e in the spectrum, so callers ask this
+    decider only for e >= 2: an exponent of 1 obstructs nothing."""
+
+    def decide(n: int) -> tuple[bool, dict] | None:
+        if n % e:
+            return None
+        return True, record if n == e else {
             "kind": "divisibility-closure",
             "divisor": e,
             "base_certificate": "abelianization-exponent",
         }
-        for n in range(2, cap + 1)
-        if n % e == 0
-    }
+
+    return decide
 
 
 def promislow_spectrum(cap: int, radius: int = 3) -> SpectrumReport:
     """The Promislow group's spectrum up to cap: the multiples of four.
 
     Multiples of four are obstructed through the abelianization exponent
-    (4) and divisibility closure; everything else carries a verified
-    unobstructed certificate.  Certificates that fail verification would
-    land in undetermined rather than being asserted.  Every n's preimage is
+    (4) and divisibility closure, asked first, so they build no certificate;
+    everything else carries a verified unobstructed certificate or, should
+    it fail verification, lands in undetermined.  Every n's preimage is
     ker(phi) in the ball (n phi(g), n odd, and (n/2) psi(g), n = 2 mod 4, are
     even exactly when phi(g) = 0), so the shared poly-Z evidence is validated
     once.  Each certificate then costs O(|B(radius)|), and `promislow --cap
     8000` takes about 0.8 s on a 2-vCPU host.
     """
-    if cap < 2:
-        raise ValueError(f"cap must be >= 2, got {cap}")
     e, exponent_record = exponent_obstruction(PROMISLOW_PRESENTATION)
     if e != 4:
         raise CertificateError(f"Promislow abelianization exponent is {e}, not 4")
     carrier = ball(PROMISLOW.generators(), radius)
 
-    obstructed = _exponent_entries(e, exponent_record, cap)
-    unobstructed: dict[int, dict] = {}
-    undetermined: list[int] = []
-    for n in [m for m in range(2, cap + 1) if m not in obstructed]:
+    def certified(n: int) -> tuple[bool, dict] | None:
         cert = promislow_unobstructed_certificate(n)
         verification = verify_unobstructed(cert, carrier)
-        if verification["status"] == "pass":
-            unobstructed[n] = {
-                **cert.summary(),
-                "verification": {
-                    "status": "pass",
-                    "checks": [c["name"] for c in verification["checks"]],
-                },
-            }
-        else:
-            undetermined.append(n)
-    return SpectrumReport(
+        if verification["status"] != "pass":
+            return None
+        return False, {
+            **cert.summary(),
+            "verification": {
+                "status": "pass",
+                "checks": [c["name"] for c in verification["checks"]],
+            },
+        }
+
+    return spectrum(
         "promislow",
         cap,
-        obstructed,
-        unobstructed,
-        tuple(undetermined),
+        [_exponent_decider(e, exponent_record), certified],
         notes=(
             "obstructed certificates rely on recorded hypotheses "
             "(finitely generated, amenable, circularly-orderable)",
@@ -832,33 +851,47 @@ def left_orderable_spectrum(
     report = validate_left_ordering(lo, carrier)
     if not report.passed:
         raise ValueError(f"left ordering failed validation: {report.counterexample}")
-    unobstructed = {
-        n: {
-            "kind": "left-orderable-lex",
-            "note": "a left order on G makes every G x Z/n circularly-orderable "
-            "via the lexicographic construction",
-            "cone_validated_on": len(as_carrier(carrier)),
-        }
-        for n in range(2, cap + 1)
+    lex = {
+        "kind": "left-orderable-lex",
+        "note": "a left order on G makes every G x Z/n circularly-orderable "
+        "via the lexicographic construction",
+        "cone_validated_on": len(as_carrier(carrier)),
     }
-    return SpectrumReport(lo.group.descriptor, cap, {}, unobstructed)
+    return spectrum(lo.group.descriptor, cap, [lambda n: (False, lex)])
 
 
 def presentation_spectrum(presentation: Presentation, cap: int) -> SpectrumReport:
     """Bracketing report for a presented group via the exponent certificate."""
     e, record = exponent_obstruction(presentation)
-    obstructed = {} if e is None else _exponent_entries(e, record, cap)
-    undetermined = [n for n in range(2, cap + 1) if n not in obstructed]
+    deciders: list[Decider] = []
     notes = [
         "bracketing only: no unobstructed certificates are derivable from a "
         "bare presentation",
     ]
     if e is None:
         notes.append("abelianization is infinite; exponent argument not applicable")
+    elif e == 1:
+        notes.append(
+            "abelianization is trivial (exponent 1); the exponent argument "
+            "obstructs no n > 1"
+        )
     else:
+        deciders.append(_exponent_decider(e, record))
         notes.append(
             "obstructed entries hold under recorded hypotheses "
             "(finitely generated, amenable, circularly-orderable)"
         )
     label = "presentation(" + " ".join(presentation.generator_names) + ")"
-    return SpectrumReport(label, cap, obstructed, {}, tuple(undetermined), tuple(notes))
+    return spectrum(label, cap, deciders, notes)
+
+
+def witness_recorded_spectrum(p: int, cap: int) -> SpectrumReport:
+    """The witness subgroup's spectrum as its construction records it: the
+    multiples of p.  `verify_witness_claims` makes the desk-scale checks."""
+    recorded = {
+        "kind": "recorded-conclusion",
+        "note": "spectrum of the witness subgroup is the multiples of p by "
+        "construction; run the witness subcommand for the desk-scale checks",
+    }
+    notes = ("recorded conclusion, not a computation",)
+    return spectrum(f"witness:{p}", cap, [lambda n: (n % p == 0, recorded)], notes)

@@ -224,30 +224,27 @@ class TestSpectrum:
         assert [e["n"] for e in payload["obstructed"]] == [4, 8]
         assert payload["undetermined"] == [2, 3, 5, 6, 7, 9, 10]
 
-    def test_exponent_one_closes_over_every_n(self, capsys, tmp_path):
-        # a trivial abelianization has exponent 1, which divides every n >= 2
+    def test_exponent_one_obstructs_nothing(self, capsys, tmp_path):
+        # a trivial abelianization has exponent 1, which is in no spectrum, so
+        # closure from it obstructs no n: every n is undetermined, which cannot
+        # contradict `spectrum --group trivial` (every n unobstructed)
         path = tmp_path / "trivial.txt"
         path.write_text("gens: a\nrel: a\n")
         code, out = run(
             capsys, "spectrum", "--group", f"presentation:{path}", "--cap", "4"
         )
-        closure = {
-            "base_certificate": "abelianization-exponent",
-            "divisor": 1,
-            "kind": "divisibility-closure",
-        }
         report = {
             "cap": 4,
             "group": "presentation(a)",
             "notes": [
                 "bracketing only: no unobstructed certificates are derivable "
                 "from a bare presentation",
-                "obstructed entries hold under recorded hypotheses (finitely "
-                "generated, amenable, circularly-orderable)",
+                "abelianization is trivial (exponent 1); the exponent argument "
+                "obstructs no n > 1",
             ],
-            "obstructed": [{"certificate": closure, "n": n} for n in (2, 3, 4)],
+            "obstructed": [],
             "schema": 1,
-            "undetermined": [],
+            "undetermined": [2, 3, 4],
             "unobstructed": [],
         }
         expected = {"command": "spectrum", "report": report, "schema": 1}

@@ -28,6 +28,7 @@ from ordkit.groups import (
     ball,
     ball_with_words,
     get_group,
+    parse_presentation,
 )
 from ordkit import groups, obstruction, orders
 from ordkit.obstruction import (
@@ -48,6 +49,7 @@ from ordkit.obstruction import (
     promislow_spectrum,
     promislow_unobstructed_certificate,
     promislow_worked_example,
+    spectrum,
     verify_unobstructed,
 )
 from ordkit.orders import (
@@ -536,6 +538,18 @@ class TestPromislowSpectrum:
         assert promislow_spectrum(20).fully_determined
         assert built == [3, 6, 6]
 
+    def test_multiples_of_four_build_no_certificate(self, monkeypatch):
+        # the exponent decider answers first, so the certificate decider is
+        # asked only for the n it does not obstruct
+        asked = []
+        build = obstruction.promislow_unobstructed_certificate
+        monkeypatch.setattr(
+            obstruction, "promislow_unobstructed_certificate",
+            lambda n: asked.append(n) or build(n),
+        )
+        assert promislow_spectrum(20).fully_determined
+        assert asked == [n for n in range(2, 21) if n % 4]
+
     def test_cap_4(self):
         report = promislow_spectrum(4)
         assert set(report.obstructed) == {4}
@@ -594,3 +608,37 @@ class TestOtherSpectra:
         report = presentation_spectrum(Presentation(2, ((1, 2, -1, -2),)), 8)
         assert set(report.obstructed) == set()
         assert set(report.undetermined) == set(range(2, 9))
+
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_cyclic_presentation_agrees_with_the_finite_decision(self, m):
+        # <a | a^m> is Z/m: the exponent record may leave n undetermined that
+        # the finite decision settles, but never settle it the other way
+        cap = 60
+        presentation = parse_presentation("gens: a\nrel:" + " a" * m)
+        bracket = presentation_spectrum(presentation, cap)
+        decided = obstruction_finite(CyclicGroup(m), cap)
+        assert not bracket.obstructed.keys() & decided.unobstructed.keys()
+        assert not bracket.unobstructed.keys() & decided.obstructed.keys()
+        assert set(bracket.obstructed) == {
+            n for n in range(2, cap + 1) if m > 1 and n % m == 0
+        }
+
+
+class TestSpectrumEngine:
+    def test_first_answer_wins(self):
+        deciders = [
+            lambda n: (True, {"by": "first"}) if n % 3 == 0 else None,
+            lambda n: (False, {"by": "second"}) if n % 2 == 0 else None,
+            lambda n: (True, {"by": "third"}) if n % 5 == 0 else None,
+        ]
+        report = spectrum("x", 12, deciders, ["note"])
+        assert report.obstructed == {
+            3: {"by": "first"}, 5: {"by": "third"}, 6: {"by": "first"},
+            9: {"by": "first"}, 12: {"by": "first"},
+        }
+        assert report.unobstructed == {
+            2: {"by": "second"}, 4: {"by": "second"}, 8: {"by": "second"},
+            10: {"by": "second"},
+        }
+        assert report.undetermined == (7, 11)
+        assert (report.group_label, report.cap, report.notes) == ("x", 12, ("note",))

@@ -8,8 +8,9 @@ runs ``python -m ordkit ARGV`` once against each tree, each run in a fresh
 temporary work directory, with perfbench's job environment (every
 ``PYTHON*`` and ``ORDKIT*`` variable dropped, ``PYTHONPATH`` the tree's
 sources) plus ``PYTHONHASHSEED=0``, and compares stdout, stderr and the
-exit code.  Every file of ``tools/argv/files/`` (the ordering tables that
-``table:`` argv name) is written into each work directory first.  An argv
+exit code.  Every file of ``tools/argv/files/`` (the ordering tables and
+presentations that ``table:`` and ``presentation:`` argv name) is written
+into each work directory first.  An argv
 that is a job of perfbench's workloads for seeds 0-11 with input files
 (``perfbench/jobs.py``, ``Job.files``) is run once per distinct file set,
 each written there too.  Both trees
